@@ -93,8 +93,8 @@ def test_runtime_grows_with_circuit_size(benchmark):
 def test_flow_runtime_by_executor(benchmark):
     """End-to-end flow runtime per engine executor (identical results).
 
-    Runs the same scenario on the serial, thread-pool and process-pool
-    executors through the bench harness and asserts the recorded plan
+    Runs the same scenario on the serial and process-pool executors
+    through the bench harness and asserts the recorded plan
     fingerprints are identical.  The speedup assertion only fires where
     it is physically meaningful: multiple cores available *and* a serial
     runtime large enough (>= 2 s) for the parallel gain to dominate pool
@@ -113,7 +113,7 @@ def test_flow_runtime_by_executor(benchmark):
                     jobs=1 if executor == "serial" else jobs,
                 )
             )
-            for executor in ("serial", "threads", "processes")
+            for executor in ("serial", "processes")
         }
 
     records = run_once(benchmark, run_all)

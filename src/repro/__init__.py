@@ -27,8 +27,8 @@ The public API is organised in subpackages:
     Gurobi replacement for the per-sample optimisation problems.
 
 ``repro.engine``
-    Parallel sample-solving execution engine: pluggable serial / thread /
-    process executors with chunked submission and warm worker state,
+    Parallel sample-solving execution engine: serial and process-pool
+    executors with chunked submission and warm worker state,
     batched sample scheduling, a keyed result cache and progress /
     timing instrumentation.  Shared by the flow, the yield estimator and
     the baselines; results are bit-identical across executors.
@@ -50,10 +50,6 @@ The public API is organised in subpackages:
 
 ``repro.analysis``
     Histograms, correlation analysis and Table-I style reporting.
-
-``repro.backend``
-    Swappable array backends (numpy reference, torch, cupy) behind one
-    kernel interface, conformance-pinned against the scalar oracle.
 
 ``repro.store``
     Pluggable storage tier: URI-addressed JSONL / SQLite(WAL) drivers

@@ -262,7 +262,7 @@ def _full_suite() -> List[Scenario]:
             circuits=[("s9234", 0.18), ("s13207", 0.1), ("usb_funct", 0.05)],
             sigmas=(0.0, 1.0, 2.0),
             solvers=("graph",),
-            executors=(("serial", None), ("threads", None), ("processes", None)),
+            executors=(("serial", None), ("processes", None)),
             n_samples=300,
             n_eval_samples=600,
         )

@@ -43,7 +43,7 @@ from repro.campaign.spec import CampaignCell, CampaignSpec, shard_cells
 from repro.campaign.store import CampaignStore, make_record
 from repro.core.flow import BufferInsertionFlow
 from repro.core.results import FlowResult
-from repro.engine import LogProgress, create_executor, gang_dispatch
+from repro.engine import LogProgress, create_executor, drive_pending_generator, gang_dispatch
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span as trace_span
 from repro.obs.trace import trace_context
@@ -246,9 +246,9 @@ class CampaignRunner:
         (:func:`repro.engine.gang_dispatch`) so one warm worker pool
         serves all cells of a design at once — including the baseline
         sweeps, which ship only ``(plan, step)`` pairs.
-        ``"sequential"`` runs cells one after the other (the historical
-        behaviour).  Results are bit-identical between the two; only
-        the wall clock differs.
+        ``"sequential"`` drives the same per-cell generator one cell at
+        a time and commits each cell as it finishes.  Results are
+        bit-identical between the two; only the wall clock differs.
     """
 
     def __init__(
@@ -354,18 +354,13 @@ class CampaignRunner:
                         fingerprint=cell.fingerprint(),
                         circuit=cell.circuit,
                     ), trace_context(cell=cell.cell_id):
-                        record = self._run_cell(cell, executor)
+                        record = drive_pending_generator(
+                            self._drive_cell(cell, executor, gang_width=1), executor
+                        )
+                    seconds = time.perf_counter() - cell_start
                     registry.counter("campaign.cells.executed").inc()
-                    registry.histogram("campaign.cell.seconds").observe(
-                        time.perf_counter() - cell_start
-                    )
-                    self._commit_record(
-                        cell,
-                        record,
-                        len(run_ids) + 1,
-                        budget,
-                        time.perf_counter() - cell_start,
-                    )
+                    registry.histogram("campaign.cell.seconds").observe(seconds)
+                    self._commit_record(cell, record, len(run_ids) + 1, budget, seconds)
                     run_ids.append(cell.cell_id)
         finally:
             executor.close()
@@ -554,8 +549,10 @@ class CampaignRunner:
         """Generator running one cell cooperatively (flow + baselines).
 
         Yields :class:`~repro.engine.PendingPhase` objects and returns
-        the finished store record; the wave loop supplies each phase's
-        result via ``send``.
+        the finished store record; the caller supplies each phase's
+        result via ``send`` (the wave loop of batched dispatch, or
+        :func:`~repro.engine.drive_pending_generator` one cell at a
+        time).
         """
         design = self._design_for(cell)
         engine_progress = LogProgress(prefix=cell.cell_id) if self.progress else None
@@ -577,14 +574,15 @@ class CampaignRunner:
         )
 
     def _drive_baselines(self, cell: CampaignCell, design, result: FlowResult, scheduler):
-        """Cooperative twin of :meth:`_evaluate_baselines`.
+        """Evaluate the cell's baseline strategies after its flow.
 
-        Bit-identical numbers, different transport: instead of shipping
-        a configurator per plan (which restarts a warm process pool),
-        every baseline sweep is prepared on the *flow's* scheduler and
-        dispatched under its solver key — only the small ``(plan,
-        step)`` pairs cross the process boundary, so a whole gang's
-        baselines run on one warm pool.
+        All strategies are scored on **one** evaluation batch (drawn from
+        a seed derived from the cell seed) and capped at the proposed
+        plan's buffer count, so the comparison is equal-noise and
+        equal-area.  Every sweep is prepared on the *flow's* scheduler
+        and dispatched under its solver key: only the small ``(plan,
+        step)`` pairs cross the process boundary, so the baselines of a
+        cell (or of a whole gang) run on the flow's warm pool.
         """
         if not cell.baselines:
             return {}
@@ -642,66 +640,3 @@ class CampaignRunner:
             "plan": result.plan.as_dict(),
             "baselines": baselines,
         }
-
-    def _run_cell(self, cell: CampaignCell, executor) -> Dict[str, object]:
-        """Run one cell (flow + baselines) and assemble its store record."""
-        design = self._design_for(cell)
-        engine_progress = (
-            LogProgress(prefix=cell.cell_id) if self.progress else None
-        )
-        cell_start = time.perf_counter()
-        flow = BufferInsertionFlow(
-            design, cell.flow_config(), executor=executor, progress=engine_progress
-        )
-        result = flow.run()
-        baselines = self._evaluate_baselines(cell, design, result, executor)
-        runtime = time.perf_counter() - cell_start
-        return make_record(
-            cell,
-            self._cell_payload(design, result, baselines),
-            runtime_seconds=runtime,
-        )
-
-    def _evaluate_baselines(
-        self, cell: CampaignCell, design, result: FlowResult, executor
-    ) -> Dict[str, Dict[str, float]]:
-        """Evaluate the cell's baseline strategies on the shared executor.
-
-        All strategies are scored on **one** evaluation batch (drawn from
-        a seed derived from the cell seed) and capped at the proposed
-        plan's buffer count, so the comparison is equal-noise and
-        equal-area.  The sweep reuses the engine's warm worker state: the
-        estimator runs on the same compiled system fingerprint as the
-        flow that just finished.
-        """
-        if not cell.baselines:
-            return {}
-        from repro.campaign.spec import _derive_seed
-
-        eval_seed = _derive_seed(cell.seed, "baseline-eval")
-        estimator = YieldEstimator(
-            design,
-            n_samples=cell.n_eval_samples,
-            rng=eval_seed,
-            executor=executor,
-        )
-        samples = estimator.draw_samples()
-        reports: Dict[str, Dict[str, float]] = {}
-        for name in cell.baselines:
-            plan = build_baseline_plan(
-                name,
-                design,
-                result.target_period,
-                n_buffers=result.plan.n_buffers,
-                rng=_derive_seed(cell.seed, "baseline-plan", name),
-            )
-            report = estimator.evaluate_plan(
-                plan, result.target_period, constraint_samples=samples
-            )
-            reports[name] = {
-                "n_buffers": int(plan.n_buffers),
-                "original_yield": float(report.original_yield),
-                "tuned_yield": float(report.tuned_yield),
-                "yield_improvement": float(report.yield_improvement),
-            }
-        return reports

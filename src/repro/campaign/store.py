@@ -8,17 +8,15 @@ runner skips every fingerprint already present, which makes the resumed
 run bit-identical to an uninterrupted one (the flow itself is
 deterministic per seed and executor-independent).
 
-Since PR 7 the on-disk format is pluggable (:mod:`repro.store`):
-stores are addressed by URI — ``jsonl:path`` (the zero-dep default,
-preserving the PR 4/5 kill-mid-append tolerance, corruption rules and
-byte-identical merge semantics) or ``sqlite:path`` (WAL mode,
-transactional upserts, safe true-concurrent writers) — and opened with
-:meth:`CampaignStore.open`.  Bare paths infer ``jsonl``, so the old
-``CampaignStore(path)`` constructor keeps working (with a
-``DeprecationWarning`` pointing at the URI form).  Reports built over
-either driver are byte-identical: the storage layer round-trips records
-value-exactly and every report order derives from the cells, not the
-file.
+The on-disk format is pluggable (:mod:`repro.store`): stores are
+addressed by URI — ``jsonl:path`` (the zero-dep default, with
+kill-mid-append tolerance, strict corruption rules and byte-identical
+merge semantics) or ``sqlite:path`` (WAL mode, transactional upserts,
+safe true-concurrent writers) — and opened with
+:meth:`CampaignStore.open`; bare paths infer ``jsonl``.  Reports built
+over either driver are byte-identical: the storage layer round-trips
+records value-exactly and every report order derives from the cells,
+not the file.
 
 Duplicate fingerprints keep the **first** record (completed cells are
 never re-executed, so a duplicate can only come from concurrent
@@ -36,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import ContextManager, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -115,25 +112,11 @@ class CampaignStore:
     that does not exist yet (an empty campaign).
 
     Construct with :meth:`open` and a store URI (``jsonl:path``,
-    ``sqlite:path``, or a bare path inferring ``jsonl``).  The legacy
-    path-only constructor still works but is deprecated.
+    ``sqlite:path``, or a bare path inferring ``jsonl``).
     """
 
-    def __init__(self, path: Optional[str] = None, *, backend: Optional[StoreBackend] = None) -> None:
-        if backend is not None:
-            if path is not None:
-                raise TypeError("pass either a path or a backend, not both")
-            self.backend = backend
-            return
-        if path is None:
-            raise TypeError("CampaignStore needs a store URI (or a backend)")
-        warnings.warn(
-            "CampaignStore(path) is deprecated; use "
-            "CampaignStore.open('jsonl:<path>') (or another store URI)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.backend = open_campaign_backend(str(path))
+    def __init__(self, backend: StoreBackend) -> None:
+        self.backend = backend
 
     @classmethod
     def open(cls, uri: str) -> "CampaignStore":
@@ -185,10 +168,6 @@ class CampaignStore:
         appending its record.
         """
         return self.backend.transaction()
-
-    def lock(self) -> ContextManager[StoreTransaction]:
-        """Deprecated alias of :meth:`transaction`."""
-        return self.transaction()
 
     def append(self, record: Dict[str, object]) -> None:
         """Durably append one completed-cell record (validate, write, sync)."""

@@ -162,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", action="store_true", help="print per-phase sample progress to stderr"
     )
     insert.add_argument("--json", action="store_true", help="print the result as JSON")
-    _add_backend_argument(insert)
     _add_trace_argument(insert, "insert")
 
     _add_bench_parsers(subparsers)
@@ -231,18 +230,6 @@ def _queue_uri_parent() -> argparse.ArgumentParser:
         "(bare paths infer jsonl)",
     )
     return parent
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="array backend for the timing kernels: numpy (default), torch[:device] "
-        "or cupy when installed; an explicit unavailable backend exits 2, the "
-        "REPRO_BACKEND environment variable is a soft preference that falls "
-        "back to numpy with a notice",
-    )
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser, label: str) -> None:
@@ -470,7 +457,6 @@ def _add_campaign_parsers(subparsers) -> None:
         help="print per-cell campaign and per-phase engine progress to stderr",
     )
     run.add_argument("--json", action="store_true", help="print the run summary as JSON")
-    _add_backend_argument(run)
     _add_trace_argument(run, "campaign-run")
 
     status = campaign_sub.add_parser(
@@ -671,7 +657,6 @@ def _add_service_parsers(subparsers) -> None:
     work.add_argument(
         "--json", action="store_true", help="print the worker summary as JSON"
     )
-    _add_backend_argument(work)
     _add_trace_argument(work, "work")
 
     submit = subparsers.add_parser(
@@ -742,7 +727,6 @@ def _add_bench_parsers(subparsers) -> None:
         "--progress", action="store_true", help="print per-phase sample progress to stderr"
     )
     run.add_argument("--json", action="store_true", help="print the artifact JSON to stdout")
-    _add_backend_argument(run)
     _add_trace_argument(run, "bench-run")
 
     compare = bench_sub.add_parser("compare", help="diff two benchmark artifacts")
@@ -1506,15 +1490,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    backend_name = getattr(args, "backend", None)
-    if backend_name:
-        from repro.backend import BackendError, set_active_backend
-
-        try:
-            set_active_backend(backend_name)
-        except BackendError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
     trace_path = _requested_trace_path(args)
     if trace_path is None:
         return _dispatch(parser, args)

@@ -126,7 +126,7 @@ class FlowConfig:
         (``"auto"``/``"scipy"``/``"simplex"``).
     executor:
         Execution backend of the sample-solving engine:
-        ``"serial"`` (default), ``"threads"`` or ``"processes"``
+        ``"serial"`` (default) or ``"processes"``
         (see :mod:`repro.engine`).  The flow result is bit-identical
         across executors for a fixed seed.
     jobs:

@@ -40,10 +40,10 @@ not loop over samples itself: it builds one
 consults a content-keyed :class:`~repro.engine.ResultCache` (optionally
 LRU-bounded via :attr:`FlowConfig.cache_size`) and fans the
 remaining solves out over the executor configured by
-:attr:`FlowConfig.executor` / :attr:`FlowConfig.jobs` (``serial``,
-``threads`` or ``processes``).  Warm worker state is keyed by the
-compiled system's content fingerprint, so one process pool serves the
-solve phases, the final yield sweep
+:attr:`FlowConfig.executor` / :attr:`FlowConfig.jobs` (``serial`` or
+``processes``).  Warm worker state is keyed by the compiled system's
+content fingerprint, so one process pool serves the solve phases, the
+final yield sweep
 (:meth:`~repro.engine.SampleScheduler.evaluate_plan` ships only the
 buffer plan and per-chunk sample-matrix slices) and any further flow
 runs on the same design.  The pruning re-solve of III-A2 is
@@ -125,9 +125,9 @@ class BufferInsertionFlow:
         Optional externally-owned :class:`repro.engine.Executor`; when
         given it overrides :attr:`FlowConfig.executor` /
         :attr:`FlowConfig.jobs` and is *not* closed by the flow, so one
-        executor can serve many flow runs.  (Thread pools stay warm
-        across runs; a process pool restarts per run because each flow
-        ships its own solver to the workers.)
+        executor can serve many flow runs (a process pool stays warm
+        across runs on one design: its worker state is keyed by the
+        compiled system's content).
     progress:
         Optional :class:`repro.engine.ProgressReporter` receiving
         per-phase sample progress.

@@ -5,10 +5,10 @@ Monte-Carlo training sample spawns an independent per-sample
 optimisation, and the final yield evaluation is a second independent
 sweep.  This subsystem turns that observation into a common substrate:
 
-* :mod:`repro.engine.executor` — pluggable backends
-  (:class:`SerialExecutor`, :class:`ThreadPoolExecutor`,
-  :class:`ProcessPoolExecutor`) with chunked task submission, warm
-  per-worker state and deterministic per-task seed discipline;
+* :mod:`repro.engine.executor` — the two executors
+  (:class:`SerialExecutor`, :class:`ProcessPoolExecutor`) with chunked
+  task submission, warm per-worker state and deterministic per-task
+  seed discipline;
 * :mod:`repro.engine.batch` — batched sample-problem descriptions and
   chunking;
 * :mod:`repro.engine.scheduler` — :class:`SampleScheduler`, which skips
@@ -32,7 +32,6 @@ from repro.engine.executor import (
     Executor,
     ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
     create_executor,
     resolve_jobs,
     spawn_task_seeds,
@@ -98,7 +97,6 @@ __all__ = [
     "SharedArrayRef",
     "SharedColumns",
     "SharedMatrixStore",
-    "ThreadPoolExecutor",
     "configure_chunk",
     "create_executor",
     "drive_pending_generator",

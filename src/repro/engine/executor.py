@@ -1,22 +1,19 @@
 """Pluggable execution backends for the sample-solving engine.
 
-Three interchangeable executors run chunks of independent per-sample
+Two interchangeable executors run chunks of independent per-sample
 tasks:
 
 * :class:`SerialExecutor` — everything in the calling thread, zero
   overhead, the reference for determinism checks;
-* :class:`ThreadPoolExecutor` — a shared :mod:`concurrent.futures`
-  thread pool; useful when the per-task work releases the GIL or is
-  dominated by I/O;
 * :class:`ProcessPoolExecutor` — a worker-process pool with *chunked*
   task submission and warm worker state: a shared object (the per-sample
   solver with its constraint topology, or the post-silicon configurator)
   is shipped to every worker exactly once via the pool initializer and
   reused for all subsequent chunks, so per-chunk payloads stay small.
 
-All three expose the same :meth:`Executor.map_chunks` contract and
-return results **in submission order**, which is what lets the scheduler
-reduce them deterministically: for a fixed seed, every executor produces
+Both expose the same :meth:`Executor.map_chunks` contract and return
+results **in submission order**, which is what lets the scheduler reduce
+them deterministically: for a fixed seed, both executors produce
 bit-identical flow results.
 
 Seed discipline
@@ -38,7 +35,7 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 import numpy as np
 
 #: Names accepted by :func:`create_executor` (and the CLI ``--executor`` flag).
-EXECUTOR_CHOICES = ("serial", "threads", "processes")
+EXECUTOR_CHOICES = ("serial", "processes")
 
 #: Type of the per-chunk worker callable: ``fn(shared, payload) -> result``.
 ChunkFn = Callable[[Any, Any], Any]
@@ -162,58 +159,6 @@ class SerialExecutor(Executor):
             yield fn(shared, payload)
 
 
-class ThreadPoolExecutor(Executor):
-    """Run chunks on a persistent thread pool.
-
-    The shared object lives in the parent process, so there is no
-    per-call shipping cost; threads help whenever the chunk function
-    spends its time outside the GIL (numpy kernels, I/O).
-    """
-
-    name = "threads"
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        super().__init__(jobs)
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="repro-engine"
-            )
-        return self._pool
-
-    def map_chunks(
-        self,
-        fn: ChunkFn,
-        payloads: Iterable[Any],
-        shared: Any = None,
-        shared_key: Optional[str] = None,
-    ) -> Iterator[Any]:
-        payloads = list(payloads)
-        if not payloads:
-            return iter(())
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, shared, payload) for payload in payloads]
-        return _drain_in_order(futures)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-def _drain_in_order(futures: List["concurrent.futures.Future"]) -> Iterator[Any]:
-    """Yield future results in submission order as they become ready.
-
-    All futures are already submitted (work proceeds in the background);
-    yielding in order keeps downstream reductions deterministic while
-    still letting the consumer observe progress chunk by chunk.
-    """
-    for future in futures:
-        yield future.result()
-
-
 class ProcessPoolExecutor(Executor):
     """Run chunks on a worker-process pool with warm shared state.
 
@@ -277,7 +222,10 @@ class ProcessPoolExecutor(Executor):
             return iter(())
         pool = self._ensure_pool(shared, shared_key)
         futures = [pool.submit(_run_with_shared, fn, payload) for payload in payloads]
-        return _drain_in_order(futures)
+        # Every chunk is already running; yielding in submission order
+        # keeps downstream reductions deterministic while the consumer
+        # still sees progress chunk by chunk.
+        return (future.result() for future in futures)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -298,7 +246,7 @@ def create_executor(
     Parameters
     ----------
     executor:
-        ``"serial"``, ``"threads"``, ``"processes"``, an :class:`Executor`
+        ``"serial"``, ``"processes"``, an :class:`Executor`
         instance (returned unchanged), or ``None`` (serial).
     jobs:
         Worker count for the parallel backends (default: CPU count).
@@ -309,8 +257,6 @@ def create_executor(
         return executor
     if executor == "serial":
         return SerialExecutor(jobs)
-    if executor == "threads":
-        return ThreadPoolExecutor(jobs)
     if executor == "processes":
         return ProcessPoolExecutor(jobs)
     raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTOR_CHOICES}")

@@ -22,8 +22,8 @@ computed:
   draining anything.  On executors with keyed worker state (the process
   pool) pendings are grouped by ``shared_key`` and drained group by
   group — submitting a second key would restart the pool and orphan the
-  first group's futures.  Stateless executors (serial, threads) submit
-  the whole wave up front.
+  first group's futures.  The stateless serial executor submits the
+  whole wave up front.
 * :func:`drive_pending_generator` — run a cooperative generator (one
   that yields :class:`PendingPhase` objects and receives their results)
   to completion sequentially.

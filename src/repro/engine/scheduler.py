@@ -76,7 +76,7 @@ def _share_bounds(executor, setup_bounds, hold_bounds, fingerprint: str):
 
     Returns ``(setup_ref, hold_ref, release)``: the refs are ``None``
     (and ``release`` a no-op) when inline pickling is the better
-    transport (serial/thread executors, small matrices, ``REPRO_NO_SHM``).
+    transport (serial executor, small matrices, ``REPRO_NO_SHM``).
     ``release`` must be called exactly once, after the phase's result
     stream has fully drained — it drops the store references so the
     segments can retire; calling it earlier could unlink a segment with

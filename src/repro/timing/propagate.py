@@ -27,12 +27,11 @@ with the scalar path to well below ``1e-12``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 
-from repro.backend import ArrayBackend, active_backend
 from repro.timing.graph import TimingGraph
 from repro.variation.arrayforms import clark_max_coeffs
 from repro.variation.canonical import CanonicalForm
@@ -131,7 +130,6 @@ def all_ff_pair_delay_forms(
     timing_graph: TimingGraph,
     launch_ffs: Optional[List[str]] = None,
     method: str = "array",
-    backend: Optional[ArrayBackend] = None,
 ) -> Dict[Tuple[str, str], Tuple[CanonicalForm, CanonicalForm]]:
     """Canonical max/min delay forms for every connected flip-flop pair.
 
@@ -144,9 +142,6 @@ def all_ff_pair_delay_forms(
         ``"array"`` (default) runs the level-ordered whole-graph sweep
         with vectorised Clark max across launch flip-flops; ``"scalar"``
         runs the per-launch reference propagation.
-    backend:
-        Array backend the sweep's kernels run on (default: the
-        process-wide active backend, numpy unless selected otherwise).
 
     Returns
     -------
@@ -163,7 +158,7 @@ def all_ff_pair_delay_forms(
         return pairs
     if method != "array":
         raise ValueError(f"unknown propagation method {method!r}")
-    return _all_pairs_array(timing_graph, launch_ffs, backend=backend)
+    return _all_pairs_array(timing_graph, launch_ffs)
 
 
 def _form_row(form: CanonicalForm, width: int, negate: bool = False) -> np.ndarray:
@@ -186,13 +181,13 @@ _ABSENT_MEAN = -1e30
 
 
 def _extend_block(
-    ids: Tuple[int, ...], block, union: Tuple[int, ...], width: int, xp: ArrayBackend
-):
+    ids: Tuple[int, ...], block: np.ndarray, union: Tuple[int, ...], width: int
+) -> np.ndarray:
     """Expand a compact block onto a larger id union with sentinel rows."""
     if ids == union:
         return block
     position = {launch: row for row, launch in enumerate(union)}
-    out = xp.zeros((2, len(union), width))
+    out = np.zeros((2, len(union), width))
     out[:, :, 0] = _ABSENT_MEAN
     out[:, [position[i] for i in ids]] = block
     return out
@@ -201,7 +196,6 @@ def _extend_block(
 def _all_pairs_array(
     timing_graph: TimingGraph,
     launch_ffs: List[str],
-    backend: Optional[ArrayBackend] = None,
 ) -> Dict[Tuple[str, str], Tuple[CanonicalForm, CanonicalForm]]:
     """Level-ordered array sweep carrying all launch flip-flops at once.
 
@@ -222,7 +216,6 @@ def _all_pairs_array(
     freed once every successor has consumed them, bounding live memory
     by the level frontier.
     """
-    xp = backend if backend is not None else active_backend()
     graph = timing_graph.graph
     for launch in launch_ffs:
         if launch not in graph:
@@ -238,12 +231,9 @@ def _all_pairs_array(
         return block
 
     # node -> (sorted launch-id tuple, (2, k, width) coefficient block)
-    arrivals: Dict[Hashable, Tuple[Tuple[int, ...], Any]] = {}
+    arrivals: Dict[Hashable, Tuple[Tuple[int, ...], np.ndarray]] = {}
     for ff in launch_ffs:
-        arrivals[ff] = (
-            (launch_index[ff],),
-            xp.asarray(_node_block(timing_graph.annotation(ff))),
-        )
+        arrivals[ff] = ((launch_index[ff],), _node_block(timing_graph.annotation(ff)))
 
     # Level schedule over the reachable subgraph: a node's level is one
     # past its deepest reached predecessor, so all nodes of a level have
@@ -269,7 +259,7 @@ def _all_pairs_array(
 
     remaining: Dict[Hashable, int] = {}
 
-    def consume(pred: Hashable) -> Tuple[Tuple[int, ...], Any]:
+    def consume(pred: Hashable) -> Tuple[Tuple[int, ...], np.ndarray]:
         """Fetch a predecessor's block, freeing it after its last use."""
         reached = arrivals[pred]
         left = remaining.get(pred)
@@ -282,10 +272,10 @@ def _all_pairs_array(
             remaining[pred] = left - 1
         return reached
 
-    captured: Dict[str, Tuple[Tuple[int, ...], Any]] = {}
+    captured: Dict[str, Tuple[Tuple[int, ...], np.ndarray]] = {}
     for level_nodes in schedule:
         # Fold round 0: adopt the first predecessor (by reference).
-        state: Dict[Hashable, Tuple[Tuple[int, ...], Any]] = {
+        state: Dict[Hashable, Tuple[Tuple[int, ...], np.ndarray]] = {
             node: consume(pred_lists[node][0]) for node in level_nodes
         }
         # Fold rounds r >= 1: one batched kernel call per round merges
@@ -296,8 +286,8 @@ def _all_pairs_array(
             if not active:
                 break
             segments: List[Tuple[Hashable, Tuple[int, ...], int]] = []
-            rows_a: List[Any] = []
-            rows_b: List[Any] = []
+            rows_a: List[np.ndarray] = []
+            rows_b: List[np.ndarray] = []
             offset = 0
             for node in active:
                 ids_a, block_a = state[node]
@@ -306,17 +296,11 @@ def _all_pairs_array(
                     union = ids_a
                 else:
                     union = tuple(sorted(set(ids_a) | set(ids_b)))
-                rows_a.append(
-                    _extend_block(ids_a, block_a, union, width, xp).reshape(-1, width)
-                )
-                rows_b.append(
-                    _extend_block(ids_b, block_b, union, width, xp).reshape(-1, width)
-                )
+                rows_a.append(_extend_block(ids_a, block_a, union, width).reshape(-1, width))
+                rows_b.append(_extend_block(ids_b, block_b, union, width).reshape(-1, width))
                 segments.append((node, union, offset))
                 offset += 2 * len(union)
-            merged = clark_max_coeffs(
-                xp.concatenate(rows_a), xp.concatenate(rows_b), backend=xp
-            )
+            merged = clark_max_coeffs(np.concatenate(rows_a), np.concatenate(rows_b))
             for node, union, start in segments:
                 k = len(union)
                 state[node] = (union, merged[start : start + 2 * k].reshape(2, k, width))
@@ -328,10 +312,10 @@ def _all_pairs_array(
             if isinstance(node, tuple) and node[0] == "sink":
                 captured[node[1]] = (ids, block)
                 continue
-            delay = xp.asarray(_node_block(timing_graph.annotation(node)))
-            out = xp.empty_like(block)
+            delay = _node_block(timing_graph.annotation(node))
+            out = np.empty_like(block)
             out[..., :-1] = block[..., :-1] + delay[..., :-1]
-            out[..., -1] = xp.hypot(block[..., -1], delay[..., -1])
+            out[..., -1] = np.hypot(block[..., -1], delay[..., -1])
             arrivals[node] = (ids, out)
 
     # Emit pairs launch-major, captures in topological discovery order
@@ -342,16 +326,13 @@ def _all_pairs_array(
         capture: {launch: row for row, launch in enumerate(captured[capture][0])}
         for capture in ordered_captures
     }
-    blocks_np: Dict[str, np.ndarray] = {
-        capture: xp.to_numpy(captured[capture][1]) for capture in ordered_captures
-    }
     for launch in launch_ffs:
         idx = launch_index[launch]
         for capture in ordered_captures:
             row = rows_of[capture].get(idx)
             if row is None:
                 continue
-            block = blocks_np[capture]
+            block = captured[capture][1]
             max_row = block[0, row]
             min_row = block[1, row]
             pairs[(launch, capture)] = (

@@ -8,23 +8,11 @@ forms stored as one ``(n_forms, n_sources + 2)`` coefficient matrix
 * columns ``1 .. n_sources`` — the shared-source sensitivities,
 * column ``n_sources + 1`` — the independent sigmas ``a_r`` (>= 0).
 
-A stack may additionally carry a leading **cell axis**: coefficients of
-shape ``(n_cells, n_forms, n_sources + 2)`` hold the same form layout
-for ``n_cells`` campaign cells of one compiled topology, and every
-operation (including Clark's max and Monte-Carlo evaluation) batches
-over that axis in a single kernel invocation.  Leading dimensions are
-flattened through the identical 2-D reduction, so the per-cell numbers
-are bit-for-bit what a per-cell loop would produce.
-
 Every operation of the scalar class exists in vectorised row-wise form:
 addition/subtraction (independent terms combine in quadrature), scaling,
 Clark's statistical max/min, and Monte-Carlo evaluation of all forms
 against a sample batch with a single matrix multiplication
-``means + sensitivities @ samples``.  All kernel ops are expressed
-against a swappable array namespace (:mod:`repro.backend`): the numpy
-backend delegates to the very functions the kernels always used (results
-stay bit-identical), optional torch/cupy backends agree with the scalar
-oracle to ``1e-12``.  The statistical timing engine
+``means + sensitivities @ samples``.  The statistical timing engine
 (:mod:`repro.timing.propagate`) sweeps whole levels of the timing graph
 through these kernels instead of looping over Python objects, and the
 compiled constraint system (:mod:`repro.core.compiled`) keeps the stacked
@@ -44,7 +32,6 @@ from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backend import ArrayBackend, numpy_backend
 from repro.variation.canonical import CanonicalForm
 
 #: Below this spread Clark's max degenerates to picking the larger mean
@@ -54,15 +41,13 @@ _CLARK_DEGENERATE_TOL = 1e-12
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 
+try:  # pragma: no cover - exercised indirectly on every import
+    from scipy.special import erf as _erf
+except Exception:  # pragma: no cover - scipy genuinely absent
+    _erf_obj = np.frompyfunc(math.erf, 1, 1)
 
-def _phi_vec(x: np.ndarray) -> np.ndarray:
-    """Standard normal pdf, elementwise (numpy-backend shorthand)."""
-    return numpy_backend().phi(x)
-
-
-def _Phi_vec(x: np.ndarray) -> np.ndarray:
-    """Standard normal cdf, elementwise (numpy-backend shorthand)."""
-    return numpy_backend().Phi(x)
+    def _erf(x: np.ndarray) -> np.ndarray:
+        return _erf_obj(x).astype(float)
 
 
 class ArrayForms:
@@ -72,65 +57,40 @@ class ArrayForms:
     ----------
     coeffs:
         Array of shape ``(n_forms, n_sources + 2)`` laid out as
-        ``[mean | sensitivities | independent]``, or
-        ``(n_cells, n_forms, n_sources + 2)`` for a cell-batched stack.
-        The array is used as-is (no copy) when it already is a float64
-        array of the stack's backend.
-    backend:
-        Array backend the stack's kernels run on (default: numpy, the
-        bit-identical reference backend).
+        ``[mean | sensitivities | independent]``.  The array is used
+        as-is (no copy) when it already is a float64 matrix.
     """
 
-    __slots__ = ("coeffs", "backend")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, backend: Optional[ArrayBackend] = None) -> None:
-        xp = backend if backend is not None else numpy_backend()
-        coeffs = xp.asarray(coeffs)
-        if coeffs.ndim not in (2, 3) or coeffs.shape[-1] < 2:
+    def __init__(self, coeffs) -> None:
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 2 or coeffs.shape[1] < 2:
             raise ValueError(
-                "coeffs must have shape (n_forms, n_sources + 2) or "
-                f"(n_cells, n_forms, n_sources + 2); got {tuple(coeffs.shape)}"
+                "coeffs must have shape (n_forms, n_sources + 2); "
+                f"got {coeffs.shape}"
             )
         self.coeffs = coeffs
-        self.backend = xp
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def zeros(
-        cls,
-        n_forms: int,
-        n_sources: int,
-        n_cells: Optional[int] = None,
-        backend: Optional[ArrayBackend] = None,
-    ) -> "ArrayForms":
+    def zeros(cls, n_forms: int, n_sources: int) -> "ArrayForms":
         """``n_forms`` zero forms over ``n_sources`` shared sources."""
-        xp = backend if backend is not None else numpy_backend()
-        shape = (n_forms, n_sources + 2)
-        if n_cells is not None:
-            shape = (n_cells,) + shape
-        return cls(xp.zeros(shape), backend=xp)
+        return cls(np.zeros((n_forms, n_sources + 2)))
 
     @classmethod
-    def constants(
-        cls,
-        values: Sequence[float],
-        n_sources: int,
-        backend: Optional[ArrayBackend] = None,
-    ) -> "ArrayForms":
+    def constants(cls, values: Sequence[float], n_sources: int) -> "ArrayForms":
         """Deterministic values expressed as canonical forms."""
         values = np.asarray(values, dtype=float)
         coeffs = np.zeros((values.shape[0], n_sources + 2))
         coeffs[:, 0] = values
-        return cls(coeffs, backend=backend)
+        return cls(coeffs)
 
     @classmethod
     def from_forms(
-        cls,
-        forms: Iterable[CanonicalForm],
-        n_sources: Optional[int] = None,
-        backend: Optional[ArrayBackend] = None,
+        cls, forms: Iterable[CanonicalForm], n_sources: Optional[int] = None
     ) -> "ArrayForms":
         """Stack scalar :class:`CanonicalForm` objects into one matrix.
 
@@ -141,7 +101,7 @@ class ArrayForms:
         if not forms:
             if n_sources is None:
                 raise ValueError("n_sources is required to stack zero forms")
-            return cls.zeros(0, n_sources, backend=backend)
+            return cls.zeros(0, n_sources)
         width = forms[0].n_sources
         coeffs = np.empty((len(forms), width + 2))
         for row, form in enumerate(forms):
@@ -152,95 +112,51 @@ class ArrayForms:
             coeffs[row, 0] = form.mean
             coeffs[row, 1:-1] = form.sensitivities
             coeffs[row, -1] = form.independent
-        return cls(coeffs, backend=backend)
-
-    @classmethod
-    def stack_cells(
-        cls, stacks: Sequence["ArrayForms"], backend: Optional[ArrayBackend] = None
-    ) -> "ArrayForms":
-        """Stack aligned per-cell matrices along a new leading cell axis.
-
-        All stacks must be 2-D with identical shape; the result is the
-        ``(n_cells, n_forms, width)`` cell batch every kernel sweeps in
-        one pass.
-        """
-        stacks = list(stacks)
-        if not stacks:
-            raise ValueError("stack_cells requires at least one stack")
-        xp = backend if backend is not None else stacks[0].backend
-        shape = tuple(stacks[0].coeffs.shape)
-        for stack in stacks:
-            if stack.coeffs.ndim != 2:
-                raise ValueError("stack_cells requires 2-D per-cell stacks")
-            if tuple(stack.coeffs.shape) != shape:
-                raise ValueError(
-                    f"misaligned cell stacks: {shape} vs {tuple(stack.coeffs.shape)}"
-                )
-        return cls(xp.stack([xp.asarray(s.coeffs) for s in stacks]), backend=xp)
+        return cls(coeffs)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def n_forms(self) -> int:
-        """Number of stacked forms (rows of one cell)."""
-        return int(self.coeffs.shape[-2])
+        """Number of stacked forms (rows)."""
+        return int(self.coeffs.shape[0])
 
     @property
     def n_sources(self) -> int:
         """Number of shared variation sources."""
-        return int(self.coeffs.shape[-1] - 2)
-
-    @property
-    def n_cells(self) -> Optional[int]:
-        """Size of the leading cell axis (``None`` for a plain stack)."""
-        return int(self.coeffs.shape[0]) if self.coeffs.ndim == 3 else None
+        return int(self.coeffs.shape[1] - 2)
 
     def __len__(self) -> int:
         return self.n_forms
 
     @property
-    def means(self):
-        """The ``a0`` terms (view into the matrix)."""
-        return self.coeffs[..., 0]
+    def means(self) -> np.ndarray:
+        """Vector of the ``a0`` terms (view into the matrix)."""
+        return self.coeffs[:, 0]
 
     @property
-    def sensitivities(self):
-        """Shared sensitivities ``(..., n_forms, n_sources)`` (view)."""
-        return self.coeffs[..., 1:-1]
+    def sensitivities(self) -> np.ndarray:
+        """Matrix ``(n_forms, n_sources)`` of shared sensitivities (view)."""
+        return self.coeffs[:, 1:-1]
 
     @property
-    def independent(self):
-        """Independent sigmas (view into the matrix)."""
-        return self.coeffs[..., -1]
+    def independent(self) -> np.ndarray:
+        """Vector of independent sigmas (view into the matrix)."""
+        return self.coeffs[:, -1]
 
-    def variances(self):
+    def variances(self) -> np.ndarray:
         """Total variance (shared + independent) of every form."""
         sens = self.sensitivities
-        return self.backend.row_dot(sens, sens) + self.independent**2
+        return np.einsum("ij,ij->i", sens, sens) + self.independent**2
 
-    def stds(self):
+    def stds(self) -> np.ndarray:
         """Total standard deviation of every form."""
-        xp = self.backend
-        return xp.sqrt(xp.maximum(self.variances(), 0.0))
-
-    def _require_2d(self, what: str) -> None:
-        if self.coeffs.ndim != 2:
-            raise ValueError(
-                f"{what} requires a plain 2-D stack; select one cell first "
-                "(ArrayForms.cell)"
-            )
-
-    def cell(self, index: int) -> "ArrayForms":
-        """The plain 2-D stack of one cell of a cell-batched stack."""
-        if self.coeffs.ndim != 3:
-            raise ValueError("cell() requires a cell-batched 3-D stack")
-        return ArrayForms(self.coeffs[index], backend=self.backend)
+        return np.sqrt(np.maximum(self.variances(), 0.0))
 
     def form(self, index: int) -> CanonicalForm:
         """The scalar view of one row."""
-        self._require_2d("form()")
-        row = self.backend.to_numpy(self.coeffs[index])
+        row = self.coeffs[index]
         return CanonicalForm(float(row[0]), row[1:-1].copy(), float(row[-1]))
 
     def forms(self) -> List[CanonicalForm]:
@@ -249,92 +165,75 @@ class ArrayForms:
 
     def take(self, indices) -> "ArrayForms":
         """A new stack restricted to the given row indices."""
-        rows = [int(i) for i in np.asarray(indices, dtype=int).ravel()]
-        return ArrayForms(self.coeffs[..., rows, :], backend=self.backend)
+        return ArrayForms(self.coeffs[np.asarray(indices, dtype=int).ravel()])
 
     def copy(self) -> "ArrayForms":
         """An independent copy of the stack."""
-        return ArrayForms(self.backend.copy(self.coeffs), backend=self.backend)
-
-    def to_backend(self, backend: ArrayBackend) -> "ArrayForms":
-        """The same stack on another array backend (no-op when equal)."""
-        if backend is self.backend:
-            return self
-        return ArrayForms(
-            backend.asarray(self.backend.to_numpy(self.coeffs)), backend=backend
-        )
+        return ArrayForms(self.coeffs.copy())
 
     # ------------------------------------------------------------------
     # Arithmetic (row-wise; independent terms combine in quadrature)
     # ------------------------------------------------------------------
-    def _coerce(self, other: Union["ArrayForms", CanonicalForm]):
+    def _coerce(self, other: Union["ArrayForms", CanonicalForm]) -> np.ndarray:
         """Other operand as a broadcastable coefficient matrix."""
         if isinstance(other, ArrayForms):
             if other.n_sources != self.n_sources:
                 raise ValueError(
                     f"incompatible stacks: {self.n_sources} vs {other.n_sources} sources"
                 )
-            return self.backend.asarray(other.coeffs)
+            return other.coeffs
         if isinstance(other, CanonicalForm):
             if other.n_sources != self.n_sources:
                 raise ValueError(
                     f"incompatible forms: {self.n_sources} vs {other.n_sources} sources"
                 )
-            row = np.empty((1, self.coeffs.shape[-1]))
+            row = np.empty((1, self.coeffs.shape[1]))
             row[0, 0] = other.mean
             row[0, 1:-1] = other.sensitivities
             row[0, -1] = other.independent
-            return self.backend.asarray(row)
+            return row
         raise TypeError(f"cannot combine ArrayForms with {type(other).__name__}")
 
     def add(self, other: Union["ArrayForms", CanonicalForm]) -> "ArrayForms":
         """Row-wise sum (a single form broadcasts to every row)."""
-        xp = self.backend
         rhs = self._coerce(other)
-        out = self.coeffs[..., :-1] + rhs[..., :-1]
-        indep = xp.hypot(self.independent, rhs[..., -1])
-        return ArrayForms(
-            xp.concatenate([out, indep[..., None]], axis=-1), backend=xp
-        )
+        out = self.coeffs[:, :-1] + rhs[:, :-1]
+        indep = np.hypot(self.independent, rhs[:, -1])
+        return ArrayForms(np.concatenate([out, indep[:, None]], axis=1))
 
     def subtract(self, other: Union["ArrayForms", CanonicalForm]) -> "ArrayForms":
         """Row-wise difference (independent sigmas still add in quadrature)."""
-        xp = self.backend
         rhs = self._coerce(other)
-        out = self.coeffs[..., :-1] - rhs[..., :-1]
-        indep = xp.hypot(self.independent, rhs[..., -1])
-        return ArrayForms(
-            xp.concatenate([out, indep[..., None]], axis=-1), backend=xp
-        )
+        out = self.coeffs[:, :-1] - rhs[:, :-1]
+        indep = np.hypot(self.independent, rhs[:, -1])
+        return ArrayForms(np.concatenate([out, indep[:, None]], axis=1))
 
     def add_constants(self, values) -> "ArrayForms":
         """Add deterministic per-row offsets to the means."""
-        xp = self.backend
-        out = xp.copy(self.coeffs)
-        out[..., 0] += xp.asarray(values)
-        return ArrayForms(out, backend=xp)
+        out = self.coeffs.copy()
+        out[:, 0] += np.asarray(values, dtype=float)
+        return ArrayForms(out)
 
     def scale(self, factors) -> "ArrayForms":
         """Row-wise scaling (a scalar broadcasts to every row)."""
-        xp = self.backend
-        factors = xp.asarray(factors)
+        factors = np.asarray(factors, dtype=float)
         if factors.ndim == 0:
             out = self.coeffs * factors
         else:
-            out = self.coeffs * factors[..., None]
-        out[..., -1] = xp.abs(out[..., -1])
-        return ArrayForms(out, backend=xp)
+            out = self.coeffs * factors[:, None]
+        out[:, -1] = np.abs(out[:, -1])
+        return ArrayForms(out)
 
     def negate(self) -> "ArrayForms":
         """Row-wise negation (independent sigma stays positive)."""
         out = -self.coeffs
-        out[..., -1] = self.coeffs[..., -1]
-        return ArrayForms(out, backend=self.backend)
+        out[:, -1] = self.coeffs[:, -1]
+        return ArrayForms(out)
 
-    def covariances(self, other: "ArrayForms"):
+    def covariances(self, other: "ArrayForms") -> np.ndarray:
         """Row-wise covariance with another stack of the same shape."""
         rhs = self._coerce(other)
-        return self.backend.row_dot(self.sensitivities, rhs[..., 1:-1])
+        return np.einsum("ij,ij->i", self.sensitivities, rhs[:, 1:-1])
 
     # ------------------------------------------------------------------
     # Clark's statistical max / min, row-wise
@@ -347,16 +246,13 @@ class ArrayForms:
         including the degenerate branch (perfectly correlated operands
         with equal spread collapse to whichever mean is larger).
         """
-        xp = self.backend
         a, b = self.coeffs, self._coerce(other)
-        if tuple(b.shape) != tuple(a.shape):
+        if b.shape != a.shape:
             try:
-                b = xp.broadcast_to(b, a.shape)
-            except Exception:
-                raise ValueError(
-                    f"shape mismatch: {tuple(a.shape)} vs {tuple(b.shape)}"
-                ) from None
-        return ArrayForms(clark_max_coeffs(a, b, backend=xp), backend=xp)
+                b = np.broadcast_to(b, a.shape)
+            except ValueError:
+                raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}") from None
+        return ArrayForms(clark_max_coeffs(a, b))
 
     def clark_min(self, other: "ArrayForms") -> "ArrayForms":
         """Row-wise statistical minimum via ``min(a, b) = -max(-a, -b)``."""
@@ -369,87 +265,63 @@ class ArrayForms:
     # ------------------------------------------------------------------
     def evaluate(
         self,
-        source_samples,
-        independent_samples=None,
-    ):
+        source_samples: np.ndarray,
+        independent_samples: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Evaluate every form against a sample batch in one matmul.
 
         Parameters
         ----------
         source_samples:
             Array ``(n_sources, n_samples)`` of standard-normal draws of
-            the shared sources (shared by every cell of a cell-batched
-            stack), or ``(n_cells, n_sources, n_samples)`` for per-cell
-            batches.
+            the shared sources.
         independent_samples:
-            Optional ``(..., n_forms, n_samples)`` standard-normal draws
-            for the independent terms; omitted contributions are
-            dropped.
+            Optional ``(n_forms, n_samples)`` standard-normal draws for
+            the independent terms; omitted contributions are dropped.
 
         Returns
         -------
-        Array ``(..., n_forms, n_samples)`` on the stack's backend.
+        numpy.ndarray
+            Array ``(n_forms, n_samples)``.
         """
-        xp = self.backend
-        source_samples = xp.asarray(source_samples)
-        if (
-            source_samples.ndim not in (2, 3)
-            or source_samples.shape[-2] != self.n_sources
-        ):
+        source_samples = np.asarray(source_samples, dtype=float)
+        if source_samples.ndim != 2 or source_samples.shape[0] != self.n_sources:
             raise ValueError(
                 f"source_samples must have shape ({self.n_sources}, n); "
-                f"got {tuple(source_samples.shape)}"
+                f"got {source_samples.shape}"
             )
-        values = self.means[..., None] + self.sensitivities @ source_samples
-        if independent_samples is not None and xp.any(self.independent != 0.0):
-            independent_samples = xp.asarray(independent_samples)
-            if tuple(independent_samples.shape) != tuple(values.shape):
+        values = self.means[:, None] + self.sensitivities @ source_samples
+        if independent_samples is not None and np.any(self.independent != 0.0):
+            independent_samples = np.asarray(independent_samples, dtype=float)
+            if independent_samples.shape != values.shape:
                 raise ValueError(
-                    f"independent_samples must have shape {tuple(values.shape)}; "
-                    f"got {tuple(independent_samples.shape)}"
+                    f"independent_samples must have shape {values.shape}; "
+                    f"got {independent_samples.shape}"
                 )
-            values = values + self.independent[..., None] * independent_samples
+            values = values + self.independent[:, None] * independent_samples
         return values
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        cells = "" if self.n_cells is None else f"n_cells={self.n_cells}, "
-        return f"ArrayForms({cells}n_forms={self.n_forms}, n_sources={self.n_sources})"
+        return f"ArrayForms(n_forms={self.n_forms}, n_sources={self.n_sources})"
 
 
-def clark_max_coeffs(a, b, backend: Optional[ArrayBackend] = None):
-    """Clark's max of two aligned coefficient matrices (the kernel).
-
-    Accepts arbitrary leading batch dimensions: ``(..., n_forms, width)``
-    inputs are flattened to the 2-D kernel and reshaped back, so the
-    reduction order — and therefore every output bit on the numpy
-    backend — is identical to a loop over the leading axes.
-    """
-    xp = backend if backend is not None else numpy_backend()
-    a = xp.asarray(a)
-    b = xp.asarray(b)
-    if a.ndim > 2:
-        if tuple(a.shape) != tuple(b.shape):
-            raise ValueError(f"shape mismatch: {tuple(a.shape)} vs {tuple(b.shape)}")
-        width = a.shape[-1]
-        flat = clark_max_coeffs(
-            a.reshape(-1, width), b.reshape(-1, width), backend=xp
-        )
-        return flat.reshape(a.shape)
-
+def clark_max_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Clark's max of two aligned ``(n_forms, width)`` coefficient
+    matrices (the kernel)."""
     mean_a, mean_b = a[:, 0], b[:, 0]
     sens_a, sens_b = a[:, 1:-1], b[:, 1:-1]
-    var_a = xp.row_dot(sens_a, sens_a) + a[:, -1] ** 2
-    var_b = xp.row_dot(sens_b, sens_b) + b[:, -1] ** 2
-    cov = xp.row_dot(sens_a, sens_b)
+    var_a = np.einsum("ij,ij->i", sens_a, sens_a) + a[:, -1] ** 2
+    var_b = np.einsum("ij,ij->i", sens_b, sens_b) + b[:, -1] ** 2
+    cov = np.einsum("ij,ij->i", sens_a, sens_b)
     theta2 = var_a + var_b - 2.0 * cov
-    theta = xp.sqrt(xp.maximum(theta2, 0.0))
+    theta = np.sqrt(np.maximum(theta2, 0.0))
     degenerate = theta < _CLARK_DEGENERATE_TOL
 
-    safe_theta = xp.where(degenerate, 1.0, theta)
+    safe_theta = np.where(degenerate, 1.0, theta)
     alpha = (mean_a - mean_b) / safe_theta
-    t = xp.Phi(alpha)
-    phi = xp.phi(alpha)
+    t = 0.5 * (1.0 + _erf(alpha / _SQRT2))
+    phi = _INV_SQRT_2PI * np.exp(-0.5 * alpha * alpha)
     one_minus_t = 1.0 - t
     mean = mean_a * t + mean_b * one_minus_t + theta * phi
     second = (
@@ -457,16 +329,16 @@ def clark_max_coeffs(a, b, backend: Optional[ArrayBackend] = None):
         + (var_b + mean_b**2) * one_minus_t
         + (mean_a + mean_b) * theta * phi
     )
-    variance = xp.maximum(second - mean**2, 0.0)
+    variance = np.maximum(second - mean**2, 0.0)
     sens = t[:, None] * sens_a + one_minus_t[:, None] * sens_b
-    shared_var = xp.row_dot(sens, sens)
-    independent = xp.sqrt(xp.maximum(variance - shared_var, 0.0))
+    shared_var = np.einsum("ij,ij->i", sens, sens)
+    independent = np.sqrt(np.maximum(variance - shared_var, 0.0))
 
-    out = xp.empty_like(a)
+    out = np.empty_like(a)
     out[:, 0] = mean
     out[:, 1:-1] = sens
     out[:, -1] = independent
-    if xp.any(degenerate):
+    if np.any(degenerate):
         pick_a = mean_a >= mean_b
         deg_a = degenerate & pick_a
         deg_b = degenerate & ~pick_a

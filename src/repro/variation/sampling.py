@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.utils.rng import RngLike, ensure_rng
 from repro.variation.arrayforms import ArrayForms
 from repro.variation.canonical import CanonicalForm
@@ -148,11 +147,9 @@ class MonteCarloSampler:
         n_samples = batch.n_samples
         if n_forms == 0:
             return np.zeros((0, n_samples))
-        xp = active_backend()
-        stack = forms.to_backend(xp)
-        values = stack.means[..., None] + stack.sensitivities @ xp.asarray(batch.shared)
-        if include_independent and xp.any(stack.independent != 0.0):
+        values = forms.means[:, None] + forms.sensitivities @ batch.shared
+        if include_independent and np.any(forms.independent != 0.0):
             generator = ensure_rng(rng) if rng is not None else self._rng
             noise = generator.standard_normal((n_forms, n_samples))
-            values = values + stack.independent[..., None] * xp.asarray(noise)
-        return xp.to_numpy(values)
+            values = values + forms.independent[:, None] * noise
+        return values

@@ -45,7 +45,7 @@ class YieldEstimator:
         Seed or generator for the sample batches.
     executor:
         Execution backend for the evaluation sweeps: an executor name
-        (``"serial"``/``"threads"``/``"processes"``), an existing
+        (``"serial"``/``"processes"``), an existing
         :class:`repro.engine.Executor` (not closed by the estimator), or
         ``None`` for serial.  Yields are identical across executors.
         Executors created *by name* are owned by the estimator — call

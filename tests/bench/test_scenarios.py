@@ -37,7 +37,7 @@ class TestScenario:
     def test_flow_config_carries_every_knob(self):
         scenario = Scenario(
             circuit="s9234", scale=0.05, sigma=1.0, solver="milp",
-            executor="threads", jobs=3, n_samples=111, n_eval_samples=222, seed=9,
+            executor="processes", jobs=3, n_samples=111, n_eval_samples=222, seed=9,
         )
         config = scenario.flow_config()
         assert config.n_samples == 111
@@ -45,7 +45,7 @@ class TestScenario:
         assert config.seed == 9
         assert config.target_sigma == 1.0
         assert config.solver == "milp"
-        assert config.executor == "threads"
+        assert config.executor == "processes"
         assert config.jobs == 3
 
 

@@ -3,7 +3,7 @@
 The acceptance property: n CI jobs each run ``--shard i/n`` into their
 own store, ``CampaignStore.merge`` unions the shard stores, and the
 report built from the merged store is **byte-identical** to the report
-of one unsharded run of the same spec — across serial, threads and
+of one unsharded run of the same spec — across the serial and
 processes executors.
 """
 
@@ -72,7 +72,7 @@ class TestShardPartition:
 class TestMergeRoundTrip:
     @pytest.mark.parametrize(
         "n,executor,jobs",
-        [(2, "serial", None), (3, "serial", None), (2, "threads", 2), (2, "processes", 2)],
+        [(2, "serial", None), (3, "serial", None), (2, "processes", 2)],
     )
     def test_merged_shards_report_byte_identical_to_unsharded(
         self, tmp_path, unsharded, n, executor, jobs

@@ -193,7 +193,7 @@ class TestResume:
 
     @pytest.mark.parametrize(
         "resume_executor,jobs",
-        [("serial", None), ("threads", 2), ("processes", 2)],
+        [("serial", None), ("processes", 2)],
     )
     def test_killed_campaign_resumes_bit_identically(
         self, tmp_path, uninterrupted, resume_executor, jobs

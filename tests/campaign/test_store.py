@@ -184,12 +184,6 @@ class TestCorruption:
 
 
 class TestUriAddressing:
-    def test_legacy_path_constructor_warns_but_works(self, tmp_path, cells):
-        with pytest.warns(DeprecationWarning, match="CampaignStore.open"):
-            store = CampaignStore(str(tmp_path / "s.jsonl"))
-        store.append(fake_record(cells[0]))
-        assert set(store.load()) == {cells[0].fingerprint()}
-
     def test_open_bare_path_infers_jsonl(self, tmp_path):
         store = CampaignStore.open(str(tmp_path / "s.jsonl"))
         assert store.uri.startswith("jsonl:")
@@ -203,13 +197,6 @@ class TestUriAddressing:
     def test_open_unknown_driver_raises(self, tmp_path):
         with pytest.raises(CampaignStoreError, match="unknown store driver"):
             CampaignStore.open(f"bogus:{tmp_path / 's.bin'}")
-
-    def test_backend_and_path_are_mutually_exclusive(self, tmp_path):
-        backend = CampaignStore.open(str(tmp_path / "s.jsonl")).backend
-        with pytest.raises(TypeError, match="not both"):
-            CampaignStore("x", backend=backend)
-        with pytest.raises(TypeError, match="store URI"):
-            CampaignStore()
 
 
 class TestSqliteParity:
@@ -253,7 +240,7 @@ class TestAdvisoryLock:
     def test_lock_is_exclusive_while_held(self, tmp_path, cells):
         fcntl = pytest.importorskip("fcntl")
         store = CampaignStore.open(str(tmp_path / "s.jsonl"))
-        with store.lock():
+        with store.transaction():
             with open(store.path + ".lock", "a+b") as probe:
                 with pytest.raises(OSError):
                     fcntl.flock(probe.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)

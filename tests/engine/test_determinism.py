@@ -42,7 +42,7 @@ def serial_result(design):
 
 
 class TestExecutorDeterminism:
-    @pytest.mark.parametrize("executor", ["processes", "threads"])
+    @pytest.mark.parametrize("executor", ["processes"])
     def test_parallel_flow_is_bit_identical_to_serial(self, design, serial_result, executor):
         parallel = _run(design, executor, jobs=2)
         assert _plan_signature(parallel) == _plan_signature(serial_result)

@@ -7,7 +7,6 @@ from repro.engine import (
     Executor,
     ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
     create_executor,
     resolve_jobs,
     spawn_task_seeds,
@@ -24,7 +23,6 @@ def _shared_identity(shared, payload):
 
 EXECUTORS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
-    pytest.param(lambda: ThreadPoolExecutor(jobs=2), id="threads"),
     pytest.param(lambda: ProcessPoolExecutor(jobs=2), id="processes"),
 ]
 
@@ -71,7 +69,7 @@ class TestMapChunks:
 
 class TestFactory:
     def test_choices_cover_all_backends(self):
-        assert set(EXECUTOR_CHOICES) == {"serial", "threads", "processes"}
+        assert EXECUTOR_CHOICES == ("serial", "processes")
 
     @pytest.mark.parametrize("name", EXECUTOR_CHOICES)
     def test_create_by_name(self, name):

@@ -11,7 +11,6 @@ from repro.engine import (
     ProcessPoolExecutor,
     ResultCache,
     SampleScheduler,
-    ThreadPoolExecutor,
     default_chunk_size,
     make_chunks,
 )
@@ -57,7 +56,6 @@ class TestSolveBatch:
     @pytest.mark.parametrize(
         "make_executor",
         [
-            pytest.param(lambda: ThreadPoolExecutor(jobs=2), id="threads"),
             pytest.param(lambda: ProcessPoolExecutor(jobs=2), id="processes"),
         ],
     )

@@ -33,7 +33,7 @@ def result_fingerprint(result):
 
 
 @pytest.mark.parametrize("executor,jobs", [
-    ("serial", 1), ("threads", 2), ("processes", 2),
+    ("serial", 1), ("processes", 2),
 ])
 class TestTracedFlow:
     def test_trace_validates_and_agrees_with_engine_stats(

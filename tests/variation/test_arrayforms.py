@@ -6,9 +6,15 @@ variance operands, perfectly correlated forms (rho -> 1) and equal-mean
 ties.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
 from repro.variation.arrayforms import ArrayForms, clark_max_coeffs, clark_max_many
 from repro.variation.canonical import CanonicalForm
 
@@ -95,6 +101,11 @@ class TestArithmetic:
         out = stacked.scale(-2.5)
         for i, form in enumerate(random_forms):
             assert_forms_close(out.form(i), form * -2.5)
+
+    def test_negate_matches_scalar(self, random_forms):
+        out = ArrayForms.from_forms(random_forms).negate()
+        for i, form in enumerate(random_forms):
+            assert_forms_close(out.form(i), -form)
 
     def test_variances_match_scalar(self, random_forms):
         stacked = ArrayForms.from_forms(random_forms)
@@ -222,3 +233,62 @@ class TestEvaluate:
             stacked.evaluate(np.zeros((3, 10)))
         with pytest.raises(ValueError):
             stacked.evaluate(np.zeros((4, 10)), np.zeros((2, 10)))
+
+
+# Sweeps the tiny design (the conftest fixture, rebuilt) with every scipy
+# import blocked and prints the worst deviation from the scalar oracle.
+_NO_SCIPY_SWEEP = textwrap.dedent(
+    """
+    import sys
+
+    sys.modules["scipy"] = None  # every scipy import now raises ImportError
+
+    import numpy as np
+
+    from repro.circuit.design import CircuitDesign
+    from repro.circuit.generators import GeneratorConfig, generate_sequential_circuit
+    from repro.circuit.library import default_library
+    from repro.timing.graph import TimingGraph
+    from repro.timing.propagate import all_ff_pair_delay_forms
+    from repro.variation import arrayforms
+
+    assert not isinstance(arrayforms._erf, np.ufunc), "scipy's erf was imported"
+    library = default_library()
+    config = GeneratorConfig(n_flip_flops=12, n_gates=150, max_depth=6, min_depth=2)
+    netlist = generate_sequential_circuit(config, library=library, rng=7, name="tiny")
+    design = CircuitDesign.from_netlist(
+        netlist, library=library, clock_skew_magnitude=0.0, rng=7
+    )
+    graph = TimingGraph(design)
+    scalar = all_ff_pair_delay_forms(graph, method="scalar")
+    swept = all_ff_pair_delay_forms(graph, method="array")
+    assert scalar and set(swept) == set(scalar)
+    worst = 0.0
+    for pair, oracle in scalar.items():
+        for got, want in zip(swept[pair], oracle, strict=True):
+            worst = max(
+                worst,
+                abs(got.mean - want.mean),
+                abs(got.variance - want.variance),
+                float(np.max(np.abs(got.sensitivities - want.sensitivities))),
+            )
+    print(repr(worst))
+    """
+)
+
+
+class TestErfFallback:
+    def test_sweep_without_scipy_matches_scalar_oracle(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_SWEEP],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) <= TOL

@@ -62,7 +62,7 @@ class TestExecutorLifecycle:
     def test_name_created_executor_is_owned_and_closed(self, small_design, small_constraint_graph):
         estimator = YieldEstimator(
             small_design, constraint_graph=small_constraint_graph, n_samples=50,
-            rng=2, executor="threads", jobs=2,
+            rng=2, executor="processes", jobs=2,
         )
         assert estimator.executor is not None
         estimator.close()
