@@ -1,30 +1,25 @@
-"""Backend conformance: every available array backend vs the scalar oracle.
+"""Array-kernel conformance: the numpy ArrayForms kernels vs the scalar oracle.
 
-The contract of :mod:`repro.backend` is that the Clark-kernel operations
-(stack/add/scale, ``clark_max_coeffs``, the batched
-``means + sens @ samples`` evaluation) agree with the scalar
-:class:`~repro.variation.canonical.CanonicalForm` oracle to ``1e-12`` on
-**every** backend importable in the environment — numpy always, torch
-and cupy when present (the CI backend-matrix job runs the torch leg).
-The cell-batched 3-D forms must additionally match a per-cell loop of
-the 2-D kernel bit for bit on numpy (flattened reduction order).
+The Clark-kernel operations of :class:`~repro.variation.arrayforms.ArrayForms`
+(stacking, ``clark_max``, the batched ``means + sens @ samples``
+evaluation) and the level-ordered propagation sweep built on them must
+agree with the scalar :class:`~repro.variation.canonical.CanonicalForm`
+oracle to ``1e-12``, and hand back arrays of the library they compute in.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, get_backend, numpy_backend
-from repro.variation.arrayforms import ArrayForms, clark_max_coeffs
+from repro.variation.arrayforms import ArrayForms
 from repro.variation.canonical import CanonicalForm
 
 TOL = 1e-12
 
-BACKENDS = available_backends()
 
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return get_backend(request.param)
+@pytest.fixture(params=[np], ids=["numpy"])
+def xp(request):
+    """The array library the kernels compute in."""
+    return request.param
 
 
 def _random_forms(rng, n=10, sources=4):
@@ -43,155 +38,69 @@ def _forms_close(form, oracle, tol=TOL):
 
 
 class TestKernelOpsAgainstScalarOracle:
-    def test_stack_roundtrip(self, backend, rng):
+    def test_stack_roundtrip(self, xp, rng):
         forms = _random_forms(rng)
-        stacked = ArrayForms.from_forms(forms, backend=backend)
-        assert stacked.backend is backend
+        stacked = ArrayForms.from_forms(forms)
+        assert isinstance(stacked.coeffs, xp.ndarray)
         for i, form in enumerate(forms):
             _forms_close(stacked.form(i), form, tol=0.0)
 
-    def test_add_scale_negate(self, backend, rng):
+    def test_clark_max_matches_oracle(self, xp, rng):
         forms_a = _random_forms(rng)
         forms_b = _random_forms(rng)
-        a = ArrayForms.from_forms(forms_a, backend=backend)
-        b = ArrayForms.from_forms(forms_b, backend=backend)
-        summed = a.add(b)
-        scaled = a.scale(1.7)
-        negated = a.negate()
-        for i, (fa, fb) in enumerate(zip(forms_a, forms_b, strict=True)):
-            _forms_close(summed.form(i), fa + fb)
-            _forms_close(scaled.form(i), fa * 1.7)
-            _forms_close(negated.form(i), -fa)
-
-    def test_clark_max_matches_oracle(self, backend, rng):
-        forms_a = _random_forms(rng)
-        forms_b = _random_forms(rng)
-        a = ArrayForms.from_forms(forms_a, backend=backend)
-        b = ArrayForms.from_forms(forms_b, backend=backend)
+        a = ArrayForms.from_forms(forms_a)
+        b = ArrayForms.from_forms(forms_b)
         out = a.clark_max(b)
+        assert isinstance(out.coeffs, xp.ndarray)
         for i, (fa, fb) in enumerate(zip(forms_a, forms_b, strict=True)):
             _forms_close(out.form(i), fa.max(fb))
 
-    def test_clark_max_degenerate_branch(self, backend):
+    def test_clark_max_degenerate_branch(self, xp):
         # Perfectly correlated equal-spread operands: theta == 0, the
         # kernel must pick the larger mean exactly.
-        sens = np.array([0.5, -0.25, 0.0])
+        sens = xp.array([0.5, -0.25, 0.0])
         fa = CanonicalForm(3.0, sens, 0.0)
         fb = CanonicalForm(2.0, sens.copy(), 0.0)
-        a = ArrayForms.from_forms([fa, fb], backend=backend)
-        b = ArrayForms.from_forms([fb, fa], backend=backend)
+        a = ArrayForms.from_forms([fa, fb])
+        b = ArrayForms.from_forms([fb, fa])
         out = a.clark_max(b)
         _forms_close(out.form(0), fa, tol=0.0)
         _forms_close(out.form(1), fa, tol=0.0)
 
-    def test_batched_evaluation(self, backend, rng):
+    def test_batched_evaluation(self, xp, rng):
         forms = _random_forms(rng, n=6)
-        stacked = ArrayForms.from_forms(forms, backend=backend)
+        stacked = ArrayForms.from_forms(forms)
         samples = rng.normal(size=(4, 32))
-        values = backend.to_numpy(stacked.evaluate(samples))
+        values = stacked.evaluate(samples)
+        assert isinstance(values, xp.ndarray)
         for i, form in enumerate(forms):
             expected = form.mean + form.sensitivities @ samples
             assert np.max(np.abs(values[i] - expected)) <= TOL
 
-    def test_evaluation_with_independent_noise(self, backend, rng):
+    def test_evaluation_with_independent_noise(self, xp, rng):
         forms = _random_forms(rng, n=5)
-        stacked = ArrayForms.from_forms(forms, backend=backend)
+        stacked = ArrayForms.from_forms(forms)
         samples = rng.normal(size=(4, 16))
         noise = rng.normal(size=(5, 16))
-        values = backend.to_numpy(stacked.evaluate(samples, noise))
+        values = stacked.evaluate(samples, noise)
+        assert isinstance(values, xp.ndarray)
         for i, form in enumerate(forms):
             expected = form.mean + form.sensitivities @ samples + form.independent * noise[i]
             assert np.max(np.abs(values[i] - expected)) <= TOL
 
 
-class TestCellAxis:
-    def test_stack_cells_shape_and_views(self, backend, rng):
-        cells = [
-            ArrayForms.from_forms(_random_forms(rng), backend=backend) for _ in range(3)
-        ]
-        batched = ArrayForms.stack_cells(cells)
-        assert batched.n_cells == 3
-        assert batched.n_forms == cells[0].n_forms
-        assert batched.n_sources == cells[0].n_sources
-        for c, cell in enumerate(cells):
-            np.testing.assert_array_equal(
-                backend.to_numpy(batched.cell(c).coeffs), backend.to_numpy(cell.coeffs)
-            )
-
-    def test_batched_clark_matches_per_cell(self, backend, rng):
-        cells_a = [
-            ArrayForms.from_forms(_random_forms(rng), backend=backend) for _ in range(4)
-        ]
-        cells_b = [
-            ArrayForms.from_forms(_random_forms(rng), backend=backend) for _ in range(4)
-        ]
-        batched = ArrayForms.stack_cells(cells_a).clark_max(ArrayForms.stack_cells(cells_b))
-        for c, (a, b) in enumerate(zip(cells_a, cells_b, strict=True)):
-            expected = backend.to_numpy(a.clark_max(b).coeffs)
-            got = backend.to_numpy(batched.cell(c).coeffs)
-            if backend.name == "numpy":
-                np.testing.assert_array_equal(got, expected)
-            else:
-                np.testing.assert_allclose(got, expected, atol=TOL, rtol=0.0)
-
-    def test_batched_clark_vs_scalar_oracle(self, backend, rng):
-        forms_a = [_random_forms(rng, n=5) for _ in range(3)]
-        forms_b = [_random_forms(rng, n=5) for _ in range(3)]
-        batched = ArrayForms.stack_cells(
-            [ArrayForms.from_forms(f, backend=backend) for f in forms_a]
-        ).clark_max(
-            ArrayForms.stack_cells(
-                [ArrayForms.from_forms(f, backend=backend) for f in forms_b]
-            )
-        )
-        for c in range(3):
-            cell = batched.cell(c)
-            for i, (fa, fb) in enumerate(zip(forms_a[c], forms_b[c], strict=True)):
-                _forms_close(cell.form(i), fa.max(fb))
-
-    def test_batched_kernel_leading_dims(self, backend, rng):
-        # Raw kernel entry point with arbitrary leading dims.
-        a = rng.normal(size=(2, 3, 5, 6))
-        b = rng.normal(size=(2, 3, 5, 6))
-        a[..., -1] = np.abs(a[..., -1])
-        b[..., -1] = np.abs(b[..., -1])
-        out = backend.to_numpy(
-            clark_max_coeffs(backend.asarray(a), backend.asarray(b), backend=backend)
-        )
-        reference = numpy_backend()
-        for i in range(2):
-            for j in range(3):
-                expected = clark_max_coeffs(a[i, j], b[i, j], backend=reference)
-                if backend.name == "numpy":
-                    np.testing.assert_array_equal(out[i, j], expected)
-                else:
-                    np.testing.assert_allclose(out[i, j], expected, atol=TOL, rtol=0.0)
-
-    def test_batched_evaluation_per_cell_samples(self, backend, rng):
-        cells = [
-            ArrayForms.from_forms(_random_forms(rng, n=4), backend=backend)
-            for _ in range(3)
-        ]
-        batched = ArrayForms.stack_cells(cells)
-        shared = rng.normal(size=(3, 4, 20))
-        values = backend.to_numpy(batched.evaluate(shared))
-        assert values.shape == (3, 4, 20)
-        for c, cell in enumerate(cells):
-            expected = backend.to_numpy(cell.evaluate(shared[c]))
-            np.testing.assert_allclose(values[c], expected, atol=TOL, rtol=0.0)
-
-
 class TestPropagationSweepOnBackend:
-    def test_sweep_agrees_with_scalar_path(self, backend, tiny_design):
-        # Full level-ordered sweep on each backend vs the scalar oracle.
+    def test_sweep_agrees_with_scalar_path(self, xp, tiny_design):
+        # Full level-ordered array sweep vs the per-launch scalar oracle.
         from repro.timing.graph import TimingGraph
         from repro.timing.propagate import all_ff_pair_delay_forms
 
         graph = TimingGraph(tiny_design)
         scalar = all_ff_pair_delay_forms(graph, method="scalar")
-        swept = all_ff_pair_delay_forms(graph, method="array", backend=backend)
+        swept = all_ff_pair_delay_forms(graph, method="array")
         assert set(swept) == set(scalar)
         for pair, (smax, smin) in scalar.items():
             amax, amin = swept[pair]
+            assert isinstance(amax.sensitivities, xp.ndarray)
             _forms_close(amax, smax)
             _forms_close(amin, smin)
