@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,6 +46,10 @@ from repro.core.difference import (
 from repro.timing.constraints import SequentialConstraintGraph
 
 _TOL = 1e-9
+
+#: Scope constraints and Bellman–Ford witness of a support that repairs
+#: its region.
+ScopeWitness = Tuple[List[DifferenceConstraint], Dict[int, float]]
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +175,57 @@ class SampleSolution:
     tunings: Dict[int, float] = field(default_factory=dict)
     n_adjusted: int = 0
     unrescuable_regions: int = 0
+
+
+def concentration_lp(
+    problem: SampleProblem,
+    ffs: Sequence[int],
+    constraints: Sequence[DifferenceConstraint],
+    targets: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The concentration LP of a support as ``(c, a_ub, b_ub, lower, upper)``.
+
+    With one ``t_i >= |x_i - target_i|`` per flip-flop ``i`` of ``ffs``
+    (ascending), the LP is::
+
+        minimise  sum_i t_i
+        s.t.      x_i - t_i <= target_i,   -x_i - t_i <= -target_i
+                  x_u - x_v <= w           (every scope constraint, in order)
+                  lower_i <= x_i <= upper_i,   0 <= t_i <= span_i
+
+    with ``span_i = upper_i - lower_i + |target_i| + 1``.  Columns are
+    ``x_i, t_i`` per flip-flop; a :data:`REFERENCE` end of a constraint
+    contributes no coefficient.
+    """
+    n_vars = 2 * len(ffs)
+    column = {ff: 2 * k for k, ff in enumerate(ffs)}
+    target = targets[ffs]
+    c = np.zeros(n_vars)
+    c[1::2] = 1.0
+    lower = np.zeros(n_vars)
+    lower[0::2] = problem.lower[ffs]
+    upper = np.empty(n_vars)
+    upper[0::2] = problem.upper[ffs]
+    upper[1::2] = (problem.upper[ffs] - problem.lower[ffs]) + np.abs(target) + 1.0
+
+    # Rows 2k and 2k + 1 bound x_k - t_k and -x_k - t_k, so the first
+    # n_vars rows share their indices with the columns.
+    a_ub = np.zeros((n_vars + len(constraints), n_vars))
+    b_ub = np.empty(a_ub.shape[0])
+    x_cols = np.arange(0, n_vars, 2)
+    a_ub[x_cols, x_cols] = 1.0
+    a_ub[x_cols, x_cols + 1] = -1.0
+    a_ub[x_cols + 1, x_cols] = -1.0
+    a_ub[x_cols + 1, x_cols + 1] = -1.0
+    b_ub[0:n_vars:2] = target
+    b_ub[1:n_vars:2] = -target
+    for row, constraint in enumerate(constraints, start=n_vars):
+        if constraint.u != REFERENCE:
+            a_ub[row, column[constraint.u]] += 1.0
+        if constraint.v != REFERENCE:
+            a_ub[row, column[constraint.v]] -= 1.0
+        b_ub[row] = constraint.weight
+    return c, a_ub, b_ub, lower, upper
 
 
 # ----------------------------------------------------------------------
@@ -345,23 +400,25 @@ class PerSampleSolver:
         if not pool:
             return None
 
+        # Whether a support repairs the region depends on nothing else, so
+        # every support checked below is solved once and remembered here,
+        # for this region only (the solver itself is warm state shared
+        # across flows and shipped to workers).
+        witnesses: Dict[FrozenSet[int], Optional[ScopeWitness]] = {}
         support: Optional[Set[int]] = None
         for expansion in range(self.max_pool_expansions + 1):
-            support = self._find_feasible_support(problem, region_edges, pool, targets)
+            support = self._find_feasible_support(problem, region_edges, pool, witnesses)
             if support is not None:
                 break
             pool = self._build_pool(region_ffs, candidates, self.pool_hops + expansion + 1)
         if support is None:
             return None
 
-        support = self._prune_support(problem, region_edges, support, targets)
+        support = self._prune_support(problem, region_edges, support, witnesses)
         if len(pool) <= self.exact_region_size or self.backend == "milp":
-            support = self._refine_support(problem, region_edges, pool, support, targets)
+            support = self._refine_support(problem, region_edges, pool, support, witnesses)
 
-        assignment = self._concentrate(problem, region_edges, support, targets)
-        if assignment is None:  # pragma: no cover - concentration always falls back
-            assignment = self._feasible_assignment(problem, region_edges, support)
-        return assignment
+        return self._concentrate(problem, region_edges, support, targets, witnesses)
 
     def _build_pool(self, region_ffs: Set[int], candidates: np.ndarray, hops: int) -> Set[int]:
         """Candidate buffers reachable within ``hops`` from the region."""
@@ -416,25 +473,42 @@ class PerSampleSolver:
         return constraints
 
     def _is_feasible(
-        self, problem: SampleProblem, region_edges: List[int], support: Set[int]
+        self,
+        problem: SampleProblem,
+        region_edges: List[int],
+        support: Set[int],
+        witnesses: Dict[FrozenSet[int], Optional[ScopeWitness]],
     ) -> bool:
-        return self._feasible_assignment(problem, region_edges, support) is not None
+        return self._feasible_assignment(problem, region_edges, support, witnesses) is not None
 
     def _feasible_assignment(
-        self, problem: SampleProblem, region_edges: List[int], support: Set[int]
-    ) -> Optional[Dict[int, float]]:
-        """A feasible assignment for the support (values of non-support FFs
-        are implicitly zero), or ``None``."""
+        self,
+        problem: SampleProblem,
+        region_edges: List[int],
+        support: Set[int],
+        witnesses: Dict[FrozenSet[int], Optional[ScopeWitness]],
+    ) -> Optional[ScopeWitness]:
+        """The support's scope constraints and a Bellman–Ford witness
+        (values of non-support FFs are implicitly zero), or ``None`` when
+        the support cannot repair the region.
+
+        ``witnesses`` holds the answer for every support already checked
+        in the region, so no support is solved twice.
+        """
+        key = frozenset(support)
+        if key in witnesses:
+            return witnesses[key]
+        found = None
         scope = self._scope_edges(support, region_edges)
         constraints = self._build_constraints(problem, support, scope)
-        if constraints is None:
-            return None
-        lower = {ff: float(problem.lower[ff]) for ff in support}
-        upper = {ff: float(problem.upper[ff]) for ff in support}
-        assignment = solve_difference_system(sorted(support), constraints, lower, upper)
-        if assignment is None:
-            return None
-        return {ff: float(v) for ff, v in assignment.items()}
+        if constraints is not None:
+            lower = {ff: float(problem.lower[ff]) for ff in support}
+            upper = {ff: float(problem.upper[ff]) for ff in support}
+            assignment = solve_difference_system(sorted(support), constraints, lower, upper)
+            if assignment is not None:
+                found = (constraints, {ff: float(v) for ff, v in assignment.items()})
+        witnesses[key] = found
+        return found
 
     # ------------------------------------------------------------------
     def _find_feasible_support(
@@ -442,7 +516,7 @@ class PerSampleSolver:
         problem: SampleProblem,
         region_edges: List[int],
         pool: Set[int],
-        targets: np.ndarray,
+        witnesses: Dict[FrozenSet[int], Optional[ScopeWitness]],
     ) -> Optional[Set[int]]:
         """Greedy cover of the violated edges, expanded until feasible."""
         launch, capture = self.topology.edge_launch, self.topology.edge_capture
@@ -466,7 +540,7 @@ class PerSampleSolver:
                 if int(launch[k]) != best and int(capture[k]) != best
             }
 
-        if self._is_feasible(problem, region_edges, support):
+        if self._is_feasible(problem, region_edges, support, witnesses):
             return support
 
         # Expand: repeatedly add the remaining pool flip-flops adjacent to the
@@ -480,7 +554,7 @@ class PerSampleSolver:
             } or remaining
             support |= adjacent
             remaining -= adjacent
-            if self._is_feasible(problem, region_edges, support):
+            if self._is_feasible(problem, region_edges, support, witnesses):
                 return support
         return None
 
@@ -489,7 +563,7 @@ class PerSampleSolver:
         problem: SampleProblem,
         region_edges: List[int],
         support: Set[int],
-        targets: np.ndarray,
+        witnesses: Dict[FrozenSet[int], Optional[ScopeWitness]],
     ) -> Set[int]:
         """Remove buffers whose removal keeps the region feasible (minimality)."""
         launch, capture = self.topology.edge_launch, self.topology.edge_capture
@@ -507,7 +581,7 @@ class PerSampleSolver:
             if len(pruned) == 1:
                 break
             trial = pruned - {ff}
-            if self._is_feasible(problem, region_edges, trial):
+            if self._is_feasible(problem, region_edges, trial, witnesses):
                 pruned = trial
         return pruned
 
@@ -517,7 +591,7 @@ class PerSampleSolver:
         region_edges: List[int],
         pool: Set[int],
         support: Set[int],
-        targets: np.ndarray,
+        witnesses: Dict[FrozenSet[int], Optional[ScopeWitness]],
         max_subsets: int = 3000,
     ) -> Set[int]:
         """Exhaustive minimum-support search for small pools.
@@ -534,7 +608,7 @@ class PerSampleSolver:
                 if checked > max_subsets:
                     return best
                 candidate = set(subset)
-                if self._is_feasible(problem, region_edges, candidate):
+                if self._is_feasible(problem, region_edges, candidate, witnesses):
                     return candidate
         return best
 
@@ -545,21 +619,26 @@ class PerSampleSolver:
         region_edges: List[int],
         support: Set[int],
         targets: np.ndarray,
+        witnesses: Dict[FrozenSet[int], Optional[ScopeWitness]],
     ) -> Optional[Dict[int, float]]:
         """Minimise ``sum |x_i - target_i|`` over the support (phase 2).
 
-        Falls back to the plain Bellman–Ford witness when concentration is
-        disabled or the LP does not return a usable vertex.
+        This is the paper's problems (14)–(17) and (18)–(21) with the
+        buffer count fixed by the support.  The support's scope
+        constraints and Bellman–Ford witness come from ``witnesses``,
+        where the support search left them, so concentration solves no
+        difference system.  A single buffer has a closed form; larger
+        supports solve :func:`concentration_lp` with
+        :func:`repro.milp.backends.solve_lp` on the backend
+        :meth:`_concentrate_backend` picks.  The witness is returned when
+        concentration is disabled or the (rounded) LP vertex fails the
+        constraint check.
         """
-        witness = self._feasible_assignment(problem, region_edges, support)
-        if witness is None:
+        found = self._feasible_assignment(problem, region_edges, support, witnesses)
+        if found is None:
             return None
+        constraints, witness = found
         if not self.concentrate:
-            return witness
-
-        scope = self._scope_edges(support, region_edges)
-        constraints = self._build_constraints(problem, support, scope)
-        if constraints is None:  # pragma: no cover - witness exists, so cannot happen
             return witness
 
         if len(support) == 1:
@@ -568,36 +647,20 @@ class PerSampleSolver:
                 return single
             return witness
 
-        from repro.milp.model import Model, VarType  # local import (cheap)
+        from repro.milp.backends import solve_lp  # imports scipy.optimize: first use only
 
-        model = Model("concentrate")
-        x_vars: Dict[int, object] = {}
-        t_vars: Dict[int, object] = {}
-        objective_terms = []
-        for ff in sorted(support):
-            x = model.add_var(f"x_{ff}", lb=float(problem.lower[ff]), ub=float(problem.upper[ff]))
-            span = float(problem.upper[ff] - problem.lower[ff]) + abs(float(targets[ff])) + 1.0
-            t = model.add_var(f"t_{ff}", lb=0.0, ub=span)
-            x_vars[ff], t_vars[ff] = x, t
-            target = float(targets[ff])
-            model.add_constr(t >= x - target)
-            model.add_constr(t >= target - x)
-            objective_terms.append(t)
-        for constraint in constraints:
-            if constraint.u == REFERENCE:
-                model.add_constr(-1.0 * x_vars[constraint.v] <= constraint.weight)
-            elif constraint.v == REFERENCE:
-                model.add_constr(1.0 * x_vars[constraint.u] <= constraint.weight)
-            else:
-                model.add_constr(x_vars[constraint.u] - x_vars[constraint.v] <= constraint.weight)
-        from repro.milp.expr import LinExpr
-
-        model.set_objective(LinExpr.sum_of(objective_terms))
-        solution = model.solve(backend=self._concentrate_backend(len(support)))
-        if not solution.is_feasible:  # pragma: no cover - witness exists
+        ffs = sorted(support)
+        c, a_ub, b_ub, lp_lower, lp_upper = concentration_lp(problem, ffs, constraints, targets)
+        result = solve_lp(
+            c, a_ub, b_ub, None, None, lp_lower, lp_upper,
+            backend=self._concentrate_backend(len(ffs)),
+        )
+        if not result.status.has_solution or result.x is None:  # pragma: no cover - witness exists
             return witness
 
-        values = {ff: float(solution[x_vars[ff]]) for ff in support}
+        # Keyed in the support's iteration order, which callers see.
+        x = dict(zip(ffs, result.x[0::2].tolist(), strict=True))
+        values = {ff: x[ff] for ff in support}
         if self.integral:
             values = {ff: float(round(v)) for ff, v in values.items()}
         lower = {ff: float(problem.lower[ff]) for ff in support}

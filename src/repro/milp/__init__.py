@@ -16,6 +16,10 @@ self-contained replacement with the small API surface the flow needs:
 * :mod:`repro.milp.branch_bound` — best-first branch & bound on integer
   and binary variables with warm-start incumbents.
 
+``Model`` and branch & bound serve the ``solver="milp"`` validation path.
+The default graph solver hands its per-sample concentration LPs to
+:func:`repro.milp.backends.solve_lp` as arrays, without the modelling layer.
+
 The solver targets the small and medium problems produced by the
 sampling-based flow (tens of variables); it is exact, deterministic and
 dependency-light rather than industrial-strength.

@@ -12,10 +12,16 @@ tuning ranges / big-M bounds); the solver shifts each variable by its lower
 bound, adds upper-bound rows and slack/artificial variables, and runs a
 standard two-phase tableau simplex with Bland's anti-cycling rule.
 
-The implementation favours clarity and robustness over speed: the problems
-produced by the buffer-insertion flow have tens of variables, for which a
-dense tableau is perfectly adequate.  The scipy backend
-(:mod:`repro.milp.backends`) can be selected for larger instances.
+Its main caller is the per-sample concentration LP of
+:mod:`repro.core.sample_solver`: a few dozen rows and columns, solved
+hundreds of times per flow, so per-call overhead rather than arithmetic
+sets the cost.  The tableau is therefore assembled by array indexing, and
+pricing, the ratio test and each Gauss–Jordan pivot are whole-array numpy
+operations.  Each tableau entry still receives the same multiply and
+subtract a row-by-row pivot would apply, so vertices and iteration counts
+are those of the scalar formulation (the test suite keeps a loop version
+as the oracle).  The scipy backend (:mod:`repro.milp.backends`) serves
+larger instances.
 """
 
 from __future__ import annotations
@@ -71,20 +77,12 @@ def solve_lp_arrays(
     b_eq_shift = b_eq - a_eq @ lower if a_eq.size else b_eq
     objective_shift = float(c @ lower)
 
-    # Upper bounds become explicit <= rows (skip unbounded spans).
-    finite_span_rows = []
-    finite_span_rhs = []
-    for j in range(n):
-        if np.isfinite(span[j]):
-            row = np.zeros(n)
-            row[j] = 1.0
-            finite_span_rows.append(row)
-            finite_span_rhs.append(span[j])
-    if finite_span_rows:
-        a_ub_full = np.vstack([a_ub, np.array(finite_span_rows)]) if a_ub.size else np.array(finite_span_rows)
-        b_ub_full = np.concatenate([b_ub_shift, np.array(finite_span_rhs)])
-    else:  # pragma: no cover - all spans are finite given the check above
-        a_ub_full, b_ub_full = a_ub, b_ub_shift
+    # Upper bounds become explicit <= rows (a span that overflows gets none).
+    bounded = np.flatnonzero(np.isfinite(span))
+    span_rows = np.zeros((bounded.size, n))
+    span_rows[np.arange(bounded.size), bounded] = 1.0
+    a_ub_full = np.vstack([a_ub, span_rows])
+    b_ub_full = np.concatenate([b_ub_shift, span[bounded]])
 
     result = _two_phase_simplex(c, a_ub_full, b_ub_full, a_eq, b_eq_shift, max_iterations)
     if result.status.has_solution and result.x is not None:
@@ -105,92 +103,54 @@ def _two_phase_simplex(
     """Two-phase simplex for ``min c'y, A_ub y <= b_ub, A_eq y = b_eq, y >= 0``."""
     n = c.shape[0]
     m_ub = a_ub.shape[0]
-    m_eq = a_eq.shape[0]
-    m = m_ub + m_eq
-
-    # Build rows: [A | slack | artificial] y = b with b >= 0.
-    a = np.vstack([a_ub, a_eq]) if m else np.zeros((0, n))
-    b = np.concatenate([b_ub, b_eq]) if m else np.zeros(0)
-    row_is_eq = np.array([False] * m_ub + [True] * m_eq)
-
-    # Flip rows with negative rhs so that b >= 0 (<= rows become >= rows,
-    # handled by a surplus column with negative sign plus an artificial).
-    slack_cols = []
-    sign = np.ones(m)
-    for i in range(m):
-        if b[i] < 0:
-            a[i, :] *= -1.0
-            b[i] *= -1.0
-            sign[i] = -1.0
-
-    n_slack = 0
-    slack_matrix = np.zeros((m, 0))
-    for i in range(m):
-        if row_is_eq[i]:
-            continue
-        col = np.zeros((m, 1))
-        # Original <= row: slack +1; flipped (<= with negative rhs) becomes
-        # >= row: surplus -1.
-        col[i, 0] = 1.0 if sign[i] > 0 else -1.0
-        slack_matrix = np.hstack([slack_matrix, col])
-        slack_cols.append(n + n_slack)
-        n_slack += 1
-
-    # Artificial variables: needed for equality rows and for flipped >= rows
-    # (their surplus column cannot serve as an initial basis).
-    art_matrix = np.zeros((m, 0))
-    n_art = 0
-    art_rows = []
-    basis = [-1] * m
-    slack_ptr = 0
-    for i in range(m):
-        needs_artificial = row_is_eq[i] or sign[i] < 0
-        if not row_is_eq[i]:
-            if sign[i] > 0:
-                basis[i] = n + slack_ptr
-            slack_ptr += 1
-        if needs_artificial:
-            col = np.zeros((m, 1))
-            col[i, 0] = 1.0
-            art_matrix = np.hstack([art_matrix, col])
-            basis[i] = n + n_slack + n_art
-            art_rows.append(i)
-            n_art += 1
-
-    full = np.hstack([a, slack_matrix, art_matrix]) if m else np.zeros((0, n + n_slack + n_art))
-    total_cols = n + n_slack + n_art
-    iterations = 0
-
+    m = m_ub + a_eq.shape[0]
     if m == 0:
         # Only bounds: minimise by setting y to 0 for non-negative costs.
-        y = np.zeros(n)
-        negative = c < -_TOL
-        if np.any(negative):  # pragma: no cover - callers always bound variables
+        if np.any(c < -_TOL):  # pragma: no cover - callers always bound variables
             return LpResult(SolveStatus.UNBOUNDED)
-        return LpResult(SolveStatus.OPTIMAL, x=y, objective=0.0, iterations=0)
+        return LpResult(SolveStatus.OPTIMAL, x=np.zeros(n), objective=0.0, iterations=0)
 
-    tableau = np.hstack([full, b.reshape(-1, 1)])
+    # Tableau rows [A | slack | artificial | b] with b >= 0.  A row with a
+    # negative rhs is negated, so a <= row becomes a >= row whose slack
+    # column is a surplus (-1).  Row i < m_ub owns slack column n + i.
+    # Equality rows and flipped rows start on an artificial variable (a
+    # surplus column cannot serve as an initial basis), the others on
+    # their slack.
+    b = np.concatenate([b_ub, b_eq])
+    sign = np.where(b < 0, -1.0, 1.0)
+    needs_artificial = sign < 0
+    needs_artificial[m_ub:] = True
+    art_rows = np.flatnonzero(needs_artificial)
+    n_slack, n_art = m_ub, art_rows.size
+    slack_rows = np.arange(m_ub)
+    art_cols = n + n_slack + np.arange(n_art)
+
+    tableau = np.zeros((m, n + n_slack + n_art + 1))
+    tableau[:, :n] = np.vstack([a_ub, a_eq]) * sign[:, None]
+    tableau[slack_rows, n + slack_rows] = sign[:m_ub]
+    tableau[art_rows, art_cols] = 1.0
+    tableau[:, -1] = b * sign
+    basis = n + np.arange(m)
+    basis[art_rows] = art_cols
+    iterations = 0
 
     # ------------------------------------------------------------------
     # Phase 1: minimise the sum of artificial variables.
     # ------------------------------------------------------------------
     if n_art:
-        phase1_cost = np.zeros(total_cols)
+        phase1_cost = np.zeros(tableau.shape[1] - 1)
         phase1_cost[n + n_slack:] = 1.0
         status, iterations = _run_simplex(tableau, basis, phase1_cost, max_iterations)
         if status is not SolveStatus.OPTIMAL:
             return LpResult(status, iterations=iterations)
-        phase1_obj = _objective_value(tableau, basis, phase1_cost)
-        if phase1_obj > 1e-7:
+        if _objective_value(tableau, basis, phase1_cost) > 1e-7:
             return LpResult(SolveStatus.INFEASIBLE, iterations=iterations)
-        _drive_out_artificials(tableau, basis, n + n_slack)
-        # Drop artificial columns.
-        tableau = np.hstack([tableau[:, : n + n_slack], tableau[:, -1:]])
-        total_cols = n + n_slack
+        tableau, basis = _drive_out_artificials(tableau, basis, n + n_slack)
 
     # ------------------------------------------------------------------
     # Phase 2: minimise the real objective.
     # ------------------------------------------------------------------
+    total_cols = tableau.shape[1] - 1
     cost = np.zeros(total_cols)
     cost[:n] = c
     status, iters2 = _run_simplex(tableau, basis, cost, max_iterations)
@@ -199,69 +159,63 @@ def _two_phase_simplex(
         return LpResult(status, iterations=iterations)
 
     y = np.zeros(total_cols)
-    for i, var in enumerate(basis):
-        if 0 <= var < total_cols:
-            y[var] = tableau[i, -1]
+    y[basis] = tableau[:, -1]
     objective = float(cost @ y)
     return LpResult(SolveStatus.OPTIMAL, x=y[:n], objective=objective, iterations=iterations)
 
 
-def _objective_value(tableau: np.ndarray, basis, cost: np.ndarray) -> float:
-    value = 0.0
-    for i, var in enumerate(basis):
-        if var >= 0:
-            value += cost[var] * tableau[i, -1]
-    return value
+def _objective_value(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> float:
+    # Summed in row order, as the scalar formulation does.
+    return sum((cost[basis] * tableau[:, -1]).tolist())
 
 
-def _drive_out_artificials(tableau: np.ndarray, basis, n_real: int) -> None:
-    """Pivot artificial variables out of the basis where possible."""
-    m = tableau.shape[0]
-    for i in range(m):
-        if basis[i] >= n_real:
-            # Find a non-artificial column with a non-zero entry in this row.
-            for j in range(n_real):
-                if abs(tableau[i, j]) > 1e-9:
-                    _pivot(tableau, i, j)
-                    basis[i] = j
-                    break
-            # If none exists the row is redundant; the artificial stays basic
-            # at value zero, which is harmless.
+def _drive_out_artificials(
+    tableau: np.ndarray, basis: np.ndarray, n_real: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pivot artificial variables out of the basis, then drop the
+    artificial columns.
+
+    An artificial that stays basic marks a redundant equality row: the
+    row has no real column to pivot on (every real entry is zero) and
+    its artificial sits at zero, so the row is dropped as well.
+    """
+    for i in np.flatnonzero(basis >= n_real):
+        nonzero = np.flatnonzero(np.abs(tableau[i, :n_real]) > 1e-9)
+        if nonzero.size:
+            _pivot(tableau, i, nonzero[0])
+            basis[i] = nonzero[0]
+    keep = basis < n_real
+    return np.hstack([tableau[keep, :n_real], tableau[keep, -1:]]), basis[keep]
 
 
 def _run_simplex(
-    tableau: np.ndarray, basis, cost: np.ndarray, max_iterations: int
+    tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iterations: int
 ) -> Tuple[SolveStatus, int]:
     """Run primal simplex pivots in place until optimality."""
-    m = tableau.shape[0]
     n_total = tableau.shape[1] - 1
+    body, rhs = tableau[:, :n_total], tableau[:, -1]
     iterations = 0
 
     while iterations < max_iterations:
         iterations += 1
         # Reduced costs: r_j = c_j - c_B' B^-1 A_j  (computed from the tableau).
-        cb = np.array([cost[var] if var >= 0 else 0.0 for var in basis])
-        reduced = cost[:n_total] - cb @ tableau[:, :n_total]
+        reduced = cost[:n_total] - cost[basis] @ body
         # Bland's rule: smallest index with negative reduced cost.
-        entering = -1
-        for j in range(n_total):
-            if reduced[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = reduced < -_TOL
+        entering = improving.argmax()
+        if not improving[entering]:
             return SolveStatus.OPTIMAL, iterations
 
-        column = tableau[:, entering]
-        ratios = np.full(m, np.inf)
+        column = body[:, entering]
+        ratios = np.full(rhs.shape[0], np.inf)
         positive = column > _TOL
-        ratios[positive] = tableau[positive, -1] / column[positive]
-        if not np.any(np.isfinite(ratios)):
+        ratios[positive] = rhs[positive] / column[positive]
+        if not np.isfinite(ratios).any():
             return SolveStatus.UNBOUNDED, iterations
         # Bland's rule on the leaving variable: among the minimum ratios pick
         # the row whose basic variable has the smallest index.
-        min_ratio = np.min(ratios)
-        candidates = [i for i in range(m) if np.isfinite(ratios[i]) and ratios[i] <= min_ratio + _TOL]
-        leaving = min(candidates, key=lambda i: basis[i])
+        ties = (ratios <= ratios.min() + _TOL).nonzero()[0]
+        leaving = ties[np.argmin(basis[ties])]
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
 
@@ -269,8 +223,9 @@ def _run_simplex(
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    """Gauss-Jordan pivot on (row, col)."""
-    tableau[row, :] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > _TOL:
-            tableau[i, :] -= tableau[i, col] * tableau[row, :]
+    """Gauss-Jordan pivot on (row, col), all other rows in one update."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    update = (np.abs(factors) > _TOL).nonzero()[0]
+    tableau[update] -= factors[update, None] * tableau[row]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import sample_solver
 from repro.core.sample_solver import ConstraintTopology, PerSampleSolver, SampleProblem
 
 
@@ -239,6 +240,27 @@ class TestGraphBackend:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError):
             PerSampleSolver(chain_topology(3), backend="cplex")
+
+
+class TestWitnessReuse:
+    def test_no_support_is_solved_twice_in_a_region(self, monkeypatch):
+        solved = []
+        solve_difference_system = sample_solver.solve_difference_system
+
+        def counting(variables, constraints, lower=None, upper=None):
+            solved.append(tuple(variables))
+            return solve_difference_system(variables, constraints, lower, upper)
+
+        monkeypatch.setattr(sample_solver, "solve_difference_system", counting)
+        topology = chain_topology(4)
+        # One violated edge, so one region; it needs two buffers, so the
+        # support search, the exhaustive refinement and the concentration
+        # LP all run.
+        problem = make_problem(topology, [1, -3, 1], [10, 10, 10])
+        solution = PerSampleSolver(topology).solve(problem)
+        assert solution.n_adjusted == 2
+        assert solved
+        assert len(solved) == len(set(solved))
 
 
 class TestMilpBackend:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.milp.backends import HAVE_SCIPY, solve_lp
 from repro.milp.simplex import solve_lp_arrays
 from repro.milp.status import SolveStatus
 
@@ -115,3 +116,23 @@ class TestSimplexBasics:
         )
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(-1.0)
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
+    def test_redundant_equality_row_matches_scipy(self):
+        # The second equality row is twice the first, so its artificial
+        # stays basic after phase 1 with no real column to pivot on.
+        lp = {
+            "c": np.array([1.0, 2.0]),
+            "a_ub": None,
+            "b_ub": None,
+            "a_eq": np.array([[1.0, 1.0], [2.0, 2.0]]),
+            "b_eq": np.array([1.0, 2.0]),
+            "lower": np.zeros(2),
+            "upper": np.full(2, 5.0),
+        }
+        result = solve_lp_arrays(**lp)
+        reference = solve_lp(**lp, backend="scipy")
+        assert result.status is SolveStatus.OPTIMAL
+        np.testing.assert_allclose(result.x, reference.x, atol=1e-9)
+        assert result.x == pytest.approx([1.0, 0.0])
+        assert result.objective == pytest.approx(reference.objective)

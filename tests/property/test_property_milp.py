@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.milp.backends import HAVE_SCIPY, solve_lp
 from repro.milp.status import SolveStatus
+from tests.milp.loop_simplex import assert_matches_loop
 
 
 @st.composite
@@ -51,3 +52,8 @@ class TestLpProperties:
         ref = solve_lp(c, a, b, None, None, lower, upper, backend="scipy")
         assert own.status is SolveStatus.OPTIMAL and ref.status is SolveStatus.OPTIMAL
         assert own.objective == pytest.approx(ref.objective, abs=1e-5)
+
+    @given(bounded_lps())
+    def test_simplex_matches_loop_oracle(self, lp):
+        c, a, b, lower, upper = lp
+        assert_matches_loop(c, a, b, lower, upper)

@@ -11,7 +11,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sample_solver import ConstraintTopology, PerSampleSolver, SampleProblem
+from repro.core.difference import REFERENCE, DifferenceConstraint
+from repro.core.sample_solver import (
+    ConstraintTopology,
+    PerSampleSolver,
+    SampleProblem,
+    concentration_lp,
+)
+from repro.milp.expr import LinExpr
+from repro.milp.model import Model
+from tests.milp.loop_simplex import assert_matches_loop
 
 
 @st.composite
@@ -42,6 +51,66 @@ def random_problems(draw):
         upper=np.full(n_ffs, float(bound)),
     )
     return topology, problem
+
+
+@st.composite
+def concentration_cases(draw):
+    """A support with scope constraints and targets, shaped like the
+    flow's concentration LPs: ±1 rows around an integer point, with
+    integer windows and weights (slack 0 makes many degenerate ties),
+    zero or fractional targets, and ``REFERENCE`` on either side of a
+    constraint plus a ``u == v`` self-edge.  One case in four has a
+    constraint past the point, which can make the LP infeasible."""
+    n_ffs = draw(st.integers(2, 7))
+    ffs = sorted(draw(st.sets(st.integers(0, n_ffs - 1), min_size=2)))
+    lower = np.array(draw(st.lists(st.integers(-6, 0), min_size=n_ffs, max_size=n_ffs)), float)
+    upper = np.array(draw(st.lists(st.integers(0, 6), min_size=n_ffs, max_size=n_ffs)), float)
+    targets = np.array(
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(-4, 4)), min_size=n_ffs, max_size=n_ffs))
+    )
+    point = {ff: draw(st.integers(int(lower[ff]), int(upper[ff]))) for ff in ffs}
+    point[REFERENCE] = 0
+    ends = [
+        (draw(st.sampled_from(ffs)), draw(st.sampled_from(ffs + [REFERENCE])))
+        for _ in range(draw(st.integers(0, 14)))
+    ]
+    ends = [pair if draw(st.booleans()) else pair[::-1] for pair in ends]
+    self_edge = draw(st.sampled_from(ffs))
+    ends += [(self_edge, self_edge), (ffs[0], REFERENCE), (REFERENCE, ffs[-1])]
+    slack = draw(st.lists(st.integers(0, 3), min_size=len(ends), max_size=len(ends)))
+    if draw(st.integers(0, 3)) == 0:
+        slack[0] = -1
+    constraints = [
+        DifferenceConstraint(u, v, float(point[u] - point[v] + extra))
+        for (u, v), extra in zip(draw(st.permutations(ends)), slack, strict=True)
+    ]
+    problem = SampleProblem(np.zeros(0), np.zeros(0), lower, upper)
+    return problem, ffs, constraints, targets
+
+
+def model_concentration_arrays(problem, ffs, constraints, targets):
+    """The concentration LP as the modelling layer builds it."""
+    model = Model("concentrate")
+    x_vars = {}
+    objective_terms = []
+    for ff in ffs:
+        x = model.add_var(f"x_{ff}", lb=float(problem.lower[ff]), ub=float(problem.upper[ff]))
+        span = float(problem.upper[ff] - problem.lower[ff]) + abs(float(targets[ff])) + 1.0
+        t = model.add_var(f"t_{ff}", lb=0.0, ub=span)
+        x_vars[ff] = x
+        target = float(targets[ff])
+        model.add_constr(t >= x - target)
+        model.add_constr(t >= target - x)
+        objective_terms.append(t)
+    for constraint in constraints:
+        if constraint.u == REFERENCE:
+            model.add_constr(-1.0 * x_vars[constraint.v] <= constraint.weight)
+        elif constraint.v == REFERENCE:
+            model.add_constr(1.0 * x_vars[constraint.u] <= constraint.weight)
+        else:
+            model.add_constr(x_vars[constraint.u] - x_vars[constraint.v] <= constraint.weight)
+    model.set_objective(LinExpr.sum_of(objective_terms))
+    return model.to_arrays()
 
 
 def _assignment_is_valid(topology, problem, solution):
@@ -95,3 +164,20 @@ class TestSolverProperties:
         if graph_solution.feasible:
             assert milp_solution.n_adjusted <= graph_solution.n_adjusted
             assert _assignment_is_valid(topology, problem, milp_solution)
+
+
+class TestConcentrationLp:
+    @given(concentration_cases())
+    @settings(max_examples=60)
+    def test_arrays_match_the_modelling_layer(self, case):
+        names = ("c", "a_ub", "b_ub", "lower", "upper")
+        built = dict(zip(names, concentration_lp(*case), strict=True))
+        reference = model_concentration_arrays(*case)
+        for name, array in built.items():
+            assert np.array_equal(array, reference[name]), name
+        assert reference["a_eq"] is None and reference["integer_indices"] == []
+
+    @given(concentration_cases())
+    @settings(max_examples=60)
+    def test_simplex_matches_loop_oracle(self, case):
+        assert_matches_loop(*concentration_lp(*case))
