@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -97,15 +98,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """Argparse type: float > 0 with a clear error instead of a traceback."""
+def _finite_float(text: str) -> float:
+    """Argparse type: finite float with a clear error instead of a traceback."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """Argparse type: finite float > 0 with a clear error instead of a traceback."""
+    value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
+
+
+def _circuit_name(text: str) -> str:
+    """Argparse type: a Table-I circuit name, listing the names otherwise.
+
+    The suite is imported when an argument is parsed, not when the parser
+    is built.
+    """
+    from repro.circuit.suite import list_suite_circuits
+
+    names = list_suite_circuits()
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"unknown circuit {text!r} (available: {', '.join(names)})"
+        )
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,13 +156,23 @@ def build_parser() -> argparse.ArgumentParser:
     insert.add_argument("--eval-samples", type=_positive_int, default=1000, help="evaluation samples")
     insert.add_argument(
         "--sigma",
-        type=float,
+        type=_finite_float,
         default=0.0,
         help="target period expressed as mu_T + sigma * sigma_T (paper uses 0, 1, 2)",
     )
-    insert.add_argument("--period", type=float, default=None, help="absolute target period (overrides --sigma)")
+    insert.add_argument(
+        "--period",
+        type=_positive_float,
+        default=None,
+        help="absolute target period (overrides --sigma)",
+    )
     insert.add_argument("--solver", choices=("graph", "milp"), default="graph", help="per-sample solver backend")
-    insert.add_argument("--max-buffers", type=int, default=None, help="cap on physical buffers after grouping")
+    insert.add_argument(
+        "--max-buffers",
+        type=_positive_int,
+        default=None,
+        help="cap on physical buffers after grouping",
+    )
     from repro.engine import EXECUTOR_CHOICES
 
     insert.add_argument(
@@ -788,8 +823,12 @@ def _add_bench_parsers(subparsers) -> None:
 
 
 def _add_circuit_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--circuit", default="s9234", help="Table-I circuit name")
-    parser.add_argument("--scale", type=float, default=0.2, help="circuit size scale factor")
+    parser.add_argument(
+        "--circuit", type=_circuit_name, default="s9234", help="Table-I circuit name"
+    )
+    parser.add_argument(
+        "--scale", type=_positive_float, default=0.2, help="circuit size scale factor"
+    )
     parser.add_argument("--seed", type=int, default=1, help="seed for circuit generation and sampling")
 
 

@@ -12,82 +12,105 @@ textbook shortest-path problem: build the constraint graph, add a reference
 node for the pinned value 0, and run Bellman–Ford; a negative cycle means
 infeasible.
 
+A system over ``n`` free variables is given as index arrays ``(u, v, w)``
+with one row ``x_u - x_v <= w`` per constraint.  ``u`` and ``v`` are
+variable positions ``0 .. n - 1``; position ``n`` is the reference (the
+pinned value 0), so the row ``(i, n, w)`` reads ``x_i <= w`` and
+``(n, i, w)`` reads ``-x_i <= w``.  :func:`edge_rows` builds the rows of
+sequential edges, and :func:`solve_difference_system` is the one
+Bellman–Ford loop.
+
 This module is the shared substrate of the per-sample solver
 (:mod:`repro.core.sample_solver`) and the post-silicon configurator
-(:mod:`repro.tuning`).  When all weights are integers (the discrete-step
-mode), the returned assignment is integral as well, which is how discrete
-tuning steps are handled exactly.
+(:mod:`repro.tuning`), which both build their rows with :func:`edge_rows`.
+When all weights are integers (the discrete-step mode), the returned
+assignment is integral as well, which is how discrete tuning steps are
+handled exactly.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
-#: Reference pseudo-variable representing the pinned value 0.
-REFERENCE = "__reference__"
+import numpy as np
+
+#: Constraint rows ``(u, v, w)``: one ``x_u - x_v <= w`` per row, with
+#: position ``n`` (the number of variables) as the pinned reference.
+DifferenceRows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class DifferenceConstraint:
-    """One constraint ``x_u - x_v <= weight``.
+def edge_rows(
+    launch: np.ndarray,
+    capture: np.ndarray,
+    setup: np.ndarray,
+    hold: np.ndarray,
+) -> DifferenceRows:
+    """Rows of sequential edges ``launch[m] -> capture[m]``.
 
-    ``u`` or ``v`` may be :data:`REFERENCE` to express absolute bounds
-    (``x_u <= w`` and ``-x_v <= w`` respectively).
+    Each edge gives two consecutive rows: its setup row
+    ``x_launch - x_capture <= setup[m]``, then its hold row
+    ``x_capture - x_launch <= hold[m]``.  ``launch`` and ``capture`` hold
+    variable positions, with ``n`` standing for a pinned end.
     """
-
-    u: Hashable
-    v: Hashable
-    weight: float
+    u = np.empty(2 * len(launch), dtype=np.intp)
+    v = np.empty_like(u)
+    w = np.empty(u.shape[0])
+    u[0::2] = launch
+    u[1::2] = capture
+    v[0::2] = capture
+    v[1::2] = launch
+    w[0::2] = setup
+    w[1::2] = hold
+    return u, v, w
 
 
 def solve_difference_system(
     variables: Sequence[Hashable],
-    constraints: Iterable[DifferenceConstraint],
-    lower: Optional[Dict[Hashable, float]] = None,
-    upper: Optional[Dict[Hashable, float]] = None,
+    rows: DifferenceRows,
+    lower: Optional[np.ndarray] = None,
+    upper: Optional[np.ndarray] = None,
 ) -> Optional[Dict[Hashable, float]]:
     """Find a feasible assignment of a difference-constraint system.
 
     Parameters
     ----------
     variables:
-        The free variables (anything not listed and not the reference is
-        rejected with ``KeyError``).
-    constraints:
-        Difference constraints among the variables and the reference.
+        The free variables; the ``i``-th is position ``i`` of the rows.
+    rows:
+        Constraint rows ``(u, v, w)`` over positions ``0 .. n``, where
+        ``n = len(variables)`` is the reference.  A position outside that
+        range raises ``ValueError``.
     lower / upper:
-        Optional box bounds per variable (converted to reference edges).
+        Optional box bounds, one per variable (converted to reference
+        edges).
 
     Returns
     -------
     dict or None
-        A feasible assignment (reference pinned to 0), or ``None`` when the
-        system is infeasible.
-    """
-    lower = lower or {}
-    upper = upper or {}
-    index: Dict[Hashable, int] = {var: i for i, var in enumerate(variables)}
-    if REFERENCE in index:
-        raise ValueError("REFERENCE must not be listed as a variable")
-    ref = len(index)
-    n = ref + 1
+        A feasible assignment keyed by variable, in the order given (the
+        reference pinned to 0), or ``None`` when the system is infeasible.
 
-    # Edge list: constraint x_u - x_v <= w  ->  edge v -> u with weight w.
-    edges: List[Tuple[int, int, float]] = []
-    for constraint in constraints:
-        u = ref if constraint.u == REFERENCE else index[constraint.u]
-        v = ref if constraint.v == REFERENCE else index[constraint.v]
-        edges.append((v, u, float(constraint.weight)))
-    for var, bound in upper.items():
-        edges.append((ref, index[var], float(bound)))
-    for var, bound in lower.items():
-        edges.append((index[var], ref, -float(bound)))
+    Bellman–Ford relaxes the constraint rows in order, then the upper
+    bounds, then the lower bounds.
+    """
+    n = len(variables)
+    heads = np.asarray(rows[0]).tolist()
+    tails = np.asarray(rows[1]).tolist()
+    weights = np.asarray(rows[2], dtype=float).tolist()
+    if heads and (min(heads) < 0 or min(tails) < 0 or max(heads) > n or max(tails) > n):
+        raise ValueError(f"row positions must lie in 0..{n} (the reference is {n})")
+
+    # Edge list: constraint x_u - x_v <= w  ->  edge v -> u with weight w;
+    # an upper bound is an edge from the reference, a lower bound one to it.
+    edges = list(zip(tails, heads, weights, strict=True))
+    if upper is not None:
+        edges += zip([n] * n, range(n), np.asarray(upper, dtype=float).tolist(), strict=True)
+    if lower is not None:
+        edges += zip(range(n), [n] * n, (-np.asarray(lower, dtype=float)).tolist(), strict=True)
 
     # Bellman-Ford from an implicit super-source (all distances start at 0).
-    dist = [0.0] * n
-    for _iteration in range(n):
+    dist = [0.0] * (n + 1)
+    for _iteration in range(n + 1):
         changed = False
         for v, u, w in edges:
             candidate = dist[v] + w
@@ -97,50 +120,37 @@ def solve_difference_system(
         if not changed:
             break
     else:
-        # Still relaxing after n iterations: negative cycle -> infeasible.
+        # Still relaxing after n + 1 iterations: negative cycle -> infeasible.
         return None
 
-    offset = dist[ref]
-    return {var: dist[i] - offset for var, i in index.items()}
+    offset = dist[n]
+    return {var: dist[i] - offset for i, var in enumerate(variables)}
 
 
 def check_assignment(
-    assignment: Dict[Hashable, float],
-    constraints: Iterable[DifferenceConstraint],
-    lower: Optional[Dict[Hashable, float]] = None,
-    upper: Optional[Dict[Hashable, float]] = None,
+    values: Sequence[float],
+    rows: DifferenceRows,
+    lower: Optional[np.ndarray] = None,
+    upper: Optional[np.ndarray] = None,
     tolerance: float = 1e-9,
 ) -> bool:
-    """Verify an assignment against constraints and bounds (reference = 0)."""
-    lower = lower or {}
-    upper = upper or {}
-
-    def value(var: Hashable) -> float:
-        if var == REFERENCE:
-            return 0.0
-        return float(assignment[var])
-
-    for constraint in constraints:
-        if value(constraint.u) - value(constraint.v) > constraint.weight + tolerance:
-            return False
-    for var, bound in lower.items():
-        if value(var) < bound - tolerance:
-            return False
-    for var, bound in upper.items():
-        if value(var) > bound + tolerance:
-            return False
+    """Verify values (one per position) against rows and bounds (reference = 0)."""
+    x = np.append(np.asarray(values, dtype=float), 0.0)
+    u, v, w = rows
+    if np.any(x[u] - x[v] > w + tolerance):
+        return False
+    if lower is not None and np.any(x[:-1] < lower - tolerance):
+        return False
+    if upper is not None and np.any(x[:-1] > upper + tolerance):
+        return False
     return True
 
 
-def tighten_to_integers(
-    constraints: Iterable[DifferenceConstraint],
-) -> List[DifferenceConstraint]:
+def tighten_to_integers(weights: np.ndarray) -> np.ndarray:
     """Round constraint weights down to integers (conservative tightening).
 
     Working on the integer grid makes every Bellman–Ford witness integral,
     which is how discrete tuning steps are supported without an explicit
     integer program.
     """
-    return [
-        DifferenceConstraint(c.u, c.v, math.floor(c.weight + 1e-9)) for c in constraints
-    ]
+    return np.floor(np.asarray(weights, dtype=float) + 1e-9)

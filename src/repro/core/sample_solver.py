@@ -33,23 +33,23 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.difference import (
-    REFERENCE,
-    DifferenceConstraint,
+    DifferenceRows,
     check_assignment,
+    edge_rows,
     solve_difference_system,
 )
 from repro.timing.constraints import SequentialConstraintGraph
 
 _TOL = 1e-9
 
-#: Scope constraints and Bellman–Ford witness of a support that repairs
-#: its region.
-ScopeWitness = Tuple[List[DifferenceConstraint], Dict[int, float]]
+#: Scope constraint rows (positions in the sorted support, the reference
+#: last) and Bellman–Ford witness of a support that repairs its region.
+ScopeWitness = Tuple[DifferenceRows, Dict[int, float]]
 
 
 # ----------------------------------------------------------------------
@@ -67,6 +67,8 @@ class ConstraintTopology:
         Flip-flop index of the launch / capture end of every edge.
     edges_of_ff:
         For every flip-flop, the indices of its incident edges.
+
+    The neighbour set of every flip-flop is built once, with the topology.
     """
 
     ff_names: List[str]
@@ -77,12 +79,22 @@ class ConstraintTopology:
     def __post_init__(self) -> None:
         self.edge_launch = np.asarray(self.edge_launch, dtype=int)
         self.edge_capture = np.asarray(self.edge_capture, dtype=int)
+        launch = self.edge_launch.tolist()
+        capture = self.edge_capture.tolist()
         if not self.edges_of_ff:
             edges_of_ff: List[List[int]] = [[] for _ in self.ff_names]
-            for k in range(self.edge_launch.shape[0]):
-                edges_of_ff[int(self.edge_launch[k])].append(k)
-                edges_of_ff[int(self.edge_capture[k])].append(k)
+            for k, (i, j) in enumerate(zip(launch, capture, strict=True)):
+                edges_of_ff[i].append(k)
+                edges_of_ff[j].append(k)
             self.edges_of_ff = edges_of_ff
+        self._neighbors: List[Set[int]] = []
+        for ff, edges in enumerate(self.edges_of_ff):
+            neighbors: Set[int] = set()
+            for k in edges:
+                neighbors.add(launch[k])
+                neighbors.add(capture[k])
+            neighbors.discard(ff)
+            self._neighbors.append(neighbors)
 
     @property
     def n_ffs(self) -> int:
@@ -95,13 +107,8 @@ class ConstraintTopology:
         return int(self.edge_launch.shape[0])
 
     def neighbors(self, ff: int) -> Set[int]:
-        """Flip-flops sharing an edge with ``ff``."""
-        result: Set[int] = set()
-        for k in self.edges_of_ff[ff]:
-            result.add(int(self.edge_launch[k]))
-            result.add(int(self.edge_capture[k]))
-        result.discard(ff)
-        return result
+        """Flip-flops sharing an edge with ``ff`` (built once; do not modify)."""
+        return self._neighbors[ff]
 
     @classmethod
     def from_constraint_graph(cls, graph: SequentialConstraintGraph) -> "ConstraintTopology":
@@ -180,7 +187,7 @@ class SampleSolution:
 def concentration_lp(
     problem: SampleProblem,
     ffs: Sequence[int],
-    constraints: Sequence[DifferenceConstraint],
+    rows: DifferenceRows,
     targets: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The concentration LP of a support as ``(c, a_ub, b_ub, lower, upper)``.
@@ -190,15 +197,16 @@ def concentration_lp(
 
         minimise  sum_i t_i
         s.t.      x_i - t_i <= target_i,   -x_i - t_i <= -target_i
-                  x_u - x_v <= w           (every scope constraint, in order)
+                  x_u - x_v <= w           (every scope row, in order)
                   lower_i <= x_i <= upper_i,   0 <= t_i <= span_i
 
     with ``span_i = upper_i - lower_i + |target_i| + 1``.  Columns are
-    ``x_i, t_i`` per flip-flop; a :data:`REFERENCE` end of a constraint
+    ``x_i, t_i`` per flip-flop; the scope ``rows`` index ``ffs`` by
+    position, and an end at position ``len(ffs)`` (the pinned reference)
     contributes no coefficient.
     """
-    n_vars = 2 * len(ffs)
-    column = {ff: 2 * k for k, ff in enumerate(ffs)}
+    n_ffs = len(ffs)
+    n_vars = 2 * n_ffs
     target = targets[ffs]
     c = np.zeros(n_vars)
     c[1::2] = 1.0
@@ -210,7 +218,8 @@ def concentration_lp(
 
     # Rows 2k and 2k + 1 bound x_k - t_k and -x_k - t_k, so the first
     # n_vars rows share their indices with the columns.
-    a_ub = np.zeros((n_vars + len(constraints), n_vars))
+    u, v, w = rows
+    a_ub = np.zeros((n_vars + w.shape[0], n_vars))
     b_ub = np.empty(a_ub.shape[0])
     x_cols = np.arange(0, n_vars, 2)
     a_ub[x_cols, x_cols] = 1.0
@@ -219,12 +228,12 @@ def concentration_lp(
     a_ub[x_cols + 1, x_cols + 1] = -1.0
     b_ub[0:n_vars:2] = target
     b_ub[1:n_vars:2] = -target
-    for row, constraint in enumerate(constraints, start=n_vars):
-        if constraint.u != REFERENCE:
-            a_ub[row, column[constraint.u]] += 1.0
-        if constraint.v != REFERENCE:
-            a_ub[row, column[constraint.v]] -= 1.0
-        b_ub[row] = constraint.weight
+    scope_rows = np.arange(n_vars, a_ub.shape[0])
+    free = u < n_ffs
+    a_ub[scope_rows[free], 2 * u[free]] += 1.0
+    free = v < n_ffs
+    a_ub[scope_rows[free], 2 * v[free]] -= 1.0
+    b_ub[n_vars:] = w
     return c, a_ub, b_ub, lower, upper
 
 
@@ -434,7 +443,7 @@ class PerSampleSolver:
         return {ff for ff in pool if candidates[ff]}
 
     # ------------------------------------------------------------------
-    def _scope_edges(self, support: Set[int], region_edges: List[int]) -> List[int]:
+    def _scope_edges(self, support: Iterable[int], region_edges: List[int]) -> List[int]:
         """All constraints relevant to a support: edges incident to any
         supported flip-flop plus the region's violated edges."""
         scope: Set[int] = set(region_edges)
@@ -442,35 +451,27 @@ class PerSampleSolver:
             scope.update(self.topology.edges_of_ff[ff])
         return sorted(scope)
 
-    def _build_constraints(
-        self, problem: SampleProblem, support: Set[int], scope: Sequence[int]
-    ) -> Optional[List[DifferenceConstraint]]:
-        """Difference constraints of a scope with non-support values pinned to 0.
+    def _scope_rows(
+        self, problem: SampleProblem, ffs: List[int], region_edges: List[int]
+    ) -> DifferenceRows:
+        """Scope rows of a support ``ffs`` (ascending) that covers its
+        region: the setup row then the hold row of each scope edge, in
+        ascending edge order (:func:`~repro.core.difference.edge_rows`).
 
-        Returns ``None`` when a scope constraint between two pinned
-        flip-flops is violated (the support cannot possibly repair it).
+        Ends outside the support are pinned to 0, i.e. mapped to the
+        reference position ``len(ffs)``.  A covering support leaves no
+        scope edge with both ends pinned: the scope's other edges all
+        touch the support.
         """
-        constraints: List[DifferenceConstraint] = []
-        launch = self.topology.edge_launch
-        capture = self.topology.edge_capture
-        for k in scope:
-            i, j = int(launch[k]), int(capture[k])
-            bs = float(problem.setup_bound[k])
-            bh = float(problem.hold_bound[k])
-            i_free, j_free = i in support, j in support
-            if i_free and j_free:
-                constraints.append(DifferenceConstraint(i, j, bs))
-                constraints.append(DifferenceConstraint(j, i, bh))
-            elif i_free:
-                constraints.append(DifferenceConstraint(i, REFERENCE, bs))
-                constraints.append(DifferenceConstraint(REFERENCE, i, bh))
-            elif j_free:
-                constraints.append(DifferenceConstraint(REFERENCE, j, bs))
-                constraints.append(DifferenceConstraint(j, REFERENCE, bh))
-            else:
-                if bs < -_TOL or bh < -_TOL:
-                    return None
-        return constraints
+        scope = np.array(self._scope_edges(ffs, region_edges), dtype=np.intp)
+        position = np.full(self.topology.n_ffs, len(ffs))
+        position[ffs] = np.arange(len(ffs))
+        return edge_rows(
+            position[self.topology.edge_launch[scope]],
+            position[self.topology.edge_capture[scope]],
+            problem.setup_bound[scope],
+            problem.hold_bound[scope],
+        )
 
     def _is_feasible(
         self,
@@ -488,10 +489,13 @@ class PerSampleSolver:
         support: Set[int],
         witnesses: Dict[FrozenSet[int], Optional[ScopeWitness]],
     ) -> Optional[ScopeWitness]:
-        """The support's scope constraints and a Bellman–Ford witness
-        (values of non-support FFs are implicitly zero), or ``None`` when
-        the support cannot repair the region.
+        """The support's scope rows and a Bellman–Ford witness (values of
+        non-support FFs are implicitly zero), or ``None`` when the support
+        cannot repair the region.
 
+        A support that leaves a region edge with no endpoint in it is
+        rejected before any scope is built: every region edge is
+        violated, and with both ends pinned to 0 nothing can repair it.
         ``witnesses`` holds the answer for every support already checked
         in the region, so no support is solved twice.
         """
@@ -499,14 +503,15 @@ class PerSampleSolver:
         if key in witnesses:
             return witnesses[key]
         found = None
-        scope = self._scope_edges(support, region_edges)
-        constraints = self._build_constraints(problem, support, scope)
-        if constraints is not None:
-            lower = {ff: float(problem.lower[ff]) for ff in support}
-            upper = {ff: float(problem.upper[ff]) for ff in support}
-            assignment = solve_difference_system(sorted(support), constraints, lower, upper)
+        launch, capture = self.topology.edge_launch, self.topology.edge_capture
+        if all(int(launch[k]) in key or int(capture[k]) in key for k in region_edges):
+            ffs = sorted(support)
+            rows = self._scope_rows(problem, ffs, region_edges)
+            assignment = solve_difference_system(
+                ffs, rows, problem.lower[ffs], problem.upper[ffs]
+            )
             if assignment is not None:
-                found = (constraints, {ff: float(v) for ff, v in assignment.items()})
+                found = (rows, assignment)
         witnesses[key] = found
         return found
 
@@ -624,25 +629,25 @@ class PerSampleSolver:
         """Minimise ``sum |x_i - target_i|`` over the support (phase 2).
 
         This is the paper's problems (14)–(17) and (18)–(21) with the
-        buffer count fixed by the support.  The support's scope
-        constraints and Bellman–Ford witness come from ``witnesses``,
-        where the support search left them, so concentration solves no
-        difference system.  A single buffer has a closed form; larger
-        supports solve :func:`concentration_lp` with
+        buffer count fixed by the support.  The support's scope rows and
+        Bellman–Ford witness come from ``witnesses``, where the support
+        search left them, so concentration solves no difference system.
+        A single buffer has a closed form; larger supports solve
+        :func:`concentration_lp` on the same rows with
         :func:`repro.milp.backends.solve_lp` on the backend
         :meth:`_concentrate_backend` picks.  The witness is returned when
-        concentration is disabled or the (rounded) LP vertex fails the
-        constraint check.
+        concentration is disabled or the (rounded) LP vertex fails
+        :func:`~repro.core.difference.check_assignment` on the rows.
         """
         found = self._feasible_assignment(problem, region_edges, support, witnesses)
         if found is None:
             return None
-        constraints, witness = found
+        rows, witness = found
         if not self.concentrate:
             return witness
 
         if len(support) == 1:
-            single = self._concentrate_single(problem, next(iter(support)), constraints, targets)
+            single = self._concentrate_single(problem, next(iter(support)), rows, targets)
             if single is not None:
                 return single
             return witness
@@ -650,7 +655,7 @@ class PerSampleSolver:
         from repro.milp.backends import solve_lp  # imports scipy.optimize: first use only
 
         ffs = sorted(support)
-        c, a_ub, b_ub, lp_lower, lp_upper = concentration_lp(problem, ffs, constraints, targets)
+        c, a_ub, b_ub, lp_lower, lp_upper = concentration_lp(problem, ffs, rows, targets)
         result = solve_lp(
             c, a_ub, b_ub, None, None, lp_lower, lp_upper,
             backend=self._concentrate_backend(len(ffs)),
@@ -658,16 +663,16 @@ class PerSampleSolver:
         if not result.status.has_solution or result.x is None:  # pragma: no cover - witness exists
             return witness
 
-        # Keyed in the support's iteration order, which callers see.
-        x = dict(zip(ffs, result.x[0::2].tolist(), strict=True))
-        values = {ff: x[ff] for ff in support}
+        x = result.x[0::2]
         if self.integral:
-            values = {ff: float(round(v)) for ff, v in values.items()}
-        lower = {ff: float(problem.lower[ff]) for ff in support}
-        upper = {ff: float(problem.upper[ff]) for ff in support}
-        if check_assignment(values, constraints, lower, upper, tolerance=1e-6):
-            return values
-        return witness
+            x = np.round(x)
+        if not check_assignment(
+            x, rows, problem.lower[ffs], problem.upper[ffs], tolerance=1e-6
+        ):
+            return witness
+        # Keyed in the support's iteration order, which callers see.
+        values = dict(zip(ffs, x.tolist(), strict=True))
+        return {ff: values[ff] for ff in support}
 
     def _concentrate_backend(self, n_support: int) -> str:
         """LP backend for one concentration problem.
@@ -686,28 +691,23 @@ class PerSampleSolver:
         self,
         problem: SampleProblem,
         ff: int,
-        constraints: List[DifferenceConstraint],
+        rows: DifferenceRows,
         targets: np.ndarray,
     ) -> Optional[Dict[int, float]]:
         """Closed-form concentration for a single-buffer support.
 
-        Every constraint of the scope pins the lone free variable to an
-        interval; ``min |x - target|`` over an interval is the clamped
-        target (the unique LP optimum), so no LP is needed.  Returns
-        ``None`` when the interval collapses (caller falls back to the
-        Bellman–Ford witness).
+        Every scope row pins the lone free variable (position 0) to an
+        interval: a row ``(1, 0, w)`` from the reference is ``x >= -w``
+        and a row ``(0, 1, w)`` to it is ``x <= w``.  ``min |x - target|``
+        over an interval is the clamped target (the unique LP optimum),
+        so no LP is needed.  Returns ``None`` when the interval collapses
+        (caller falls back to the Bellman–Ford witness).
         """
-        lo = float(problem.lower[ff])
-        hi = float(problem.upper[ff])
-        for constraint in constraints:
-            if constraint.u == constraint.v:
-                if constraint.weight < -_TOL:  # pragma: no cover - witness exists
-                    return None
-                continue
-            if constraint.u == REFERENCE:
-                lo = max(lo, -float(constraint.weight))
-            elif constraint.v == REFERENCE:
-                hi = min(hi, float(constraint.weight))
+        u, v, w = rows
+        if np.any(w[u == v] < -_TOL):  # pragma: no cover - witness exists
+            return None
+        lo = max([float(problem.lower[ff]), *(-w[u == 1]).tolist()])
+        hi = min([float(problem.upper[ff]), *w[v == 1].tolist()])
         if lo > hi + _TOL:  # pragma: no cover - witness exists, so cannot happen
             return None
         value = min(max(float(targets[ff]), lo), hi)

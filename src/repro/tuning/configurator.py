@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.difference import (
-    REFERENCE,
-    DifferenceConstraint,
+    edge_rows,
     solve_difference_system,
+    tighten_to_integers,
 )
 from repro.core.results import BufferPlan
 from repro.core.sample_solver import ConstraintTopology
@@ -124,6 +124,11 @@ class PostSiliconConfigurator:
         for ff_idx in self._var_of_ff:
             scope.update(topology.edges_of_ff[ff_idx])
         self._scope = sorted(scope)
+        # Variable position of every flip-flop; unbuffered ones map to the
+        # pinned reference position ``n_variables``.
+        self._position = np.full(topology.n_ffs, self.n_variables)
+        for ff_idx, var in self._var_of_ff.items():
+            self._position[ff_idx] = var
 
     # ------------------------------------------------------------------
     @property
@@ -131,7 +136,7 @@ class PostSiliconConfigurator:
         """Number of independent tuning values (physical buffers)."""
         return len(self._var_lower)
 
-    def _solver_bounds(self) -> Tuple[List[float], List[float]]:
+    def _solver_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Variable bounds in solver units (steps when discrete)."""
         if self.step > 0:
             lower = [math.ceil(lo / self.step - 1e-9) for lo in self._var_lower]
@@ -139,7 +144,7 @@ class PostSiliconConfigurator:
         else:
             lower = list(self._var_lower)
             upper = list(self._var_upper)
-        return lower, upper
+        return np.array(lower, dtype=float), np.array(upper, dtype=float)
 
     # ------------------------------------------------------------------
     def configure_sample(
@@ -167,51 +172,34 @@ class PostSiliconConfigurator:
             return True, {}
 
         launch, capture = self.topology.edge_launch, self.topology.edge_capture
+        pinned = self.n_variables
         # A violated edge with no buffered endpoint cannot be repaired.
-        for k in violated:
-            if int(launch[k]) not in self._var_of_ff and int(capture[k]) not in self._var_of_ff:
-                return False, None
+        if np.any(
+            (self._position[launch[violated]] == pinned)
+            & (self._position[capture[violated]] == pinned)
+        ):
+            return False, None
         if not self._var_lower:
             return False, None
 
         scale = self.step if self.step > 0 else 1.0
-        constraints: List[DifferenceConstraint] = []
-        scope = set(self._scope) | {int(k) for k in violated}
-        for k in sorted(scope):
-            i, j = int(launch[k]), int(capture[k])
-            bs = float(setup_bound[k]) / scale
-            bh = float(hold_bound[k]) / scale
-            if self.step > 0:
-                bs = math.floor(bs + 1e-9)
-                bh = math.floor(bh + 1e-9)
-            vi = self._var_of_ff.get(i)
-            vj = self._var_of_ff.get(j)
-            if vi is not None and vj is not None:
-                if vi == vj:
-                    # Same physical buffer on both ends: the difference is 0.
-                    if bs < -_TOL or bh < -_TOL:
-                        return False, None
-                    continue
-                constraints.append(DifferenceConstraint(vi, vj, bs))
-                constraints.append(DifferenceConstraint(vj, vi, bh))
-            elif vi is not None:
-                constraints.append(DifferenceConstraint(vi, REFERENCE, bs))
-                constraints.append(DifferenceConstraint(REFERENCE, vi, bh))
-            elif vj is not None:
-                constraints.append(DifferenceConstraint(REFERENCE, vj, bs))
-                constraints.append(DifferenceConstraint(vj, REFERENCE, bh))
-            else:
-                if bs < -_TOL or bh < -_TOL:
-                    return False, None
+        scope = np.union1d(self._scope, violated)
+        vi = self._position[launch[scope]]
+        vj = self._position[capture[scope]]
+        bs = setup_bound[scope] / scale
+        bh = hold_bound[scope] / scale
+        if self.step > 0:
+            bs = tighten_to_integers(bs)
+            bh = tighten_to_integers(bh)
+        # Same physical buffer on both ends (grouping): the difference is
+        # 0, so the edge adds no row and fails only if it is violated.
+        same = vi == vj
+        if np.any(same & ((bs < -_TOL) | (bh < -_TOL))):
+            return False, None
+        rows = edge_rows(vi[~same], vj[~same], bs[~same], bh[~same])
 
         lower, upper = self._solver_bounds()
-        variables = list(range(self.n_variables))
-        assignment = solve_difference_system(
-            variables,
-            constraints,
-            {v: lower[v] for v in variables},
-            {v: upper[v] for v in variables},
-        )
+        assignment = solve_difference_system(range(pinned), rows, lower, upper)
         if assignment is None:
             return False, None
 

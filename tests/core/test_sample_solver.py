@@ -263,6 +263,43 @@ class TestWitnessReuse:
         assert len(solved) == len(set(solved))
 
 
+class TestCoverPreCheck:
+    def test_only_covering_supports_build_scope_rows(self, monkeypatch):
+        """A support that leaves a violated region edge with no endpoint
+        in it is rejected before its scope is built, so every scope build
+        reaches Bellman–Ford and no such support does."""
+        checked, built, solved = [], [], []
+        feasible_assignment = PerSampleSolver._feasible_assignment
+        scope_edges = PerSampleSolver._scope_edges
+        solve_difference_system = sample_solver.solve_difference_system
+
+        def recording(self, problem, region_edges, support, witnesses):
+            checked.append(frozenset(support))
+            return feasible_assignment(self, problem, region_edges, support, witnesses)
+
+        def counting_scope(self, support, region_edges):
+            built.append(frozenset(support))
+            return scope_edges(self, support, region_edges)
+
+        def counting_solve(*args):
+            solved.append(tuple(args[0]))
+            return solve_difference_system(*args)
+
+        monkeypatch.setattr(PerSampleSolver, "_feasible_assignment", recording)
+        monkeypatch.setattr(PerSampleSolver, "_scope_edges", counting_scope)
+        monkeypatch.setattr(sample_solver, "solve_difference_system", counting_solve)
+        topology = chain_topology(4)
+        # The violated edge ff1 -> ff2 needs two buffers, so the exhaustive
+        # refinement tries every single buffer, {ff0} and {ff3} included.
+        problem = make_problem(topology, [1, -3, 1], [10, 10, 10])
+        solution = PerSampleSolver(topology).solve(problem)
+        assert solution.n_adjusted == 2
+        assert {frozenset({0}), frozenset({3})} <= set(checked)
+        assert built
+        assert len(built) == len(solved)
+        assert all({1, 2} & set(support) for support in solved)
+
+
 class TestMilpBackend:
     @pytest.mark.parametrize(
         "setup",

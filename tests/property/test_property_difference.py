@@ -5,10 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.difference import (
-    DifferenceConstraint,
     check_assignment,
     solve_difference_system,
 )
+
+
+def _rows(triples):
+    u, v, w = zip(*triples, strict=True)
+    return np.array(u, dtype=np.intp), np.array(v, dtype=np.intp), np.array(w, dtype=float)
 
 
 @st.composite
@@ -21,32 +25,33 @@ def feasible_systems(draw):
     """
     n = draw(st.integers(2, 6))
     names = [f"v{i}" for i in range(n)]
-    hidden = {name: draw(st.integers(-10, 10)) for name in names}
+    hidden = [draw(st.integers(-10, 10)) for _ in names]
     n_constraints = draw(st.integers(1, 12))
-    constraints = []
+    triples = []
     for _ in range(n_constraints):
-        u = draw(st.sampled_from(names))
-        v = draw(st.sampled_from([x for x in names if x != u]))
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.sampled_from([x for x in range(n) if x != u]))
         slack = draw(st.integers(0, 5))
-        constraints.append(DifferenceConstraint(u, v, hidden[u] - hidden[v] + slack))
+        triples.append((u, v, hidden[u] - hidden[v] + slack))
     margin = draw(st.integers(0, 3))
-    lower = {name: hidden[name] - margin - draw(st.integers(0, 5)) for name in names}
-    upper = {name: hidden[name] + margin + draw(st.integers(0, 5)) for name in names}
-    return names, constraints, lower, upper
+    lower = np.array([h - margin - draw(st.integers(0, 5)) for h in hidden], dtype=float)
+    upper = np.array([h + margin + draw(st.integers(0, 5)) for h in hidden], dtype=float)
+    return names, triples, lower, upper
 
 
 class TestDifferenceProperties:
     @given(feasible_systems())
     def test_feasible_systems_are_solved(self, system):
-        names, constraints, lower, upper = system
-        solution = solve_difference_system(names, constraints, lower, upper)
+        names, triples, lower, upper = system
+        rows = _rows(triples)
+        solution = solve_difference_system(names, rows, lower, upper)
         assert solution is not None
-        assert check_assignment(solution, constraints, lower, upper, tolerance=1e-6)
+        assert check_assignment(list(solution.values()), rows, lower, upper, tolerance=1e-6)
 
     @given(feasible_systems())
     def test_integer_inputs_give_integer_solutions(self, system):
-        names, constraints, lower, upper = system
-        solution = solve_difference_system(names, constraints, lower, upper)
+        names, triples, lower, upper = system
+        solution = solve_difference_system(names, _rows(triples), lower, upper)
         assert solution is not None
         for value in solution.values():
             assert value == int(value)
@@ -55,10 +60,9 @@ class TestDifferenceProperties:
     def test_tightening_a_constraint_below_range_makes_it_infeasible(self, system, seed):
         """Forcing x_u - x_v <= -(span_u + span_v + 1) can never be satisfied
         inside the boxes, so the solver must report infeasibility."""
-        names, constraints, lower, upper = system
+        names, triples, lower, upper = system
         rng = np.random.default_rng(seed)
-        u, v = rng.choice(len(names), size=2, replace=False)
-        u, v = names[int(u)], names[int(v)]
+        u, v = (int(p) for p in rng.choice(len(names), size=2, replace=False))
         impossible = (lower[u] - upper[v]) - 1
-        constraints = constraints + [DifferenceConstraint(u, v, impossible)]
-        assert solve_difference_system(names, constraints, lower, upper) is None
+        rows = _rows(triples + [(u, v, impossible)])
+        assert solve_difference_system(names, rows, lower, upper) is None

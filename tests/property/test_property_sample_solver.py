@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.difference import REFERENCE, DifferenceConstraint
+from repro.core.difference import check_assignment
 from repro.core.sample_solver import (
     ConstraintTopology,
     PerSampleSolver,
@@ -20,6 +20,7 @@ from repro.core.sample_solver import (
 )
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model
+from tests.core.list_support_check import REFERENCE, ListSupportCheck
 from tests.milp.loop_simplex import assert_matches_loop
 
 
@@ -54,41 +55,80 @@ def random_problems(draw):
 
 
 @st.composite
+def support_checks(draw):
+    """A random problem with a region drawn from its violated edges and a
+    support: random (a cover or not), a random cover, or every flip-flop.
+    One case in two has fractional bounds and windows (a multiple of 1/7
+    added to each)."""
+    topology, problem = draw(random_problems())
+    if draw(st.booleans()):
+        def shift(values):
+            sevenths = st.integers(-6, 6)
+            drawn = draw(st.lists(sevenths, min_size=values.size, max_size=values.size))
+            return values + np.array(drawn) / 7.0
+
+        problem = SampleProblem(
+            shift(problem.setup_bound), shift(problem.hold_bound),
+            shift(problem.lower), shift(problem.upper),
+        )
+    violated = problem.violated_edges().tolist()
+    if not violated:
+        violated = [0]
+        problem.setup_bound[0] = -1.0
+    region = sorted(draw(st.sets(st.sampled_from(violated), min_size=1)))
+    kind = draw(st.sampled_from(["random", "cover", "all"]))
+    if kind == "all":
+        return topology, problem, region, set(range(topology.n_ffs))
+    support = draw(st.sets(st.integers(0, topology.n_ffs - 1)))
+    if kind == "cover":
+        for k in region:
+            ends = (int(topology.edge_launch[k]), int(topology.edge_capture[k]))
+            support.add(draw(st.sampled_from(ends)))
+    if not support:
+        support = {draw(st.integers(0, topology.n_ffs - 1))}
+    return topology, problem, region, support
+
+
+@st.composite
 def concentration_cases(draw):
-    """A support with scope constraints and targets, shaped like the
-    flow's concentration LPs: ±1 rows around an integer point, with
-    integer windows and weights (slack 0 makes many degenerate ties),
-    zero or fractional targets, and ``REFERENCE`` on either side of a
-    constraint plus a ``u == v`` self-edge.  One case in four has a
-    constraint past the point, which can make the LP infeasible."""
+    """A support with scope rows and targets, shaped like the flow's
+    concentration LPs: ±1 rows around an integer point, with integer
+    windows and weights (slack 0 makes many degenerate ties), zero or
+    fractional targets, and the reference (position ``len(ffs)``) on
+    either side of a row plus a ``u == v`` self-edge.  One case in four
+    has a row past the point, which can make the LP infeasible."""
     n_ffs = draw(st.integers(2, 7))
     ffs = sorted(draw(st.sets(st.integers(0, n_ffs - 1), min_size=2)))
+    reference = len(ffs)
     lower = np.array(draw(st.lists(st.integers(-6, 0), min_size=n_ffs, max_size=n_ffs)), float)
     upper = np.array(draw(st.lists(st.integers(0, 6), min_size=n_ffs, max_size=n_ffs)), float)
     targets = np.array(
         draw(st.lists(st.one_of(st.just(0.0), st.floats(-4, 4)), min_size=n_ffs, max_size=n_ffs))
     )
-    point = {ff: draw(st.integers(int(lower[ff]), int(upper[ff]))) for ff in ffs}
-    point[REFERENCE] = 0
+    point = [draw(st.integers(int(lower[ff]), int(upper[ff]))) for ff in ffs] + [0]
+    positions = st.integers(0, reference - 1)
     ends = [
-        (draw(st.sampled_from(ffs)), draw(st.sampled_from(ffs + [REFERENCE])))
+        (draw(positions), draw(st.integers(0, reference)))
         for _ in range(draw(st.integers(0, 14)))
     ]
     ends = [pair if draw(st.booleans()) else pair[::-1] for pair in ends]
-    self_edge = draw(st.sampled_from(ffs))
-    ends += [(self_edge, self_edge), (ffs[0], REFERENCE), (REFERENCE, ffs[-1])]
+    self_edge = draw(positions)
+    ends += [(self_edge, self_edge), (0, reference), (reference, reference - 1)]
     slack = draw(st.lists(st.integers(0, 3), min_size=len(ends), max_size=len(ends)))
     if draw(st.integers(0, 3)) == 0:
         slack[0] = -1
-    constraints = [
-        DifferenceConstraint(u, v, float(point[u] - point[v] + extra))
-        for (u, v), extra in zip(draw(st.permutations(ends)), slack, strict=True)
-    ]
+    ends = draw(st.permutations(ends))
+    weights = [point[u] - point[v] + extra for (u, v), extra in zip(ends, slack, strict=True)]
+    rows = (
+        np.array([u for u, _ in ends], dtype=np.intp),
+        np.array([v for _, v in ends], dtype=np.intp),
+        np.array(weights, dtype=float),
+    )
     problem = SampleProblem(np.zeros(0), np.zeros(0), lower, upper)
-    return problem, ffs, constraints, targets
+    return problem, ffs, rows, targets
 
 
-def model_concentration_arrays(problem, ffs, constraints, targets):
+def model_concentration_arrays(problem, ffs, rows, targets):
     """The concentration LP as the modelling layer builds it."""
     model = Model("concentrate")
     x_vars = {}
@@ -102,13 +142,14 @@ def model_concentration_arrays(problem, ffs, constraints, targets):
         model.add_constr(t >= x - target)
         model.add_constr(t >= target - x)
         objective_terms.append(t)
-    for constraint in constraints:
-        if constraint.u == REFERENCE:
-            model.add_constr(-1.0 * x_vars[constraint.v] <= constraint.weight)
-        elif constraint.v == REFERENCE:
-            model.add_constr(1.0 * x_vars[constraint.u] <= constraint.weight)
+    reference = len(ffs)
+    for u, v, weight in zip(*(array.tolist() for array in rows), strict=True):
+        if u == reference:
+            model.add_constr(-1.0 * x_vars[ffs[v]] <= weight)
+        elif v == reference:
+            model.add_constr(1.0 * x_vars[ffs[u]] <= weight)
         else:
-            model.add_constr(x_vars[constraint.u] - x_vars[constraint.v] <= constraint.weight)
+            model.add_constr(x_vars[ffs[u]] - x_vars[ffs[v]] <= weight)
     model.set_objective(LinExpr.sum_of(objective_terms))
     return model.to_arrays()
 
@@ -164,6 +205,42 @@ class TestSolverProperties:
         if graph_solution.feasible:
             assert milp_solution.n_adjusted <= graph_solution.n_adjusted
             assert _assignment_is_valid(topology, problem, milp_solution)
+
+
+class TestSupportCheckAgainstLists:
+    """The cover pre-check and index-array scope rows against the
+    list-based check they replace (``tests/core/list_support_check.py``)."""
+
+    @given(support_checks())
+    @settings(max_examples=200)
+    def test_rows_and_witness_match_the_list_oracle(self, case):
+        topology, problem, region, support = case
+        solver = PerSampleSolver(topology)
+        found = solver._feasible_assignment(problem, region, support, {})
+        constraints, oracle_witness = ListSupportCheck(topology).check(problem, region, support)
+        assert (found is None) == (oracle_witness is None)
+        if constraints is None:
+            return
+        ffs = sorted(support)
+        position = {ff: p for p, ff in enumerate(ffs)}
+        position[REFERENCE] = len(ffs)
+        u, v, w = solver._scope_rows(problem, ffs, region)
+        assert u.tolist() == [position[c.u] for c in constraints]
+        assert v.tolist() == [position[c.v] for c in constraints]
+        assert w.tolist() == [c.weight for c in constraints]
+        if found is None:
+            return
+        rows, witness = found
+        assert all(np.array_equal(a, b) for a, b in zip(rows, (u, v, w), strict=True))
+        assert list(witness) == list(oracle_witness)
+        integral = all(
+            float(x).is_integer()
+            for x in (*w.tolist(), *problem.lower[ffs], *problem.upper[ffs])
+        )
+        if integral:
+            assert witness == oracle_witness
+        values = [witness[ff] for ff in ffs]
+        assert check_assignment(values, rows, problem.lower[ffs], problem.upper[ffs])
 
 
 class TestConcentrationLp:

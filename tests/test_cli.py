@@ -73,6 +73,44 @@ class TestArgumentValidation:
         args = build_parser().parse_args(["insert", "--cache-size", "128"])
         assert args.cache_size == 128
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["insert", "--circuit", "nope"], "unknown circuit 'nope'"),
+            (["characterize", "--circuit", "nope"], "unknown circuit 'nope'"),
+            (["insert", "--scale", "0"], "must be > 0"),
+            (["insert", "--scale", "-1"], "must be > 0"),
+            (["insert", "--scale", "nan"], "must be finite"),
+            (["characterize", "--scale", "0"], "must be > 0"),
+            (["characterize", "--scale", "-1"], "must be > 0"),
+            (["characterize", "--scale", "nan"], "must be finite"),
+            (["insert", "--period", "0"], "must be > 0"),
+            (["insert", "--period", "-3"], "must be > 0"),
+            (["insert", "--max-buffers", "0"], "must be >= 1"),
+            (["insert", "--max-buffers", "-2"], "must be >= 1"),
+            (["insert", "--sigma", "nan"], "must be finite"),
+            (["insert", "--sigma", "inf"], "must be finite"),
+            (["work", "--queue", "sqlite:unused.sqlite", "--lease", "nan"], "must be finite"),
+        ],
+    )
+    def test_bad_value_exits_2_with_a_message(self, argv, message, capsys):
+        """Each bad value exits 2 from argparse, naming the argument."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: {message}" in err
+        assert "Traceback" not in err
+
+    def test_unknown_circuit_lists_the_available_names(self, capsys):
+        from repro.circuit.suite import list_suite_circuits
+
+        with pytest.raises(SystemExit):
+            main(["insert", "--circuit", "nope"])
+        err = capsys.readouterr().err
+        for name in list_suite_circuits():
+            assert name in err
+
 
 class TestListCircuits:
     def test_lists_all_eight(self, capsys):
