@@ -14,23 +14,16 @@ strategies so the benchmark harness can report who wins and by how much:
 * :mod:`repro.baselines.random_placement` — buffers at k random flip-flops
   (sanity baseline).
 
-The ``evaluate_*`` companions build a plan and run its Monte-Carlo
-yield sweep through the execution engine (:mod:`repro.engine`), so the
-baseline comparisons parallelise the same way the main flow does.
+Each strategy only builds a :class:`~repro.core.results.BufferPlan`;
+:func:`build_baseline_plan` selects one by name.  Campaigns evaluate
+baseline plans through the same scheduler as the flow's plan, so the
+comparisons parallelise the same way the main flow does.
 """
 
-from repro.baselines.criticality import (
-    criticality_plan,
-    evaluate_criticality,
-    flip_flop_criticality,
-)
-from repro.baselines.every_ff import evaluate_every_ff, every_ff_plan
-from repro.baselines.harness import (
-    BASELINE_CHOICES,
-    build_baseline_plan,
-    evaluate_plan_on_engine,
-)
-from repro.baselines.random_placement import evaluate_random, random_plan
+from repro.baselines.criticality import criticality_plan, flip_flop_criticality
+from repro.baselines.every_ff import every_ff_plan
+from repro.baselines.harness import BASELINE_CHOICES, build_baseline_plan
+from repro.baselines.random_placement import random_plan
 
 __all__ = [
     "BASELINE_CHOICES",
@@ -39,8 +32,4 @@ __all__ = [
     "criticality_plan",
     "flip_flop_criticality",
     "random_plan",
-    "evaluate_criticality",
-    "evaluate_every_ff",
-    "evaluate_plan_on_engine",
-    "evaluate_random",
 ]

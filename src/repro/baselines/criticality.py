@@ -69,37 +69,3 @@ def criticality_plan(
         for ff in ranked[:n_buffers]
     ]
     return BufferPlan(buffers=buffers, target_period=float(target_period))
-
-
-def evaluate_criticality(
-    design: CircuitDesign,
-    target_period: float,
-    n_buffers: int,
-    buffer_spec: Optional[BufferSpec] = None,
-    constraint_graph: Optional[SequentialConstraintGraph] = None,
-    n_samples: int = 2000,
-    rng: int = 0,
-    executor=None,
-    jobs: Optional[int] = None,
-):
-    """Build the criticality plan and evaluate its yield on the engine.
-
-    The Monte-Carlo evaluation sweep runs through
-    :mod:`repro.engine` with the given executor (serial by default);
-    returns a :class:`repro.yieldsim.report.YieldReport`.
-    """
-    from repro.baselines.harness import evaluate_plan_on_engine
-
-    plan = criticality_plan(
-        design, target_period, n_buffers, buffer_spec=buffer_spec, constraint_graph=constraint_graph
-    )
-    return evaluate_plan_on_engine(
-        design,
-        plan,
-        target_period,
-        constraint_graph=constraint_graph,
-        n_samples=n_samples,
-        rng=rng,
-        executor=executor,
-        jobs=jobs,
-    )

@@ -31,34 +31,3 @@ def every_ff_plan(
         for ff in design.netlist.flip_flops
     ]
     return BufferPlan(buffers=buffers, target_period=float(target_period))
-
-
-def evaluate_every_ff(
-    design: CircuitDesign,
-    target_period: float,
-    buffer_spec: Optional[BufferSpec] = None,
-    constraint_graph=None,
-    n_samples: int = 2000,
-    rng: int = 0,
-    executor=None,
-    jobs: Optional[int] = None,
-):
-    """Build the every-flip-flop plan and evaluate its yield on the engine.
-
-    This baseline buffers every flip-flop, so its evaluation sweep is the
-    most expensive of the three — the executor fan-out matters most here.
-    Returns a :class:`repro.yieldsim.report.YieldReport`.
-    """
-    from repro.baselines.harness import evaluate_plan_on_engine
-
-    plan = every_ff_plan(design, target_period, buffer_spec=buffer_spec)
-    return evaluate_plan_on_engine(
-        design,
-        plan,
-        target_period,
-        constraint_graph=constraint_graph,
-        n_samples=n_samples,
-        rng=rng,
-        executor=executor,
-        jobs=jobs,
-    )

@@ -1,10 +1,10 @@
-"""Shared engine-backed evaluation for the baseline strategies.
+"""Name-keyed plan builders for the baseline strategies.
 
 Every baseline is "build a plan, evaluate its yield on fresh samples";
-only the plan builder differs.  This helper owns the single
-plan-to-report path so executor lifecycle (and any future evaluation
-knob) lives in one place, plus the name-keyed plan-builder registry the
-campaign subsystem uses to run comparison strategies declaratively.
+only the plan builder differs.  :func:`build_baseline_plan` maps a
+strategy name to its builder, so the campaign subsystem can run
+comparison strategies declaratively and evaluate their plans on the
+same scheduler (and warm worker pool) as the flow's own plan.
 """
 
 from __future__ import annotations
@@ -56,33 +56,3 @@ def build_baseline_plan(
             design, target_period, n_buffers, buffer_spec=buffer_spec, rng=rng
         )
     raise ValueError(f"unknown baseline {name!r}; choose from {BASELINE_CHOICES}")
-
-
-def evaluate_plan_on_engine(
-    design: CircuitDesign,
-    plan: BufferPlan,
-    target_period: float,
-    constraint_graph: Optional[SequentialConstraintGraph] = None,
-    n_samples: int = 2000,
-    rng: int = 0,
-    executor=None,
-    jobs: Optional[int] = None,
-):
-    """Evaluate a finished plan's yield through the execution engine.
-
-    The Monte-Carlo sweep runs on ``executor`` (an executor name, an
-    existing :class:`repro.engine.Executor`, or ``None`` for serial); a
-    pool created here by name is closed before returning.  Returns a
-    :class:`repro.yieldsim.report.YieldReport`.
-    """
-    from repro.yieldsim.estimator import YieldEstimator
-
-    with YieldEstimator(
-        design,
-        constraint_graph=constraint_graph,
-        n_samples=n_samples,
-        rng=rng,
-        executor=executor,
-        jobs=jobs,
-    ) as estimator:
-        return estimator.evaluate_plan(plan, target_period)

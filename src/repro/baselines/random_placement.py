@@ -40,36 +40,3 @@ def random_plan(
         for i in chosen
     ]
     return BufferPlan(buffers=buffers, target_period=float(target_period))
-
-
-def evaluate_random(
-    design: CircuitDesign,
-    target_period: float,
-    n_buffers: int,
-    buffer_spec: Optional[BufferSpec] = None,
-    constraint_graph=None,
-    rng: RngLike = 0,
-    n_samples: int = 2000,
-    eval_rng: int = 0,
-    executor=None,
-    jobs: Optional[int] = None,
-):
-    """Build a random plan and evaluate its yield on the engine.
-
-    ``rng`` seeds the placement, ``eval_rng`` the evaluation batch; the
-    sweep runs through :mod:`repro.engine` with the given executor and
-    returns a :class:`repro.yieldsim.report.YieldReport`.
-    """
-    from repro.baselines.harness import evaluate_plan_on_engine
-
-    plan = random_plan(design, target_period, n_buffers, buffer_spec=buffer_spec, rng=rng)
-    return evaluate_plan_on_engine(
-        design,
-        plan,
-        target_period,
-        constraint_graph=constraint_graph,
-        n_samples=n_samples,
-        rng=eval_rng,
-        executor=executor,
-        jobs=jobs,
-    )

@@ -50,6 +50,8 @@ class CircuitDesign:
     #: (populated by :func:`repro.timing.constraints.ensure_constraint_graph`
     #: and by the suite builder; typed loosely to avoid a circular import).
     cached_constraint_graph: Optional[object] = field(default=None, repr=False, compare=False)
+    #: Optional cache slot for :meth:`min_ff_pitch`, a design constant.
+    cached_min_ff_pitch: Optional[float] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -111,8 +113,12 @@ class CircuitDesign:
         return {ff: self.placement.location(ff) for ff in self.netlist.flip_flops}
 
     def min_ff_pitch(self) -> float:
-        """Minimum Manhattan distance between two flip-flops."""
-        return self.placement.min_flip_flop_pitch(self.netlist.flip_flops)
+        """Minimum Manhattan distance between two flip-flops (computed once)."""
+        if self.cached_min_ff_pitch is None:
+            self.cached_min_ff_pitch = self.placement.min_flip_flop_pitch(
+                self.netlist.flip_flops
+            )
+        return self.cached_min_ff_pitch
 
     def summary(self) -> Dict[str, float]:
         """Size and physical summary used in reports."""

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
+import numpy as np
 
 from repro.circuit.netlist import Netlist
 from repro.utils.rng import RngLike, ensure_rng
@@ -58,23 +59,30 @@ class Placement:
         return abs(xa - xb) + abs(ya - yb)
 
     def min_flip_flop_pitch(self, flip_flops: Iterable[str]) -> float:
-        """Smallest pairwise Manhattan distance among the given flip-flops.
+        """Smallest positive pairwise Manhattan distance among the given flip-flops.
 
-        Falls back to :attr:`row_pitch` when fewer than two flip-flops are
-        placed (or when two share a location).
+        Unplaced names are skipped.  Falls back to :attr:`row_pitch` when
+        no pair of placed flip-flops has a positive distance (fewer than
+        two of them, or all at one point).
         """
         ffs = [ff for ff in flip_flops if ff in self.locations]
-        best = math.inf
-        # A full O(n^2) scan is fine for the circuit sizes we handle; for the
-        # larger suite entries we subsample to keep this O(n * k).
+        # Above 2000 flip-flops only every step-th one is compared, which
+        # keeps at most 3999 of them.  Each row compares one flip-flop
+        # with all later ones, so memory stays linear in their number.
         limit = 2000
         step = max(1, len(ffs) // limit)
         sampled = ffs[::step]
-        for i, a in enumerate(sampled):
-            for b in sampled[i + 1:]:
-                d = self.manhattan_distance(a, b)
-                if 0.0 < d < best:
-                    best = d
+        if len(sampled) < 2:
+            return self.row_pitch
+        xy = np.array([self.locations[ff] for ff in sampled], dtype=float)
+        x, y = xy[:, 0], xy[:, 1]
+        best = math.inf
+        for i in range(len(sampled) - 1):
+            d = np.abs(x[i] - x[i + 1:])
+            d += np.abs(y[i] - y[i + 1:])
+            positive = d[d > 0.0]
+            if positive.size:
+                best = min(best, float(positive.min()))
         if not math.isfinite(best):
             return self.row_pitch
         return best

@@ -109,6 +109,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """Argparse type: finite float >= 0 with a clear error instead of a traceback."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """Argparse type: finite float > 0 with a clear error instead of a traceback."""
     value = _finite_float(text)
@@ -156,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     insert.add_argument("--eval-samples", type=_positive_int, default=1000, help="evaluation samples")
     insert.add_argument(
         "--sigma",
-        type=_finite_float,
+        type=_nonnegative_float,
         default=0.0,
         help="target period expressed as mu_T + sigma * sigma_T (paper uses 0, 1, 2)",
     )

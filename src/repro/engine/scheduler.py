@@ -71,7 +71,7 @@ def _label_chunks(chunks: List[ChunkPayload], phase: str) -> None:
         chunk.label = label
 
 
-def _share_bounds(executor, setup_bounds, hold_bounds, fingerprint: str):
+def _share_bounds(executor, setup_bounds, hold_bounds, fingerprint: Optional[str] = None):
     """Publish the phase's bound matrices to shared memory when worth it.
 
     Returns ``(setup_ref, hold_ref, release)``: the refs are ``None``
@@ -81,9 +81,16 @@ def _share_bounds(executor, setup_bounds, hold_bounds, fingerprint: str):
     stream has fully drained — it drops the store references so the
     segments can retire; calling it earlier could unlink a segment with
     chunks still in flight.
+
+    The segments are keyed by ``fingerprint``, the content fingerprint
+    of both matrices.  When it is not given it is computed here, only
+    once the matrices are known to be published, so a phase that ships
+    them inline never hashes them.
     """
     if not use_shm_for(executor, setup_bounds, hold_bounds):
         return None, None, lambda: None
+    if fingerprint is None:
+        fingerprint = fingerprint_arrays(setup_bounds, hold_bounds)
     store = get_shared_store()
     setup_key, hold_key = f"{fingerprint}:setup", f"{fingerprint}:hold"
     setup_ref = store.checkout(setup_key, setup_bounds)
@@ -466,10 +473,7 @@ class SampleScheduler:
         release_shared = lambda: None
         if indices:
             setup_ref, hold_ref, release_shared = _share_bounds(
-                self.executor,
-                setup_bounds,
-                hold_bounds,
-                fingerprint_arrays(setup_bounds, hold_bounds),
+                self.executor, setup_bounds, hold_bounds
             )
         chunks = make_chunks(
             indices,
@@ -601,10 +605,7 @@ def run_yield_evaluation(
         release_shared = lambda: None
         if indices:
             setup_ref, hold_ref, release_shared = _share_bounds(
-                executor,
-                setup_bounds,
-                hold_bounds,
-                fingerprint_arrays(setup_bounds, hold_bounds),
+                executor, setup_bounds, hold_bounds
             )
         chunks = make_chunks(
             indices,

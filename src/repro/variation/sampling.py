@@ -147,9 +147,14 @@ class MonteCarloSampler:
         n_samples = batch.n_samples
         if n_forms == 0:
             return np.zeros((0, n_samples))
-        values = forms.means[:, None] + forms.sensitivities @ batch.shared
+        # Accumulate into the matmul result: the same per-entry IEEE
+        # operations as ``means + S @ shared + independent * noise``,
+        # without the full-size temporaries.
+        values = forms.sensitivities @ batch.shared
+        values += forms.means[:, None]
         if include_independent and np.any(forms.independent != 0.0):
             generator = ensure_rng(rng) if rng is not None else self._rng
             noise = generator.standard_normal((n_forms, n_samples))
-            values = values + forms.independent[:, None] * noise
+            noise *= forms.independent[:, None]
+            values += noise
         return values

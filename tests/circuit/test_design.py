@@ -28,6 +28,23 @@ class TestCircuitDesign:
     def test_min_ff_pitch_positive(self, tiny_design):
         assert tiny_design.min_ff_pitch() > 0.0
 
+    def test_min_ff_pitch_is_computed_once(self, tiny_netlist, library, monkeypatch):
+        from repro.circuit.placement import Placement
+
+        design = CircuitDesign.from_netlist(tiny_netlist, library=library, rng=1)
+        calls = []
+        sweep = Placement.min_flip_flop_pitch
+
+        def counted(self, flip_flops):
+            calls.append(1)
+            return sweep(self, flip_flops)
+
+        monkeypatch.setattr(Placement, "min_flip_flop_pitch", counted)
+        first = design.min_ff_pitch()
+        assert design.min_ff_pitch() == first
+        assert len(calls) == 1
+        assert first == sweep(design.placement, tiny_netlist.flip_flops)
+
     def test_summary_keys(self, tiny_design):
         summary = tiny_design.summary()
         for key in ("flip_flops", "gates", "die_width", "max_abs_clock_skew"):

@@ -11,8 +11,14 @@ from repro.engine import (
     ProcessPoolExecutor,
     ResultCache,
     SampleScheduler,
+    SerialExecutor,
+    SharedMatrixStore,
     default_chunk_size,
+    fingerprint_arrays,
     make_chunks,
+    run_pending,
+    run_yield_evaluation,
+    shm_enabled,
 )
 from repro.timing.period import sample_min_periods
 
@@ -174,31 +180,33 @@ class TestChunking:
             make_chunks([0], np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), np.zeros(1), chunk_size=0)
 
 
+@pytest.fixture(scope="module")
+def eval_setup(solve_setup, small_constraint_graph, small_samples):
+    """A plan over every third flip-flop, its configurator and an
+    evaluation batch with failing samples."""
+    from repro.core.results import Buffer, BufferPlan
+    from repro.tuning.configurator import PostSiliconConfigurator
+
+    topology = solve_setup[0].topology
+    period = small_constraint_graph.nominal_min_period() * 1.01
+    half = BufferSpec().max_range(period) / 2
+    plan = BufferPlan(
+        buffers=[
+            Buffer(flip_flop=ff, lower=-half, upper=half, step=0.0)
+            for ff in topology.ff_names[::3]
+        ],
+        target_period=period,
+    )
+    configurator = PostSiliconConfigurator(topology, plan, step=0.0)
+    return plan, configurator, small_samples.setup_bounds(period), small_samples.hold_bounds()
+
+
 class TestEvaluationSweep:
-    def test_engine_sweep_matches_direct_loop(
-        self, small_design, small_constraint_graph, small_samples
-    ):
-        from repro.core.results import Buffer, BufferPlan
-        from repro.engine import run_yield_evaluation
-        from repro.tuning.configurator import PostSiliconConfigurator
-
-        topology = ConstraintTopology.from_constraint_graph(small_constraint_graph)
-        period = small_constraint_graph.nominal_min_period() * 1.01
-        half = BufferSpec().max_range(period) / 2
-        plan = BufferPlan(
-            buffers=[
-                Buffer(flip_flop=ff, lower=-half, upper=half, step=0.0)
-                for ff in topology.ff_names[::3]
-            ],
-            target_period=period,
-        )
-        configurator = PostSiliconConfigurator(topology, plan, step=0.0)
-        setup = small_samples.setup_bounds(period)
-        hold = small_samples.hold_bounds()
-
+    def test_engine_sweep_matches_direct_loop(self, eval_setup):
+        _, configurator, setup, hold = eval_setup
         direct = [
             configurator.configure_sample(setup[:, s], hold[:, s])[0]
-            for s in range(small_samples.n_samples)
+            for s in range(setup.shape[1])
         ]
         with ProcessPoolExecutor(jobs=2) as executor:
             passed, needed = run_yield_evaluation(
@@ -215,28 +223,11 @@ class TestEvaluationSweep:
         ],
     )
     def test_scheduler_evaluate_plan_matches_configurator(
-        self, solve_setup, small_constraint_graph, small_samples, make_executor
+        self, solve_setup, eval_setup, make_executor
     ):
         """The warm-state sweep must reproduce the standalone evaluation."""
-        from repro.core.results import Buffer, BufferPlan
-        from repro.tuning.configurator import PostSiliconConfigurator
-
         solver, _, _, _ = solve_setup
-        topology = solver.topology
-        period = small_constraint_graph.nominal_min_period() * 1.01
-        half = BufferSpec().max_range(period) / 2
-        plan = BufferPlan(
-            buffers=[
-                Buffer(flip_flop=ff, lower=-half, upper=half, step=0.0)
-                for ff in topology.ff_names[::3]
-            ],
-            target_period=period,
-        )
-        setup = small_samples.setup_bounds(period)
-        hold = small_samples.hold_bounds()
-        configurator = PostSiliconConfigurator(topology, plan, step=0.0)
-        from repro.engine import run_yield_evaluation
-
+        plan, configurator, setup, hold = eval_setup
         expected_passed, expected_needed = run_yield_evaluation(configurator, setup, hold)
 
         executor = make_executor()
@@ -325,3 +316,83 @@ class TestCacheSize:
         unbounded = SampleScheduler(solver, cache=ResultCache()).solve_batch(batch, lower, upper)
         bounded = SampleScheduler(solver, cache_size=2).solve_batch(batch, lower, upper)
         assert [_solution_key(s) for s in bounded] == [_solution_key(s) for s in unbounded]
+
+
+class _InlinePublishingExecutor(SerialExecutor):
+    """Runs chunks inline, but ships bound matrices through shared memory
+    the way a process pool does (``keyed_state``)."""
+
+    keyed_state = True
+
+
+class TestBoundFingerprints:
+    """Bound matrices are hashed only to name shared-memory segments."""
+
+    def test_serial_evaluation_hashes_no_bound_matrix(self, solve_setup, eval_setup, monkeypatch):
+        from repro.engine import cache as cache_module
+        from repro.engine import scheduler as scheduler_module
+
+        plan, configurator, setup, hold = eval_setup
+        hashed = []
+        original = cache_module.fingerprint_array
+
+        def recording(array):
+            hashed.append(array)
+            return original(array)
+
+        # fingerprint_arrays hashes each array through the cache module's
+        # global, so this sees every array either function is given.
+        monkeypatch.setattr(cache_module, "fingerprint_array", recording)
+        monkeypatch.setattr(scheduler_module, "fingerprint_array", recording)
+        executor = SerialExecutor()
+        scheduler = SampleScheduler(solve_setup[0], executor=executor, chunk_size=7)
+        passed, needed = run_pending(
+            scheduler.prepare_evaluate_plan(setup, hold, plan, 0.0), executor
+        )
+        swept, _ = run_yield_evaluation(configurator, setup, hold, executor=executor)
+        assert needed.any()  # chunks were dispatched
+        assert swept.tolist() == passed.tolist()
+        assert hashed  # the plan key is still a content hash
+        assert not any(
+            np.may_share_memory(array, setup) or np.may_share_memory(array, hold)
+            for array in hashed
+            if array is not None
+        )
+
+    @pytest.mark.skipif(not shm_enabled(), reason="shared memory unavailable")
+    def test_published_segments_keep_content_keys(self, solve_setup, eval_setup, monkeypatch):
+        from repro.engine import scheduler as scheduler_module
+
+        solver, batch, lower, upper = solve_setup
+        plan, configurator, setup, hold = eval_setup
+        expected_passed, _ = SampleScheduler(solver).evaluate_plan(setup, hold, plan, 0.0)
+
+        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")  # force sharing
+        store = SharedMatrixStore()
+        keys = []
+        checkout = store.checkout
+
+        def recording(key, array):
+            keys.append(key)
+            return checkout(key, array)
+
+        store.checkout = recording
+        monkeypatch.setattr(scheduler_module, "get_shared_store", lambda: store)
+        executor = _InlinePublishingExecutor()
+        try:
+            scheduler = SampleScheduler(solver, executor=executor, chunk_size=7)
+            scheduler.solve_batch(batch, lower, upper)
+            passed, _ = scheduler.evaluate_plan(setup, hold, plan, 0.0)
+            swept, _ = run_yield_evaluation(
+                configurator, setup, hold, executor=executor, chunk_size=7
+            )
+        finally:
+            store.release_all()
+        batch_fp = fingerprint_arrays(batch.setup_bounds, batch.hold_bounds)
+        eval_fp = fingerprint_arrays(setup, hold)
+        assert keys == [f"{batch_fp}:setup", f"{batch_fp}:hold"] + [
+            f"{eval_fp}:setup",
+            f"{eval_fp}:hold",
+        ] * 2
+        assert passed.tolist() == expected_passed.tolist()
+        assert swept.tolist() == expected_passed.tolist()

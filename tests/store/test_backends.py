@@ -13,6 +13,7 @@ import json
 import os
 import sqlite3
 import threading
+import traceback
 
 import pytest
 
@@ -165,28 +166,28 @@ class TestConformance:
         # 4 threads x 8 distinct fingerprints through the bare append
         # path: every record lands, the store stays well-formed.
         records = [record(f"f{i:02d}") for i in range(8)]
-        errors = []
+        errors = []  # formatted tracebacks, so a rare failure shows its origin
 
         def run(worker):
             try:
                 for rec in records[worker::4]:
                     backend.append(rec)
-            except Exception as error:  # pragma: no cover - failure path
-                errors.append(error)
+            except Exception:  # pragma: no cover - failure path
+                errors.append(traceback.format_exc())
 
         threads = [threading.Thread(target=run, args=(w,)) for w in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert not errors
+        assert not errors, "\n".join(errors)
         assert set(backend.load()) == {rec["fingerprint"] for rec in records}
 
     def test_transactional_publish_race_single_winner(self, backend):
         # The pool-publish shape: N threads race read-check-append on
         # ONE fingerprint; exactly one append may win.
         wins = []
-        errors = []
+        errors = []  # formatted tracebacks, so a rare failure shows its origin
         barrier = threading.Barrier(4)
 
         def publish():
@@ -196,15 +197,15 @@ class TestConformance:
                     if txn.get("contested") is None:
                         txn.append(record("contested"))
                         wins.append(1)
-            except Exception as error:  # pragma: no cover - failure path
-                errors.append(error)
+            except Exception:  # pragma: no cover - failure path
+                errors.append(traceback.format_exc())
 
         threads = [threading.Thread(target=publish) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert not errors
+        assert not errors, "\n".join(errors)
         assert len(wins) == 1
         assert len(backend.history()) == 1
 

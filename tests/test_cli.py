@@ -91,6 +91,8 @@ class TestArgumentValidation:
             (["insert", "--sigma", "nan"], "must be finite"),
             (["insert", "--sigma", "inf"], "must be finite"),
             (["work", "--queue", "sqlite:unused.sqlite", "--lease", "nan"], "must be finite"),
+            (["insert", "--sigma", "-5"], "must be >= 0"),
+            (["insert", "--sigma", "-0.5"], "must be >= 0"),
         ],
     )
     def test_bad_value_exits_2_with_a_message(self, argv, message, capsys):

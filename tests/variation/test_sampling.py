@@ -1,10 +1,12 @@
 """Tests for repro.variation.sampling."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.variation.arrayforms import ArrayForms
 from repro.variation.canonical import CanonicalForm
 from repro.variation.model import VariationModel
 from repro.variation.sampling import MonteCarloSampler, SampleBatch
@@ -82,3 +84,61 @@ class TestEvaluate:
         batch = sampler.sample(200)
         values = sampler.evaluate([clone, clone], batch)
         assert np.allclose(values[0], values[1])
+
+
+def expression_evaluate(forms, batch, include_independent, generator):
+    """The out-of-place expression :meth:`MonteCarloSampler.evaluate_array`
+    accumulates in place, kept as its bit-for-bit oracle."""
+    values = forms.means[:, None] + forms.sensitivities @ batch.shared
+    if include_independent and np.any(forms.independent != 0.0):
+        noise = generator.standard_normal((forms.n_forms, batch.n_samples))
+        values = values + forms.independent[:, None] * noise
+    return values
+
+
+def random_forms(seed, n_forms, n_sources, independent="mixed"):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(n_forms, n_sources + 2))
+    coeffs[:, 0] *= 50.0
+    coeffs[:, -1] = np.abs(coeffs[:, -1])
+    if independent == "none":
+        coeffs[:, -1] = 0.0
+    elif independent == "mixed":
+        coeffs[::3, -1] = 0.0
+    return ArrayForms(coeffs)
+
+
+class TestEvaluateArrayInPlace:
+    """``evaluate_array`` equals the out-of-place expression bit for bit."""
+
+    @pytest.mark.parametrize("independent", ["all", "mixed", "none"])
+    @pytest.mark.parametrize("include_independent", [True, False])
+    def test_matches_the_expression(self, model, independent, include_independent):
+        forms = random_forms(5, 64, model.n_shared_sources, independent)
+        sampler = MonteCarloSampler(model, rng=np.random.default_rng(9))
+        reference = np.random.default_rng(9)
+        batch = sampler.sample(300)
+        reference.standard_normal((model.n_shared_sources, 300))  # the batch's draw
+        coeffs, shared = forms.coeffs.copy(), batch.shared.copy()
+
+        values = sampler.evaluate_array(forms, batch, include_independent)
+        expected = expression_evaluate(forms, batch, include_independent, reference)
+        assert np.array_equal(values, expected)
+        # Inputs untouched, and the random stream advanced exactly as far.
+        assert np.array_equal(forms.coeffs, coeffs)
+        assert np.array_equal(batch.shared, shared)
+        next_draw = reference.standard_normal((model.n_shared_sources, 4))
+        assert np.array_equal(sampler.sample(4).shared, next_draw)
+
+    @pytest.mark.parametrize("independent", ["all", "none"])
+    def test_zero_sources(self, independent):
+        forms = random_forms(2, 12, 0, independent)
+        sampler = MonteCarloSampler(SimpleNamespace(n_shared_sources=0))
+        batch = SampleBatch(np.zeros((0, 40)))
+        generator, reference = np.random.default_rng(4), np.random.default_rng(4)
+
+        values = sampler.evaluate_array(forms, batch, rng=generator)
+        expected = expression_evaluate(forms, batch, True, reference)
+        assert values.shape == (12, 40)
+        assert np.array_equal(values, expected)
+        assert np.array_equal(generator.standard_normal(3), reference.standard_normal(3))
