@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
-import numpy as np
 
 from repro.circuit.netlist import Netlist
 from repro.utils.rng import RngLike, ensure_rng
@@ -66,23 +65,19 @@ class Placement:
         two of them, or all at one point).
         """
         ffs = [ff for ff in flip_flops if ff in self.locations]
-        # Above 2000 flip-flops only every step-th one is compared, which
-        # keeps at most 3999 of them.  Each row compares one flip-flop
-        # with all later ones, so memory stays linear in their number.
+        best = math.inf
+        # A full pair scan, quadratic in the flip-flops compared.  From
+        # 4000 flip-flops on only every step-th one is compared, so at
+        # most 3999 ever are.  CircuitDesign.min_ff_pitch() caches the
+        # result, so a design pays the scan once.
         limit = 2000
         step = max(1, len(ffs) // limit)
         sampled = ffs[::step]
-        if len(sampled) < 2:
-            return self.row_pitch
-        xy = np.array([self.locations[ff] for ff in sampled], dtype=float)
-        x, y = xy[:, 0], xy[:, 1]
-        best = math.inf
-        for i in range(len(sampled) - 1):
-            d = np.abs(x[i] - x[i + 1:])
-            d += np.abs(y[i] - y[i + 1:])
-            positive = d[d > 0.0]
-            if positive.size:
-                best = min(best, float(positive.min()))
+        for i, a in enumerate(sampled):
+            for b in sampled[i + 1:]:
+                d = self.manhattan_distance(a, b)
+                if 0.0 < d < best:
+                    best = d
         if not math.isfinite(best):
             return self.row_pitch
         return best

@@ -33,17 +33,17 @@ class TestCircuitDesign:
 
         design = CircuitDesign.from_netlist(tiny_netlist, library=library, rng=1)
         calls = []
-        sweep = Placement.min_flip_flop_pitch
+        scan = Placement.min_flip_flop_pitch
 
         def counted(self, flip_flops):
             calls.append(1)
-            return sweep(self, flip_flops)
+            return scan(self, flip_flops)
 
         monkeypatch.setattr(Placement, "min_flip_flop_pitch", counted)
         first = design.min_ff_pitch()
         assert design.min_ff_pitch() == first
         assert len(calls) == 1
-        assert first == sweep(design.placement, tiny_netlist.flip_flops)
+        assert first == scan(design.placement, tiny_netlist.flip_flops)
 
     def test_summary_keys(self, tiny_design):
         summary = tiny_design.summary()

@@ -1,10 +1,8 @@
 """Tests for repro.circuit.placement."""
 
-import numpy as np
 import pytest
 
 from repro.circuit.placement import Placement, grid_placement
-from tests.circuit.loop_pitch import min_flip_flop_pitch as loop_pitch
 
 
 class TestGridPlacement:
@@ -52,89 +50,10 @@ class TestPlacement:
         placement = Placement(locations={"a": (0.0, 0.0)}, row_pitch=2.0)
         assert placement.min_flip_flop_pitch(["a"]) == 2.0
 
-
-def random_placement(seed, n_ffs, quantum=None, n_unplaced=0, row_pitch=1.0):
-    """``n_ffs`` flip-flops at random points, plus ``n_unplaced`` names
-    with no location, in one shuffled name list.  A ``quantum`` snaps the
-    coordinates to a coarse grid, so locations repeat and distances tie."""
-    rng = np.random.default_rng(seed)
-    xy = rng.uniform(0.0, 40.0, size=(n_ffs, 2))
-    if quantum is not None:
-        xy = np.round(xy / quantum) * quantum
-    names = [f"ff{i}" for i in range(n_ffs)]
-    locations = {name: (float(x), float(y)) for name, (x, y) in zip(names, xy, strict=True)}
-    flip_flops = names + [f"ghost{i}" for i in range(n_unplaced)]
-    rng.shuffle(flip_flops)
-    return Placement(locations=locations, row_pitch=row_pitch), flip_flops
-
-
-class TestMinFlipFlopPitchOracle:
-    """The numpy sweep returns exactly (``==``) what the pair loop returns."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize(
-        "n_ffs, quantum, n_unplaced",
-        [
-            (2, None, 0),
-            (3, None, 2),
-            (40, None, 0),
-            (300, None, 25),
-            (300, 2.5, 0),  # repeated locations and tied distances
-            (120, 10.0, 7),
-        ],
-    )
-    def test_generated_placements(self, seed, n_ffs, quantum, n_unplaced):
-        placement, flip_flops = random_placement(seed, n_ffs, quantum, n_unplaced)
-        assert placement.min_flip_flop_pitch(flip_flops) == loop_pitch(placement, flip_flops)
-
-    def test_duplicate_locations_are_skipped(self):
+    def test_min_ff_pitch_skips_zero_distances(self):
         placement = Placement(
-            locations={"a": (1.0, 1.0), "b": (1.0, 1.0), "c": (1.5, 3.0), "d": (4.0, 4.0)}
+            locations={"a": (1.0, 1.0), "b": (1.0, 1.0), "c": (1.5, 3.0)}, row_pitch=2.0
         )
-        flip_flops = ["a", "b", "c", "d"]
-        assert placement.min_flip_flop_pitch(flip_flops) == 2.5
-        assert loop_pitch(placement, flip_flops) == 2.5
-
-    def test_duplicate_names_are_skipped(self):
-        placement, flip_flops = random_placement(3, 50)
-        doubled = flip_flops + flip_flops[:10]
-        pitch = placement.min_flip_flop_pitch(doubled)
-        assert pitch == loop_pitch(placement, doubled) > 0.0
-
-    def test_generated_circuit_placement(self, small_design):
-        placement = small_design.placement
-        flip_flops = small_design.netlist.flip_flops
-        assert placement.min_flip_flop_pitch(flip_flops) == loop_pitch(placement, flip_flops)
-
-    @pytest.mark.parametrize(
-        "locations, flip_flops",
-        [
-            ({}, []),
-            ({"a": (0.0, 0.0)}, ["a"]),
-            ({"a": (0.0, 0.0)}, ["a", "ghost"]),
-            ({"a": (0.0, 0.0), "b": (5.0, 5.0)}, ["ghost", "b"]),
-        ],
-        ids=["none", "one", "one-placed", "one-placed-of-two"],
-    )
-    def test_fewer_than_two_placed_falls_back(self, locations, flip_flops):
-        placement = Placement(locations=locations, row_pitch=2.5)
-        assert placement.min_flip_flop_pitch(flip_flops) == 2.5
-        assert loop_pitch(placement, flip_flops) == 2.5
-
-    def test_all_at_one_point_falls_back(self):
-        locations = {f"ff{i}": (3.25, 7.5) for i in range(6)}
-        placement = Placement(locations=locations, row_pitch=0.75)
-        assert placement.min_flip_flop_pitch(list(locations)) == 0.75
-        assert loop_pitch(placement, list(locations)) == 0.75
-
-    def test_subsampling_above_4000_flip_flops(self):
-        placement, flip_flops = random_placement(11, 4101, n_unplaced=30)
-        placed = [ff for ff in flip_flops if ff in placement.locations]
-        assert len(placed) // 2000 == 2  # every second flip-flop is compared
-        # The closest pair of all straddles the sub-sampling step, so a
-        # sweep over every flip-flop would find a smaller pitch.
-        x, y = placement.locations[placed[0]]
-        placement.locations[placed[1]] = (x + 1e-4, y)
-        pitch = placement.min_flip_flop_pitch(flip_flops)
-        assert pitch == loop_pitch(placement, flip_flops)
-        assert pitch > 1e-4
+        assert placement.min_flip_flop_pitch(["a", "ghost", "b", "c"]) == 2.5
+        # All placed flip-flops at one point: no positive distance.
+        assert placement.min_flip_flop_pitch(["a", "b", "ghost"]) == 2.0
