@@ -97,6 +97,18 @@ class CampaignProgress:
 ProgressCallback = Callable[[CampaignProgress], None]
 
 
+def build_design(circuit: str, scale: float, design_seed: int):
+    """Build the suite design of one ``(circuit, scale, design_seed)`` key.
+
+    Looks ``build_suite_circuit`` up in :mod:`repro.circuit.suite` at
+    call time, so every caching layer above it still goes through that
+    one function to build.
+    """
+    from repro.circuit.suite import build_suite_circuit
+
+    return build_suite_circuit(circuit, scale=scale, seed=design_seed)
+
+
 @dataclass
 class CampaignRunSummary:
     """What one ``run()`` invocation did.
@@ -249,6 +261,11 @@ class CampaignRunner:
         ``"sequential"`` drives the same per-cell generator one cell at
         a time and commits each cell as it finishes.  Results are
         bit-identical between the two; only the wall clock differs.
+    design_builder:
+        Optional replacement for :func:`build_design`, called once per
+        design the run needs.  The service worker passes a bounded LRU
+        over it, so jobs of one worker share built designs; the run
+        keeps its own reference to each design either way.
     """
 
     def __init__(
@@ -264,6 +281,7 @@ class CampaignRunner:
         progress: bool = False,
         dispatch: str = "batched",
         on_progress: Optional[ProgressCallback] = None,
+        design_builder: Optional[Callable[[str, float, int], object]] = None,
     ) -> None:
         if max_cells is not None and max_cells < 1:
             raise ValueError(f"max_cells must be >= 1, got {max_cells}")
@@ -282,6 +300,7 @@ class CampaignRunner:
         self.progress = bool(progress)
         self.dispatch = dispatch
         self.on_progress = on_progress
+        self._build_design = design_builder or build_design
         self._design_cache: Dict[Tuple[str, float, int], object] = {}
 
     # ------------------------------------------------------------------
@@ -290,13 +309,9 @@ class CampaignRunner:
             print(f"[campaign] {message}", file=sys.stderr, flush=True)
 
     def _design_for(self, cell: CampaignCell):
-        from repro.circuit.suite import build_suite_circuit
-
         key = (cell.circuit, cell.scale, cell.design_seed)
         if key not in self._design_cache:
-            self._design_cache[key] = build_suite_circuit(
-                cell.circuit, scale=cell.scale, seed=cell.design_seed
-            )
+            self._design_cache[key] = self._build_design(*key)
         return self._design_cache[key]
 
     # ------------------------------------------------------------------

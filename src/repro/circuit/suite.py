@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 from repro.circuit.design import CircuitDesign
 from repro.circuit.generators import GeneratorConfig, generate_sequential_circuit
 from repro.circuit.library import CellLibrary, default_library
+from repro.obs.trace import span as trace_span
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -100,46 +101,50 @@ def build_suite_circuit(
         )
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    spec = CIRCUIT_SPECS[name]
-    generator = ensure_rng(seed)
-    library = library or default_library()
+    with trace_span("circuit.build", circuit=name, scale=scale):
+        spec = CIRCUIT_SPECS[name]
+        generator = ensure_rng(seed)
+        library = library or default_library()
 
-    n_ffs = max(8, int(round(spec.n_flip_flops * scale)))
-    n_gates = max(4 * n_ffs, int(round(spec.n_gates * scale)))
-    config = GeneratorConfig(
-        n_flip_flops=n_ffs,
-        n_gates=n_gates,
-        max_depth=spec.max_depth,
-        min_depth=max(2, spec.max_depth // 4),
-    )
-    netlist = generate_sequential_circuit(
-        config, library=library, rng=generator, name=name if scale == 1.0 else f"{name}_x{scale:g}"
-    )
+        n_ffs = max(8, int(round(spec.n_flip_flops * scale)))
+        n_gates = max(4 * n_ffs, int(round(spec.n_gates * scale)))
+        config = GeneratorConfig(
+            n_flip_flops=n_ffs,
+            n_gates=n_gates,
+            max_depth=spec.max_depth,
+            min_depth=max(2, spec.max_depth // 4),
+        )
+        netlist = generate_sequential_circuit(
+            config,
+            library=library,
+            rng=generator,
+            name=name if scale == 1.0 else f"{name}_x{scale:g}",
+        )
 
-    design = CircuitDesign.from_netlist(
-        netlist,
-        library=library,
-        clock_skew_magnitude=0.0,
-        grid_rows=grid_rows,
-        grid_cols=grid_cols,
-        rng=generator,
-    )
+        design = CircuitDesign.from_netlist(
+            netlist,
+            library=library,
+            clock_skew_magnitude=0.0,
+            grid_rows=grid_rows,
+            grid_cols=grid_cols,
+            rng=generator,
+        )
 
-    # Clock skews are added as in the paper ("so that they have more critical
-    # paths"), but hold-aware: the skew magnitude is a fraction of the nominal
-    # stage delay, projected onto the feasible region of the hold constraints.
-    # The constraint graph built for this purpose is cached on the design so
-    # downstream consumers (flow, yield analysis, benchmarks) reuse it.
-    from repro.timing.constraints import extract_constraint_graph
-    from repro.timing.skew import apply_skews, hold_aware_random_skews
+        # Clock skews are added as in the paper ("so that they have more critical
+        # paths"), but hold-aware: the skew magnitude is a fraction of the nominal
+        # stage delay, projected onto the feasible region of the hold constraints.
+        # The constraint graph built for this purpose is cached on the design so
+        # downstream consumers (flow, yield analysis, benchmarks) reuse it.
+        from repro.timing.constraints import extract_constraint_graph
+        from repro.timing.skew import apply_skews, hold_aware_random_skews
 
-    constraint_graph = extract_constraint_graph(design)
-    nominal_stage_delay = 2.0 * spec.max_depth
-    skew_magnitude = spec.clock_skew_fraction * nominal_stage_delay
-    skews = hold_aware_random_skews(constraint_graph, skew_magnitude, rng=generator)
-    apply_skews(constraint_graph, skews)
-    design.cached_constraint_graph = constraint_graph
-    return design
+        constraint_graph = extract_constraint_graph(design)
+        nominal_stage_delay = 2.0 * spec.max_depth
+        skew_magnitude = spec.clock_skew_fraction * nominal_stage_delay
+        skews = hold_aware_random_skews(constraint_graph, skew_magnitude, rng=generator)
+        apply_skews(constraint_graph, skews)
+        design.cached_constraint_graph = constraint_graph
+        return design
 
 
 def suggested_scale(name: str, target_flip_flops: int = 120) -> float:

@@ -87,12 +87,17 @@ from typing import List, Optional
 from repro._version import __version__
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type: integer >= 1 with a clear error instead of a traceback."""
+def _integer(text: str) -> int:
+    """Argparse type: integer with a clear error instead of a traceback."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type: integer >= 1 with a clear error instead of a traceback."""
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -122,6 +127,14 @@ def _positive_float(text: str) -> float:
     value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    """Argparse type: a TCP port, 0 (ephemeral) to 65535."""
+    value = _integer(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0..65535, got {value}")
     return value
 
 
@@ -634,7 +647,7 @@ def _add_service_parsers(subparsers) -> None:
     )
     serve.add_argument("--host", default="127.0.0.1", help="interface to bind")
     serve.add_argument(
-        "--port", type=int, default=8321, help="port to bind (0: ephemeral)"
+        "--port", type=_port, default=8321, help="port to bind (0: ephemeral)"
     )
 
     work = subparsers.add_parser(
@@ -1308,8 +1321,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.name:
         payload = {"name": args.name}
     else:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            payload = {"spec": json.load(handle)}
+        from repro.campaign import load_spec
+
+        payload = {"spec": load_spec(args.spec).as_dict()}
     pool_uri = _resolve_pool_uri(args.pool)
     if pool_uri is not None:
         payload["pool"] = pool_uri

@@ -32,6 +32,12 @@ server leaves the queue exactly as durable as its last append:
     (and whose work was re-executed deterministically elsewhere) cannot
     corrupt anything by finishing late.
 
+The fold is per job: no event changes another job's view.  So reading
+or mutating one job (``job``, ``require``, ``submit``, ``heartbeat``,
+``complete``, ``fail``) folds only that job's events, read with
+``history(fingerprint)``; only ``claim``, ``jobs`` and ``depth``, which
+must see every job, fold the whole log.
+
 Every event carries an ``at_unix`` timestamp.  Besides being useful, it
 keeps event records *unique*, which the SQLite driver's history table
 requires to store two otherwise-identical events (its history is
@@ -322,7 +328,21 @@ class JobQueue:
         return validate_queue_record(record)
 
     def _fold(self) -> Dict[str, JobView]:
+        """Every job's view, folded over the whole event log."""
         return _fold_events(self.backend.history())
+
+    def _fold_one(self, fingerprint: str) -> Optional[JobView]:
+        """One job's view, folded over that job's events alone.
+
+        The fold never lets one job's events touch another job's view,
+        so this equals ``self._fold().get(fingerprint)``.  Like the full
+        fold, it is safe inside this backend's transaction: the JSONL
+        driver's history takes no lock, and the SQLite driver reads on
+        a fresh connection that sees all committed events (WAL readers
+        never block on the write lock we hold).
+        """
+        fingerprint = str(fingerprint)
+        return _fold_events(self.backend.history(fingerprint)).get(fingerprint)
 
     # ------------------------------------------------------------------
     def submit(
@@ -363,12 +383,11 @@ class JobQueue:
                 created = False
         view = self.job(fingerprint)
         assert view is not None
-        self.refresh_depth_gauges()
         return view, created
 
     def job(self, fingerprint: str) -> Optional[JobView]:
         """Current folded view of one job (``None`` when unknown)."""
-        return self._fold().get(str(fingerprint))
+        return self._fold_one(fingerprint)
 
     def jobs(self) -> List[JobView]:
         """All jobs, in submission order."""
@@ -402,8 +421,11 @@ class JobQueue:
             raise ServiceError(f"lease_seconds must be positive, got {lease_seconds}")
         at = float(time.time() if now is None else now)
         with self.backend.transaction() as txn:
+            # The one mutation that must see every job: the oldest
+            # claimable one wins.  history() is safe to call while the
+            # transaction is held (see _fold_one).
             views = sorted(
-                self._fold_in_txn().values(),
+                self._fold().values(),
                 key=lambda v: (v.submitted_unix, v.fingerprint),
             )
             for view in views:
@@ -421,17 +443,8 @@ class JobQueue:
                     view.worker = str(worker)
                     view.deadline_unix = at + float(lease_seconds)
                     view.attempts += 1
-                    self.refresh_depth_gauges()
                     return view
-        self.refresh_depth_gauges()
         return None
-
-    def _fold_in_txn(self) -> Dict[str, JobView]:
-        # history() is safe to call while this backend's transaction is
-        # held: the JSONL driver's history takes no lock, and the SQLite
-        # driver reads on a fresh connection that sees all committed
-        # events (WAL readers never block on the write lock we hold).
-        return _fold_events(self.backend.history())
 
     def heartbeat(
         self,
@@ -448,7 +461,7 @@ class JobQueue:
         """
         at = float(time.time() if now is None else now)
         with self.backend.transaction() as txn:
-            view = self._fold_in_txn().get(str(fingerprint))
+            view = self._fold_one(fingerprint)
             if view is None:
                 raise JobNotFound(f"no job with fingerprint {fingerprint!r}")
             if view.state != "leased" or view.worker != str(worker):
@@ -481,7 +494,7 @@ class JobQueue:
         """
         at = float(time.time() if now is None else now)
         with self.backend.transaction() as txn:
-            view = self._fold_in_txn().get(str(fingerprint))
+            view = self._fold_one(fingerprint)
             if view is None:
                 raise JobNotFound(f"no job with fingerprint {fingerprint!r}")
             if view.state != "done":
@@ -492,7 +505,6 @@ class JobQueue:
                 view.worker = str(worker)
                 view.error = None
                 view.finished_unix = at
-        self.refresh_depth_gauges()
         return view
 
     def fail(
@@ -505,7 +517,7 @@ class JobQueue:
         """Mark a job failed (no-op when already terminal)."""
         at = float(time.time() if now is None else now)
         with self.backend.transaction() as txn:
-            view = self._fold_in_txn().get(str(fingerprint))
+            view = self._fold_one(fingerprint)
             if view is None:
                 raise JobNotFound(f"no job with fingerprint {fingerprint!r}")
             if view.state not in ("done", "failed"):
@@ -522,7 +534,6 @@ class JobQueue:
                 view.worker = str(worker)
                 view.error = str(error)
                 view.finished_unix = at
-        self.refresh_depth_gauges()
         return view
 
     # ------------------------------------------------------------------
@@ -547,7 +558,9 @@ class JobQueue:
         """Publish the queue depth to the obs gauge surface.
 
         Gauges ``service.queue.depth.<state>`` feed the ``/metrics``
-        endpoint; refreshed on every queue mutation and on each scrape.
+        endpoint, which calls this on each scrape.  Queue mutations do
+        not refresh them: that would fold the whole event log once per
+        submit, claim, complete and fail, for values only a scrape reads.
         """
         from repro.obs import get_registry
 

@@ -21,10 +21,19 @@ Crash recovery is inherited, not implemented here: a SIGKILLed worker
 leaves a leased job whose heartbeat deadline expires, the queue hands
 it to the next worker, and the runner's resume discipline skips every
 cell the dead worker already committed.
+
+Jobs of one burst usually share a design (one circuit matrix run at
+several seeds and budgets), so a worker keeps the last
+:data:`DESIGN_CACHE_SIZE` designs it built, keyed by ``(circuit,
+scale, design_seed)``, for its whole life and hands them to each job's
+runner.  A design is a pure function of that key, and a campaign
+already shares one design across all its cells, so reuse changes no
+result byte.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import socket
 import sys
@@ -37,6 +46,9 @@ from repro.service.queue import JobQueue, JobView, ServiceError
 
 #: Fraction of the lease duration between heartbeats.
 HEARTBEAT_FRACTION = 0.25
+
+#: Built designs a worker keeps across jobs, least recently used dropped first.
+DESIGN_CACHE_SIZE = 4
 
 
 class LeaseLost(ServiceError):
@@ -154,6 +166,9 @@ class CampaignWorker:
         claimable job.
     progress:
         Stream per-cell progress lines to stderr.
+
+    :attr:`build_design` is the worker's design LRU (see the module
+    docstring); every job's runner builds its designs through it.
     """
 
     def __init__(
@@ -182,6 +197,9 @@ class CampaignWorker:
         self.poll_seconds = float(poll_seconds)
         self.progress = bool(progress)
         self.stop_event = threading.Event()
+        from repro.campaign.runner import build_design
+
+        self.build_design = functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)(build_design)
 
     # ------------------------------------------------------------------
     def _log(self, message: str) -> None:
@@ -238,6 +256,7 @@ class CampaignWorker:
                         progress=self.progress,
                         dispatch=self.dispatch,
                         on_progress=on_progress,
+                        design_builder=self.build_design,
                     )
                     summary = runner.run()
                     heartbeat.check()
@@ -309,6 +328,7 @@ class CampaignWorker:
 
 
 __all__ = [
+    "DESIGN_CACHE_SIZE",
     "HEARTBEAT_FRACTION",
     "CampaignWorker",
     "LeaseLost",

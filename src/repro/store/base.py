@@ -14,7 +14,8 @@ they report no matter which driver holds their records:
   resume would have skipped;
 * **history** returns every appended record in append order, duplicates
   included — the raw series ``load`` collapses, and the substrate for
-  cross-run trend queries;
+  cross-run trend queries; given a fingerprint it returns only that
+  fingerprint's records, still in append order;
 * **transaction** brackets a read-check-append critical section so two
   writers cannot interleave between checking a fingerprint and
   appending its record (advisory lock for JSONL, ``BEGIN IMMEDIATE``
@@ -138,10 +139,17 @@ class StoreBackend(abc.ABC):
         with self._instrument("load"):
             return self._do_load()
 
-    def history(self) -> List[Record]:
-        """Every appended record in append order (duplicates included)."""
+    def history(self, fingerprint: Optional[str] = None) -> List[Record]:
+        """Every appended record in append order (duplicates included).
+
+        With ``fingerprint``, only the records carrying it — exactly
+        ``[r for r in history() if r["fingerprint"] == fingerprint]``.
+        An event log folded one key at a time (the job queue reading one
+        job) reads that key's records instead of the whole log; SQLite
+        answers from its fingerprint index.
+        """
         with self._instrument("history"):
-            return self._do_history()
+            return self._do_history(None if fingerprint is None else str(fingerprint))
 
     def get(self, fingerprint: str) -> Optional[Record]:
         """The record for one fingerprint (no transaction held)."""
@@ -194,7 +202,7 @@ class StoreBackend(abc.ABC):
     def _do_load(self) -> Dict[str, Record]: ...
 
     @abc.abstractmethod
-    def _do_history(self) -> List[Record]: ...
+    def _do_history(self, fingerprint: Optional[str]) -> List[Record]: ...
 
     @abc.abstractmethod
     def _do_get(self, fingerprint: str) -> Optional[Record]: ...

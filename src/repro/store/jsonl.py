@@ -148,8 +148,12 @@ class JsonlBackend(StoreBackend):
             records.setdefault(fingerprint, record)
         return records
 
-    def _do_history(self) -> List[Record]:
-        return [record for _, record in self._read_records()]
+    def _do_history(self, fingerprint: Optional[str]) -> List[Record]:
+        return [
+            record
+            for key, record in self._read_records()
+            if fingerprint is None or key == fingerprint
+        ]
 
     def _do_get(self, fingerprint: str) -> Optional[Record]:
         return self._do_load().get(fingerprint)
@@ -195,7 +199,7 @@ class JsonlBackend(StoreBackend):
     def _do_ingest(self, record: Record) -> bool:
         with self._lock():
             line = dump_record(record)
-            if any(dump_record(seen) == line for seen in self._do_history()):
+            if any(dump_record(seen) == line for seen in self._do_history(None)):
                 return False
             self._append_locked(record)
             return True

@@ -184,13 +184,20 @@ class SqliteBackend(StoreBackend):
                 ) from error
         return {str(fingerprint): self._parse(text) for fingerprint, text in rows}
 
-    def _do_history(self) -> List[Record]:
+    def _do_history(self, fingerprint: Optional[str]) -> List[Record]:
         if not self.exists():
             return []
         with self._connection() as connection:
-            rows = connection.execute(
-                "SELECT record FROM history ORDER BY id"
-            ).fetchall()
+            if fingerprint is None:
+                rows = connection.execute(
+                    "SELECT record FROM history ORDER BY id"
+                ).fetchall()
+            else:
+                # Served by idx_history_fingerprint.
+                rows = connection.execute(
+                    "SELECT record FROM history WHERE fingerprint = ? ORDER BY id",
+                    (fingerprint,),
+                ).fetchall()
         return [self._parse(text) for (text,) in rows]
 
     def _do_get(self, fingerprint: str) -> Optional[Record]:

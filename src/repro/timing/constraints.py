@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.circuit.design import CircuitDesign
+from repro.obs.trace import span as trace_span
 from repro.timing.graph import TimingGraph
 from repro.timing.propagate import all_ff_pair_delay_forms
 from repro.utils.rng import RngLike
@@ -313,26 +314,27 @@ def extract_constraint_graph(
     Runs statistical propagation from every flip-flop and assembles one
     :class:`SequentialEdge` per connected flip-flop pair.
     """
-    timing_graph = timing_graph or TimingGraph(design)
-    pair_forms = all_ff_pair_delay_forms(timing_graph)
+    with trace_span("timing.extract", design=design.name):
+        timing_graph = timing_graph or TimingGraph(design)
+        pair_forms = all_ff_pair_delay_forms(timing_graph)
 
-    setup_forms: Dict[str, CanonicalForm] = {}
-    hold_forms: Dict[str, CanonicalForm] = {}
-    edges: List[SequentialEdge] = []
-    for (launch, capture), (max_form, min_form) in pair_forms.items():
-        if capture not in setup_forms:
-            setup_forms[capture] = timing_graph.setup_form(capture)
-            hold_forms[capture] = timing_graph.hold_form(capture)
-        edges.append(
-            SequentialEdge(
-                launch=launch,
-                capture=capture,
-                max_delay=max_form,
-                min_delay=min_form,
-                setup=setup_forms[capture],
-                hold=hold_forms[capture],
-                skew_launch=design.clock_skew.skew(launch),
-                skew_capture=design.clock_skew.skew(capture),
+        setup_forms: Dict[str, CanonicalForm] = {}
+        hold_forms: Dict[str, CanonicalForm] = {}
+        edges: List[SequentialEdge] = []
+        for (launch, capture), (max_form, min_form) in pair_forms.items():
+            if capture not in setup_forms:
+                setup_forms[capture] = timing_graph.setup_form(capture)
+                hold_forms[capture] = timing_graph.hold_form(capture)
+            edges.append(
+                SequentialEdge(
+                    launch=launch,
+                    capture=capture,
+                    max_delay=max_form,
+                    min_delay=min_form,
+                    setup=setup_forms[capture],
+                    hold=hold_forms[capture],
+                    skew_launch=design.clock_skew.skew(launch),
+                    skew_capture=design.clock_skew.skew(capture),
+                )
             )
-        )
-    return SequentialConstraintGraph(design, edges)
+        return SequentialConstraintGraph(design, edges)

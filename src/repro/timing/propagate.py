@@ -32,6 +32,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
+from repro.obs.trace import span as trace_span
 from repro.timing.graph import TimingGraph
 from repro.variation.arrayforms import clark_max_coeffs
 from repro.variation.canonical import CanonicalForm
@@ -150,15 +151,16 @@ def all_ff_pair_delay_forms(
     """
     design = timing_graph.design
     launch_ffs = launch_ffs if launch_ffs is not None else list(design.netlist.flip_flops)
-    if method == "scalar":
+    if method not in ("array", "scalar"):
+        raise ValueError(f"unknown propagation method {method!r}")
+    with trace_span("timing.propagate", design=design.name, method=method):
+        if method == "array":
+            return _all_pairs_array(timing_graph, launch_ffs)
         pairs: Dict[Tuple[str, str], Tuple[CanonicalForm, CanonicalForm]] = {}
         for launch in launch_ffs:
             for capture, forms in ff_pair_delay_forms(timing_graph, launch).items():
                 pairs[(launch, capture)] = forms
         return pairs
-    if method != "array":
-        raise ValueError(f"unknown propagation method {method!r}")
-    return _all_pairs_array(timing_graph, launch_ffs)
 
 
 def _form_row(form: CanonicalForm, width: int, negate: bool = False) -> np.ndarray:

@@ -110,6 +110,15 @@ class TestRunBasics:
         assert "[engine:s9234@0.05" in captured.err
         assert captured.out == ""
 
+    def test_each_run_builds_its_own_designs(self, tmp_path, design_builds):
+        # Without a design builder (CLI, bench, direct callers) a run
+        # builds every design it needs, once, and keeps none past itself.
+        spec = tiny_spec(replicates=2, design_seed=3)
+        for index in range(2):
+            store = CampaignStore.open(str(tmp_path / f"s{index}.jsonl"))
+            CampaignRunner(spec, store, executor="serial").run()
+        assert design_builds == [("s9234", 0.05, 3)] * 2
+
     def test_bad_max_cells_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_cells"):
             CampaignRunner(

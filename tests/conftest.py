@@ -29,6 +29,26 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+@pytest.fixture
+def design_builds(monkeypatch):
+    """``(circuit, scale, seed)`` of every suite design build, in call order.
+
+    Counts calls of ``repro.circuit.suite.build_suite_circuit``, the one
+    function every design cache builds through.
+    """
+    import repro.circuit.suite as suite
+
+    builds = []
+    build = suite.build_suite_circuit
+
+    def counted(name, scale=1.0, seed=0, **kwargs):
+        builds.append((name, scale, seed))
+        return build(name, scale=scale, seed=seed, **kwargs)
+
+    monkeypatch.setattr(suite, "build_suite_circuit", counted)
+    return builds
+
+
 @pytest.fixture(scope="session")
 def library():
     """The default cell library."""

@@ -26,6 +26,8 @@ from repro.service import (
 )
 from repro.service.api import REPORT_FORMATS
 
+from tests.service.conftest import make_tiny_spec
+
 
 @pytest.fixture
 def server(queue_uri):
@@ -214,6 +216,18 @@ class TestMetrics:
         assert "repro_service_jobs_submitted" in text
         assert "repro_service_queue_depth_queued 1" in text
         assert "repro_service_request_seconds_count" in text
+
+    def test_depth_gauges_are_current_at_scrape(self, client, queue_uri, tiny_spec):
+        # Queue mutations do not refresh the depth gauges; each scrape does.
+        done = client.submit({"spec": tiny_spec.as_dict()})["job"]["fingerprint"]
+        client.submit({"spec": make_tiny_spec(seed=9).as_dict()})
+        queue = JobQueue.open(queue_uri)
+        assert queue.claim("w1", 60.0).fingerprint == done
+        queue.complete(done, "w1")
+        lines = client.metrics().splitlines()
+        for state, value in [("queued", 1), ("leased", 0), ("expired", 0),
+                             ("done", 1), ("failed", 0), ("claimable", 1), ("total", 2)]:
+            assert f"repro_service_queue_depth_{state} {value}" in lines
 
     def test_render_prometheus_shapes(self):
         registry = MetricsRegistry()

@@ -75,6 +75,42 @@ class TestArguments:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('[{"name": "tiny"}]', "campaign spec must be a JSON object"),
+            ("{not json", "campaign spec {path!r} is not valid JSON: "),
+        ],
+    )
+    def test_submit_bad_spec_file_exits_2_like_campaign_run(
+        self, tmp_path, capsys, content, message
+    ):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(content)
+        code = main(
+            ["submit", "--queue", f"jsonl:{tmp_path / 'q.jsonl'}",
+             "--spec", str(spec_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " + message.format(path=str(spec_path)) in err
+        assert "Traceback" not in err
+
+    def test_submit_spec_file_with_defaults_keeps_its_fingerprint(
+        self, jsonl_queue_uri, tmp_path, capsys
+    ):
+        from repro.campaign.spec import CampaignSpec
+
+        payload = {"name": "sparse", "circuits": [["s9234", 0.05]]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        code = main(
+            ["submit", "--queue", jsonl_queue_uri, "--spec", str(spec_path), "--json"]
+        )
+        assert code == 0
+        submitted = json.loads(capsys.readouterr().out)
+        assert submitted["job"]["fingerprint"] == CampaignSpec.from_dict(payload).fingerprint()
+
 
 class TestEndToEnd:
     def test_submit_work_wait_round_trip(

@@ -9,9 +9,12 @@ crash-recovery story rests on.
 
 from __future__ import annotations
 
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.service import (
     JOB_EVENTS,
@@ -23,8 +26,8 @@ from repro.service import (
     default_job_store_uri,
     validate_queue_record,
 )
-from repro.service.queue import spec_from_payload
-from repro.store import parse_store_uri
+from repro.service.queue import _fold_events, spec_from_payload
+from repro.store import BACKENDS, parse_store_uri
 
 from tests.service.conftest import make_tiny_spec
 
@@ -285,6 +288,96 @@ class TestDepth:
         snapshot = get_registry().snapshot()
         assert snapshot["gauges"]["service.queue.depth.queued"] == 1
         assert snapshot["gauges"]["service.queue.depth.total"] == 1
+
+
+_FOLD_JOBS = ("f1", "f2", "f3")
+_FOLD_WORKERS = ("w1", "w2")
+
+
+@st.composite
+def event_logs(draw):
+    """Random queue event logs over three jobs and two workers.
+
+    Kinds and jobs are drawn independently, so a log holds resubmits,
+    leases of leased and terminal jobs, heartbeats from holders and
+    non-holders, duplicate completes and fails, and orphan events that
+    come before their job's submit or belong to a job never submitted.
+    """
+    events = []
+    for index in range(draw(st.integers(0, 30))):
+        fingerprint = draw(st.sampled_from(_FOLD_JOBS))
+        kind = draw(st.sampled_from(JOB_EVENTS))
+        event = {
+            "schema_version": QUEUE_SCHEMA_VERSION,
+            "fingerprint": fingerprint,
+            "event": kind,
+            "at_unix": float(index),
+        }
+        if kind == "submit":
+            event["spec"] = {"name": fingerprint, "seed": draw(st.integers(0, 2))}
+            event["store"] = f"jsonl:{fingerprint}-{draw(st.integers(0, 1))}.jsonl"
+            event["pool"] = draw(st.sampled_from([None, "jsonl:pool.jsonl"]))
+        elif kind in ("lease", "heartbeat"):
+            event["worker"] = draw(st.sampled_from(_FOLD_WORKERS))
+            event["deadline_unix"] = float(index + draw(st.integers(1, 5)))
+        else:
+            event["worker"] = draw(st.sampled_from(_FOLD_WORKERS + ("",)))
+            if kind == "fail":
+                event["error"] = draw(st.sampled_from(["boom", "bust"]))
+        events.append(validate_queue_record(event))
+    return events
+
+
+class TestFoldScope:
+    """Reading or changing one job folds that job's events alone."""
+
+    @pytest.mark.parametrize("driver", sorted(BACKENDS))
+    @given(events=event_logs())
+    def test_one_jobs_events_fold_to_its_full_fold_view(self, driver, events):
+        with tempfile.TemporaryDirectory() as directory:
+            queue = JobQueue.open(f"{driver}:{directory}/queue.{driver}")
+            queue.backend.replace_all(events)
+            full = _fold_events(queue.backend.history())
+            for fingerprint in _FOLD_JOBS:
+                own = _fold_events(queue.backend.history(fingerprint)).get(fingerprint)
+                assert own == full.get(fingerprint)
+                assert queue.job(fingerprint) == own
+
+    @pytest.fixture
+    def history_calls(self, queue, monkeypatch):
+        """The fingerprint argument of every ``backend.history`` call."""
+        calls = []
+        history = queue.backend.history
+
+        def counted(fingerprint=None):
+            calls.append(fingerprint)
+            return history(fingerprint)
+
+        monkeypatch.setattr(queue.backend, "history", counted)
+        return calls
+
+    def test_only_claim_jobs_and_depth_fold_the_whole_log(self, queue, history_calls):
+        def calls_of(operation):
+            history_calls.clear()
+            operation()
+            return list(history_calls)
+
+        first = make_tiny_spec(seed=300)
+        second = make_tiny_spec(seed=301)
+        fp, other = first.fingerprint(), second.fingerprint()
+        assert calls_of(lambda: queue.submit(first, now=1.0)) == [fp]
+        assert calls_of(lambda: queue.submit(second, now=2.0)) == [other]
+        assert calls_of(lambda: queue.submit(first, now=3.0)) == [fp]  # dedupe
+        assert calls_of(lambda: queue.job(fp)) == [fp]
+        assert calls_of(lambda: queue.require(fp)) == [fp]
+        assert calls_of(lambda: queue.claim("w1", 30.0, now=10.0)) == [None]
+        assert calls_of(lambda: queue.claim("w2", 30.0, now=10.0)) == [None]
+        assert calls_of(lambda: queue.heartbeat(fp, "w1", 30.0, now=11.0)) == [fp]
+        assert calls_of(lambda: queue.complete(fp, "w1", now=12.0)) == [fp]
+        assert calls_of(lambda: queue.fail(other, "w2", "boom", now=13.0)) == [other]
+        assert calls_of(queue.jobs) == [None]
+        assert calls_of(queue.depth) == [None]
+        assert calls_of(lambda: queue.claim("w1", 30.0, now=20.0)) == [None]  # idle
 
 
 class TestRecords:

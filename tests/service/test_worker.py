@@ -16,7 +16,10 @@ import pytest
 from repro.campaign.report import build_report, format_report
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import CampaignStore
-from repro.service import CampaignWorker, ServiceError
+from repro.cli import main
+from repro.obs import load_trace, span_events
+from repro.service import CampaignWorker, JobQueue, ServiceError
+from repro.service import worker as worker_module
 from repro.service.queue import QUEUE_SCHEMA_VERSION
 from repro.service.worker import _Heartbeat, default_worker_id
 
@@ -181,3 +184,82 @@ def test_heartbeat_thread_reports_lost_lease(queue, tiny_spec):
         assert heartbeat.lost is not None
         with pytest.raises(LeaseLost):
             heartbeat.check()
+
+
+# ----------------------------------------------------------------------
+# Design reuse across jobs
+# ----------------------------------------------------------------------
+@pytest.fixture
+def jsonl_queue(tmp_path):
+    """One driver is enough here: design reuse does not touch the queue."""
+    queue = JobQueue.open(f"jsonl:{tmp_path / 'queue.jsonl'}")
+    yield queue
+    queue.close()
+
+
+def one_cell_spec(seed: int, design_seed: int = 3, **overrides):
+    """A one-cell job; jobs of equal ``design_seed`` share one design."""
+    params = {"seed": seed, "design_seed": design_seed, "replicates": 1,
+              "budgets": ((16, 32),)}
+    params.update(overrides)
+    return make_tiny_spec(**params)
+
+
+def drain(queue, design_seeds):
+    """Submit one job per design seed, in this claim order, and drain them."""
+    for index, design_seed in enumerate(design_seeds):
+        queue.submit(one_cell_spec(400 + index, design_seed), now=float(index))
+    summary = CampaignWorker(queue, worker_id="w1", executor="serial").run(
+        exit_when_idle=True
+    )
+    assert summary.n_done == len(design_seeds)
+
+
+def test_worker_builds_a_shared_design_once(jsonl_queue, design_builds):
+    drain(jsonl_queue, [3, 3, 3])
+    assert design_builds == [("s9234", 0.05, 3)]
+
+
+def test_job_on_another_design_seed_builds_its_own_design(jsonl_queue, design_builds):
+    drain(jsonl_queue, [3, 4, 3])
+    assert design_builds == [("s9234", 0.05, 3), ("s9234", 0.05, 4)]
+
+
+def test_least_recently_used_design_is_rebuilt_past_the_bound(
+    jsonl_queue, design_builds, monkeypatch
+):
+    monkeypatch.setattr(worker_module, "DESIGN_CACHE_SIZE", 2)
+    # Design 5 evicts design 4, the least recently used; design 3 was
+    # used just before, so it stays and only design 4 is built twice.
+    drain(jsonl_queue, [3, 4, 3, 5, 3, 4])
+    assert [seed for _, _, seed in design_builds] == [3, 4, 5, 4]
+
+
+def test_spec_with_more_designs_than_the_bound_builds_each_once(
+    jsonl_queue, design_builds, monkeypatch
+):
+    monkeypatch.setattr(worker_module, "DESIGN_CACHE_SIZE", 1)
+    # Batched dispatch asks for every cell's design to group the cells,
+    # then again to run each group: with only a one-design LRU between
+    # them, the first design would be built twice.
+    spec = one_cell_spec(500, circuits=(("s9234", 0.05), ("s9234", 0.06)), replicates=2)
+    jsonl_queue.submit(spec)
+    summary = CampaignWorker(jsonl_queue, worker_id="w1", executor="serial").run(
+        exit_when_idle=True
+    )
+    assert summary.n_done == 1
+    assert sorted(design_builds) == [("s9234", 0.05, 3), ("s9234", 0.06, 3)]
+
+
+def test_traced_worker_records_one_design_build(jsonl_queue, tmp_path):
+    for seed in (600, 601):
+        jsonl_queue.submit(one_cell_spec(seed))
+    trace = tmp_path / "work-trace.jsonl"
+    code = main(["work", "--queue", jsonl_queue.uri, "--executor", "serial",
+                 "--exit-when-idle", "--poll", "0.1", "--trace", str(trace)])
+    assert code == 0
+    names = [event["name"] for event in span_events(load_trace(str(trace)))]
+    assert names.count("service.job") == 2
+    assert names.count("circuit.build") == 1
+    assert names.count("timing.extract") == 1
+    assert names.count("timing.propagate") == 1

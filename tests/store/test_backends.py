@@ -81,6 +81,19 @@ class TestConformance:
         values = [(r["fingerprint"], r["result"]["value"]) for r in backend.history()]
         assert values == [("aa", 0.5), ("bb", 1.0), ("aa", 0.9)]
 
+    def test_history_of_one_fingerprint_is_the_filtered_history(self, backend):
+        assert backend.history("aa") == []  # missing store
+        for fingerprint, value in [("aa", 0.5), ("bb", 1.0), ("aa", 0.9), ("cc", 2.0),
+                                   ("bb", 1.5), ("aa", 0.1)]:
+            backend.append(record(fingerprint, value=value))
+        everything = backend.history()
+        for fingerprint in ("aa", "bb", "cc"):
+            assert backend.history(fingerprint) == [
+                r for r in everything if r["fingerprint"] == fingerprint
+            ]
+        assert [r["result"]["value"] for r in backend.history("aa")] == [0.5, 0.9, 0.1]
+        assert backend.history("zz") == []
+
     def test_event_log_usage_folds_in_order(self, backend):
         # The service job queue rides on this exact contract: many
         # appends per fingerprint, history in append order, load()

@@ -93,6 +93,10 @@ class TestArgumentValidation:
             (["work", "--queue", "sqlite:unused.sqlite", "--lease", "nan"], "must be finite"),
             (["insert", "--sigma", "-5"], "must be >= 0"),
             (["insert", "--sigma", "-0.5"], "must be >= 0"),
+            (["serve", "--queue", "sqlite:unused.sqlite", "--port", "-1"],
+             "must be in 0..65535, got -1"),
+            (["serve", "--queue", "sqlite:unused.sqlite", "--port", "70000"],
+             "must be in 0..65535, got 70000"),
         ],
     )
     def test_bad_value_exits_2_with_a_message(self, argv, message, capsys):
