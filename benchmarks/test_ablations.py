@@ -19,7 +19,6 @@ from __future__ import annotations
 from benchmarks.conftest import SETTINGS, get_design, run_once
 from repro.core import BufferInsertionFlow, FlowConfig
 from repro.core.results import Buffer, BufferPlan
-from repro.timing import ensure_constraint_graph
 from repro.yieldsim import YieldEstimator
 
 
@@ -57,10 +56,7 @@ def test_ablation_asymmetric_windows_help(benchmark):
     circuit = SETTINGS.circuits[0]
     result = run_once(benchmark, _flow, circuit)
     design = get_design(circuit)
-    graph = ensure_constraint_graph(design)
-    estimator = YieldEstimator(
-        design, constraint_graph=graph, n_samples=SETTINGS.n_eval_samples, rng=29
-    )
+    estimator = YieldEstimator(design, n_samples=SETTINGS.n_eval_samples, rng=29)
     samples = estimator.draw_samples()
 
     # Symmetrised variant: same flip-flops, same total width, centred on 0.

@@ -19,13 +19,11 @@ import pytest
 from benchmarks.conftest import SETTINGS, get_design, run_once
 from repro.baselines import criticality_plan, every_ff_plan, random_plan
 from repro.core import BufferInsertionFlow, FlowConfig
-from repro.timing import ensure_constraint_graph
 from repro.yieldsim import YieldEstimator
 
 
 def _compare(circuit: str):
     design = get_design(circuit)
-    graph = ensure_constraint_graph(design)
     config = FlowConfig(
         n_samples=SETTINGS.n_samples, n_eval_samples=SETTINGS.n_eval_samples, seed=5, target_sigma=0.0
     )
@@ -33,7 +31,7 @@ def _compare(circuit: str):
     period = result.target_period
     budget = max(1, result.plan.n_buffers)
 
-    estimator = YieldEstimator(design, constraint_graph=graph, n_samples=SETTINGS.n_eval_samples, rng=23)
+    estimator = YieldEstimator(design, n_samples=SETTINGS.n_eval_samples, rng=23)
     samples = estimator.draw_samples()
     def evaluate(plan):
         return estimator.evaluate_plan(plan, period, constraint_samples=samples)
@@ -44,9 +42,7 @@ def _compare(circuit: str):
         "original": evaluate(result.plan).original_yield,
         "proposed": evaluate(result.plan).tuned_yield,
         "random": evaluate(random_plan(design, period, budget, rng=3)).tuned_yield,
-        "criticality": evaluate(
-            criticality_plan(design, period, budget, constraint_graph=graph)
-        ).tuned_yield,
+        "criticality": evaluate(criticality_plan(design, period, budget)).tuned_yield,
         "every_ff": evaluate(every_ff_plan(design, period)).tuned_yield,
     }
 

@@ -13,8 +13,7 @@ import pytest
 
 from benchmarks.conftest import SETTINGS, get_design, run_once
 from repro.core import BufferInsertionFlow, FlowConfig
-from repro.core.sample_solver import ConstraintTopology
-from repro.timing import ensure_constraint_graph
+from repro.core.compiled import ensure_compiled_system
 from repro.timing.period import sample_min_periods
 from repro.tuning import TestCostModel, default_bins, speed_binning
 from repro.variation.sampling import MonteCarloSampler
@@ -22,19 +21,18 @@ from repro.variation.sampling import MonteCarloSampler
 
 def _run(circuit: str):
     design = get_design(circuit)
-    graph = ensure_constraint_graph(design)
-    topology = ConstraintTopology.from_constraint_graph(graph)
+    compiled = ensure_compiled_system(design)
     config = FlowConfig(
         n_samples=SETTINGS.n_samples, n_eval_samples=200, seed=7, target_sigma=0.0
     )
     result = BufferInsertionFlow(design, config).run()
 
     sampler = MonteCarloSampler(design.variation_model, rng=77)
-    samples = graph.sample(sampler.sample(SETTINGS.n_eval_samples), sampler=sampler)
-    analysis = sample_min_periods(design, constraint_graph=graph, constraint_samples=samples)
+    samples = compiled.sample(sampler.sample(SETTINGS.n_eval_samples), sampler=sampler)
+    analysis = sample_min_periods(design, constraint_samples=samples)
     bins = default_bins(analysis.mean, analysis.std, n_bins=4)
     step = result.plan.buffers[0].step if result.plan.buffers else 0.0
-    binning = speed_binning(topology, samples, bins, plan=result.plan, step=step)
+    binning = speed_binning(compiled.topology, samples, bins, plan=result.plan, step=step)
     return binning
 
 

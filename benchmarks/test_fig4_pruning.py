@@ -19,9 +19,8 @@ import numpy as np
 
 from benchmarks.conftest import SETTINGS, get_design, run_once
 from repro.core import BufferInsertionFlow, FlowConfig
+from repro.core.compiled import ensure_compiled_system
 from repro.core.pruning import prune_buffers, prune_usage_graph
-from repro.core.sample_solver import ConstraintTopology
-from repro.timing import ensure_constraint_graph
 
 #: The usage counts and edges of the paper's Fig. 4 (node "j" is the dashed
 #: node with a single tuning, attached only to another single-tuning node).
@@ -50,8 +49,7 @@ def test_fig4_example_graph(benchmark):
 def test_fig4_pruning_on_real_usage(benchmark):
     circuit = SETTINGS.circuits[0]
     design = get_design(circuit)
-    graph = ensure_constraint_graph(design)
-    topology = ConstraintTopology.from_constraint_graph(graph)
+    topology = ensure_compiled_system(design).topology
 
     config = FlowConfig(
         n_samples=SETTINGS.n_samples, n_eval_samples=100, seed=3, target_sigma=0.0

@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import SETTINGS, get_design, run_once
-from repro.timing import ensure_constraint_graph
 from repro.yieldsim import YieldEstimator
 
 _ANCHORS = {0.0: 0.50, 1.0: 0.8413, 2.0: 0.9772}
@@ -21,10 +20,7 @@ _ANCHORS = {0.0: 0.50, 1.0: 0.8413, 2.0: 0.9772}
 
 def _original_yields(circuit: str):
     design = get_design(circuit)
-    graph = ensure_constraint_graph(design)
-    estimator = YieldEstimator(
-        design, constraint_graph=graph, n_samples=max(SETTINGS.n_eval_samples, 800), rng=19
-    )
+    estimator = YieldEstimator(design, n_samples=max(SETTINGS.n_eval_samples, 800), rng=19)
     samples = estimator.draw_samples()
     analysis = estimator.period_analysis(samples)
     return {

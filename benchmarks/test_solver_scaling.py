@@ -28,9 +28,9 @@ import pytest
 
 from benchmarks.conftest import SETTINGS, get_design, run_once
 from repro.bench import BenchRunner, Scenario
+from repro.core.compiled import ensure_compiled_system
 from repro.core.config import BufferSpec
-from repro.core.sample_solver import ConstraintTopology, PerSampleSolver, SampleProblem
-from repro.timing import ensure_constraint_graph
+from repro.core.sample_solver import PerSampleSolver, SampleProblem
 from repro.timing.period import sample_min_periods
 from repro.variation.sampling import MonteCarloSampler
 
@@ -136,12 +136,12 @@ def test_flow_runtime_by_executor(benchmark):
 def test_graph_solver_faster_than_milp(benchmark):
     circuit = SETTINGS.circuits[0]
     design = get_design(circuit)
-    graph = ensure_constraint_graph(design)
-    topology = ConstraintTopology.from_constraint_graph(graph)
+    compiled = ensure_compiled_system(design)
+    topology = compiled.topology
     sampler = MonteCarloSampler(design.variation_model, rng=13)
     batch = sampler.sample(min(150, SETTINGS.n_samples))
-    samples = graph.sample(batch, sampler=sampler)
-    analysis = sample_min_periods(design, constraint_graph=graph, constraint_samples=samples)
+    samples = compiled.sample(batch, sampler=sampler)
+    analysis = sample_min_periods(design, constraint_samples=samples)
     period = analysis.target_period(1.0)
     spec = BufferSpec()
     step = spec.step_size(period)

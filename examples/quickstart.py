@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.circuit.suite import build_suite_circuit
 from repro.core import BufferInsertionFlow, FlowConfig
-from repro.timing import ensure_constraint_graph, sample_min_periods
+from repro.timing import sample_min_periods
 
 
 def main() -> None:
@@ -30,8 +30,7 @@ def main() -> None:
     print(f"   flip-flops: {stats['flip_flops']}, gates: {stats['gates']}")
 
     print("== characterising the un-tuned clock period ==")
-    graph = ensure_constraint_graph(design)
-    analysis = sample_min_periods(design, n_samples=1000, rng=7, constraint_graph=graph)
+    analysis = sample_min_periods(design, n_samples=1000, rng=7)
     print(f"   mu_T = {analysis.mean:.2f}, sigma_T = {analysis.std:.2f}")
     for n_sigma in (0, 1, 2):
         period = analysis.target_period(n_sigma)

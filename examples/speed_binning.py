@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from repro.circuit.suite import build_suite_circuit
 from repro.core import BufferInsertionFlow, FlowConfig
-from repro.core.sample_solver import ConstraintTopology
-from repro.timing import ensure_constraint_graph
+from repro.core.compiled import ensure_compiled_system
 from repro.timing.period import sample_min_periods
 from repro.tuning import TestCostModel, default_bins, speed_binning
 from repro.variation.sampling import MonteCarloSampler
@@ -27,8 +26,7 @@ from repro.variation.sampling import MonteCarloSampler
 
 def main() -> None:
     design = build_suite_circuit("s9234", scale=0.2, seed=1)
-    graph = ensure_constraint_graph(design)
-    topology = ConstraintTopology.from_constraint_graph(graph)
+    compiled = ensure_compiled_system(design)
 
     print("== inserting buffers at T = mu_T ==")
     config = FlowConfig(n_samples=500, n_eval_samples=500, seed=7, target_sigma=0.0)
@@ -38,11 +36,11 @@ def main() -> None:
 
     print("== binning a fresh population of 1500 chips ==")
     sampler = MonteCarloSampler(design.variation_model, rng=42)
-    samples = graph.sample(sampler.sample(1500), sampler=sampler)
-    analysis = sample_min_periods(design, constraint_graph=graph, constraint_samples=samples)
+    samples = compiled.sample(sampler.sample(1500), sampler=sampler)
+    analysis = sample_min_periods(design, constraint_samples=samples)
     bins = default_bins(analysis.mean, analysis.std, n_bins=4)
     step = result.plan.buffers[0].step if result.plan.buffers else 0.0
-    binning = speed_binning(topology, samples, bins, plan=result.plan, step=step)
+    binning = speed_binning(compiled.topology, samples, bins, plan=result.plan, step=step)
     print(binning.as_table())
     print(f"   chips upgraded to a faster bin by tuning: {100 * binning.upgraded_fraction:.1f} %")
     print(f"   configuration attempts spent            : {binning.configuration_attempts}")

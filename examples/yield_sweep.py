@@ -22,7 +22,6 @@ from repro.analysis.tables import TableOneRow, format_table_one
 from repro.baselines import every_ff_plan, random_plan
 from repro.circuit.suite import build_suite_circuit, list_suite_circuits
 from repro.core import BufferInsertionFlow, FlowConfig
-from repro.timing import ensure_constraint_graph
 from repro.yieldsim import YieldEstimator
 
 
@@ -34,7 +33,6 @@ def main() -> None:
 
     print(f"== circuit {circuit} (scale {scale:g}) ==")
     design = build_suite_circuit(circuit, scale=scale, seed=1)
-    graph = ensure_constraint_graph(design)
     stats = design.netlist.stats()
 
     rows = []
@@ -52,7 +50,7 @@ def main() -> None:
 
     print("\n== comparison at T = mu_T ==")
     result = results[0.0]
-    estimator = YieldEstimator(design, constraint_graph=graph, n_samples=1000, rng=11)
+    estimator = YieldEstimator(design, n_samples=1000, rng=11)
     samples = estimator.draw_samples()
     proposed = estimator.evaluate_plan(result.plan, result.target_period, constraint_samples=samples)
     upper = estimator.evaluate_plan(

@@ -14,25 +14,21 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
-
 from repro.circuit.design import CircuitDesign
 from repro.core.config import BufferSpec
 from repro.core.results import Buffer, BufferPlan
-from repro.timing.constraints import SequentialConstraintGraph, ensure_constraint_graph
+from repro.timing.constraints import ensure_constraint_graph
 
 
-def flip_flop_criticality(
-    design: CircuitDesign,
-    target_period: float,
-    constraint_graph: Optional[SequentialConstraintGraph] = None,
-) -> Dict[str, float]:
+def flip_flop_criticality(design: CircuitDesign, target_period: float) -> Dict[str, float]:
     """Statistical criticality score per flip-flop.
 
     The score of an edge is the probability (under the canonical Gaussian
     model) that its setup constraint fails at the target period; a
-    flip-flop accumulates the scores of its incident edges.
+    flip-flop accumulates the scores of its incident edges (the design's
+    cached constraint graph).
     """
-    graph = constraint_graph or ensure_constraint_graph(design)
+    graph = ensure_constraint_graph(design)
     scores: Dict[str, float] = {ff: 0.0 for ff in graph.ff_names}
     for edge in graph.edges:
         quantity = edge.setup_quantity
@@ -52,7 +48,6 @@ def criticality_plan(
     target_period: float,
     n_buffers: int,
     buffer_spec: Optional[BufferSpec] = None,
-    constraint_graph: Optional[SequentialConstraintGraph] = None,
 ) -> BufferPlan:
     """Place ``n_buffers`` symmetric buffers at the most critical flip-flops."""
     if n_buffers < 0:
@@ -62,7 +57,7 @@ def criticality_plan(
     step = spec.step_size(target_period) if spec.discrete else 0.0
     half = max_range / 2.0
 
-    scores = flip_flop_criticality(design, target_period, constraint_graph)
+    scores = flip_flop_criticality(design, target_period)
     ranked = sorted(scores, key=lambda ff: scores[ff], reverse=True)
     buffers = [
         Buffer(flip_flop=ff, lower=-half, upper=half, step=step, usage_count=0)

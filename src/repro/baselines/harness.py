@@ -14,7 +14,6 @@ from typing import Optional
 from repro.circuit.design import CircuitDesign
 from repro.core.config import BufferSpec
 from repro.core.results import BufferPlan
-from repro.timing.constraints import SequentialConstraintGraph
 from repro.utils.rng import RngLike
 
 #: Names accepted by :func:`build_baseline_plan` (and campaign specs).
@@ -27,7 +26,6 @@ def build_baseline_plan(
     target_period: float,
     n_buffers: int,
     buffer_spec: Optional[BufferSpec] = None,
-    constraint_graph: Optional[SequentialConstraintGraph] = None,
     rng: RngLike = 0,
 ) -> BufferPlan:
     """Build the plan of one named baseline strategy.
@@ -44,13 +42,7 @@ def build_baseline_plan(
     if name == "every_ff":
         return every_ff_plan(design, target_period, buffer_spec=buffer_spec)
     if name == "criticality":
-        return criticality_plan(
-            design,
-            target_period,
-            n_buffers,
-            buffer_spec=buffer_spec,
-            constraint_graph=constraint_graph,
-        )
+        return criticality_plan(design, target_period, n_buffers, buffer_spec=buffer_spec)
     if name == "random":
         return random_plan(
             design, target_period, n_buffers, buffer_spec=buffer_spec, rng=rng

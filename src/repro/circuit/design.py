@@ -50,6 +50,10 @@ class CircuitDesign:
     #: (populated by :func:`repro.timing.constraints.ensure_constraint_graph`
     #: and by the suite builder; typed loosely to avoid a circular import).
     cached_constraint_graph: Optional[object] = field(default=None, repr=False, compare=False)
+    #: Optional cache slot for the design's compiled constraint system
+    #: (populated by :func:`repro.core.compiled.ensure_compiled_system`,
+    #: cleared by :func:`repro.timing.skew.apply_skews`).
+    cached_compiled_system: Optional[object] = field(default=None, repr=False, compare=False)
     #: Optional cache slot for :meth:`min_ff_pitch`, a design constant.
     cached_min_ff_pitch: Optional[float] = field(default=None, repr=False, compare=False)
 

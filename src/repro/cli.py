@@ -103,6 +103,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    """Argparse type: integer >= 0 with a clear error instead of a traceback."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     """Argparse type: finite float with a clear error instead of a traceback."""
     try:
@@ -850,7 +858,9 @@ def _add_circuit_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale", type=_positive_float, default=0.2, help="circuit size scale factor"
     )
-    parser.add_argument("--seed", type=int, default=1, help="seed for circuit generation and sampling")
+    parser.add_argument(
+        "--seed", type=_nonnegative_int, default=1, help="seed for circuit generation and sampling"
+    )
 
 
 def _cmd_list_circuits() -> int:
@@ -864,13 +874,10 @@ def _cmd_list_circuits() -> int:
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
     from repro.circuit.suite import build_suite_circuit
-    from repro.timing import ensure_constraint_graph, sample_min_periods
+    from repro.timing import sample_min_periods
 
     design = build_suite_circuit(args.circuit, scale=args.scale, seed=args.seed)
-    graph = ensure_constraint_graph(design)
-    analysis = sample_min_periods(
-        design, n_samples=args.samples, rng=args.seed, constraint_graph=graph
-    )
+    analysis = sample_min_periods(design, n_samples=args.samples, rng=args.seed)
     stats = design.netlist.stats()
     print(f"circuit {args.circuit} (scale {args.scale:g}): "
           f"{stats['flip_flops']} flip-flops, {stats['gates']} gates")

@@ -1,14 +1,21 @@
 """Compiled, array-native constraint system.
 
 The statistical layer of the flow is compiled **once per design** into a
-:class:`CompiledConstraintSystem`: flat topology indices (flip-flop
-names, per-edge launch/capture indices, incidence lists) plus the
-stacked setup/hold coefficient matrices of every sequential edge
-(:class:`~repro.variation.arrayforms.ArrayForms`).  Everything the hot
-path needs afterwards is a handful of matrix operations:
+:class:`CompiledConstraintSystem`, the design's only array-native view of
+its setup and hold constraints: flat topology indices (flip-flop names,
+per-edge launch/capture indices) plus the stacked setup/hold coefficient
+matrices of every sequential edge
+(:class:`~repro.variation.arrayforms.ArrayForms`), stacked from the
+per-edge scalar forms of the
+:class:`~repro.timing.constraints.SequentialConstraintGraph` by
+:meth:`CompiledConstraintSystem.from_constraint_graph`.  Everything the
+hot path needs afterwards is a handful of matrix operations:
 
 * drawing a Monte-Carlo batch and evaluating **all edges x all samples**
   is one matmul per quantity (:meth:`CompiledConstraintSystem.sample`);
+* the nominal and SSTA minimum periods come from the same stacks
+  (:meth:`~CompiledConstraintSystem.nominal_min_period`,
+  :meth:`~CompiledConstraintSystem.statistical_period_form`);
 * the per-sample solver and the post-silicon configurator consume the
   index-level :class:`~repro.core.sample_solver.ConstraintTopology` view;
 * the execution engine keys its warm worker state by
@@ -16,8 +23,10 @@ path needs afterwards is a handful of matrix operations:
   the same design reuse worker pools instead of re-shipping state.
 
 :func:`ensure_compiled_system` caches the compiled system on the design
-object (next to the cached constraint graph), making compilation
-transparent to the flow, the yield estimator and the period analysis.
+(``CircuitDesign.cached_compiled_system``, next to the cached constraint
+graph), so the flow, the yield estimator and the period analysis all
+read one system.  :func:`repro.timing.skew.apply_skews`
+clears that slot, so the next call compiles the new skews.
 """
 
 from __future__ import annotations
@@ -91,15 +100,22 @@ class CompiledConstraintSystem:
     # ------------------------------------------------------------------
     @classmethod
     def from_constraint_graph(cls, graph: SequentialConstraintGraph) -> "CompiledConstraintSystem":
-        """Compile a :class:`SequentialConstraintGraph` (shares its stacks)."""
+        """Stack a :class:`SequentialConstraintGraph`'s per-edge forms and
+        skews (read once: later edits of the graph need a new compile)."""
+        edges = graph.edges
+        n_sources = graph.design.variation_model.n_shared_sources
+
+        def stack(forms) -> ArrayForms:
+            return ArrayForms.from_forms(forms, n_sources=n_sources)
+
         return cls(
             design=graph.design,
             ff_names=graph.ff_names,
             edge_launch=graph.edge_launch_idx,
             edge_capture=graph.edge_capture_idx,
-            skew_difference=graph.skew_difference_vector,
-            setup_forms=graph.stacked_setup_forms,
-            hold_forms=graph.stacked_hold_forms,
+            skew_difference=np.array([e.skew_difference for e in edges]),
+            setup_forms=stack(e.max_delay for e in edges).add(stack(e.setup for e in edges)),
+            hold_forms=stack(e.min_delay for e in edges).subtract(stack(e.hold for e in edges)),
         )
 
     # ------------------------------------------------------------------
@@ -189,11 +205,11 @@ def ensure_compiled_system(design) -> CompiledConstraintSystem:
 
     Compilation reuses the (also cached) constraint graph, so the
     expensive statistical propagation runs at most once per design no
-    matter how many flows, estimators or analyses consume it.
+    matter how many flows, estimators or analyses consume it.  The cache
+    is ``design.cached_compiled_system``; ``apply_skews`` empties it.
     """
-    cached = getattr(design, "cached_compiled_system", None)
-    if isinstance(cached, CompiledConstraintSystem):
-        return cached
-    compiled = CompiledConstraintSystem.from_constraint_graph(ensure_constraint_graph(design))
-    design.cached_compiled_system = compiled
-    return compiled
+    if design.cached_compiled_system is None:
+        design.cached_compiled_system = CompiledConstraintSystem.from_constraint_graph(
+            ensure_constraint_graph(design)
+        )
+    return design.cached_compiled_system

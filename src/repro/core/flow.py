@@ -201,11 +201,7 @@ class BufferInsertionFlow:
             train_sampler = MonteCarloSampler(self.design.variation_model, rng=train_rng)
             train_batch = train_sampler.sample(cfg.n_samples)
             train_samples = self.compiled.sample(train_batch, sampler=train_sampler)
-            period_analysis = sample_min_periods(
-                self.design,
-                compiled=self.compiled,
-                constraint_samples=train_samples,
-            )
+            period_analysis = sample_min_periods(self.design, constraint_samples=train_samples)
         mu_period = period_analysis.mean
         sigma_period = period_analysis.std
         if cfg.target_period is not None:

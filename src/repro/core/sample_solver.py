@@ -43,7 +43,6 @@ from repro.core.difference import (
     edge_rows,
     solve_difference_system,
 )
-from repro.timing.constraints import SequentialConstraintGraph
 
 _TOL = 1e-9
 
@@ -109,15 +108,6 @@ class ConstraintTopology:
     def neighbors(self, ff: int) -> Set[int]:
         """Flip-flops sharing an edge with ``ff`` (built once; do not modify)."""
         return self._neighbors[ff]
-
-    @classmethod
-    def from_constraint_graph(cls, graph: SequentialConstraintGraph) -> "ConstraintTopology":
-        """Build the topology from a :class:`SequentialConstraintGraph`."""
-        return cls(
-            ff_names=list(graph.ff_names),
-            edge_launch=graph.edge_launch_idx.copy(),
-            edge_capture=graph.edge_capture_idx.copy(),
-        )
 
     def fingerprint(self) -> str:
         """Stable content hash of the topology (names and edge indices).

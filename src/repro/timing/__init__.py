@@ -8,12 +8,16 @@
   the maximum and minimum combinational delay (the ``d`` and ``d-bar`` of
   the paper's constraints (1)–(2)).
 * :mod:`repro.timing.constraints` — the sequential constraint graph: one
-  :class:`SequentialEdge` per connected flip-flop pair with everything
-  needed to write the setup and hold constraints, plus vectorised
-  per-sample bound evaluation.
+  :class:`SequentialEdge` of scalar canonical forms per connected
+  flip-flop pair with everything needed to write the setup and hold
+  constraints, plus the per-sample bound arithmetic of
+  :class:`~repro.timing.constraints.ConstraintSamples`.  Stacking and
+  sampling live in the compiled system (:mod:`repro.core.compiled`).
+* :mod:`repro.timing.skew` — hold-aware static skews and their
+  application to a constraint graph.
 * :mod:`repro.timing.paths` — nominal critical-path extraction.
-* :mod:`repro.timing.period` — minimum feasible clock period (nominal,
-  statistical and per-sample).
+* :mod:`repro.timing.period` — the Monte-Carlo distribution of the
+  un-tuned minimum clock period.
 """
 
 from repro.timing.constraints import (
@@ -25,12 +29,7 @@ from repro.timing.constraints import (
 from repro.timing.skew import apply_skews, hold_aware_random_skews
 from repro.timing.graph import DelayAnnotation, TimingGraph
 from repro.timing.paths import CriticalPath, nominal_critical_paths
-from repro.timing.period import (
-    PeriodAnalysis,
-    nominal_min_period,
-    sample_min_periods,
-    statistical_period,
-)
+from repro.timing.period import PeriodAnalysis, sample_min_periods
 from repro.timing.propagate import ff_pair_delay_forms, nominal_arrival_times
 
 __all__ = [
@@ -47,7 +46,5 @@ __all__ = [
     "CriticalPath",
     "nominal_critical_paths",
     "PeriodAnalysis",
-    "nominal_min_period",
-    "statistical_period",
     "sample_min_periods",
 ]

@@ -15,8 +15,16 @@ rewritten as *difference constraints* on the tuning values::
 
 All delay quantities (``d_ij_max``, ``d_ij_min``, ``s_j``, ``h_j``) are
 statistical; a Monte-Carlo sample fixes them to numbers, which turns every
-edge into two plain difference constraints.  :class:`ConstraintSamples`
-holds the vectorised per-sample values for a whole sample batch.
+edge into two plain difference constraints.
+
+:func:`extract_constraint_graph` produces a
+:class:`SequentialConstraintGraph`: one :class:`SequentialEdge` of scalar
+canonical forms per connected flip-flop pair, the flip-flop names and the
+per-edge flip-flop indices.  The skew tools (:mod:`repro.timing.skew`)
+edit its edges.  It neither stacks nor samples: the design's one
+array-native system, :class:`~repro.core.compiled.CompiledConstraintSystem`,
+is compiled from it and evaluates whole sample batches into the
+:class:`ConstraintSamples` defined here.
 """
 
 from __future__ import annotations
@@ -30,10 +38,7 @@ from repro.circuit.design import CircuitDesign
 from repro.obs.trace import span as trace_span
 from repro.timing.graph import TimingGraph
 from repro.timing.propagate import all_ff_pair_delay_forms
-from repro.utils.rng import RngLike
-from repro.variation.arrayforms import ArrayForms
 from repro.variation.canonical import CanonicalForm
-from repro.variation.sampling import MonteCarloSampler, SampleBatch
 
 
 @dataclass
@@ -159,7 +164,7 @@ class ConstraintSamples:
 
 
 class SequentialConstraintGraph:
-    """All sequential edges of a design plus vectorised sample evaluation."""
+    """All sequential edges of a design, with flip-flop names and indices."""
 
     def __init__(self, design: CircuitDesign, edges: Sequence[SequentialEdge]) -> None:
         self.design = design
@@ -172,8 +177,6 @@ class SequentialConstraintGraph:
         self.edge_capture_idx = np.array(
             [self.ff_index[e.capture] for e in self.edges], dtype=int
         )
-        self._stacked_setup: Optional[ArrayForms] = None
-        self._stacked_hold: Optional[ArrayForms] = None
 
     # ------------------------------------------------------------------
     @property
@@ -185,99 +188,6 @@ class SequentialConstraintGraph:
     def n_flip_flops(self) -> int:
         """Number of flip-flops in the design."""
         return len(self.ff_names)
-
-    def edges_of_ff(self, ff: str) -> List[int]:
-        """Indices of edges incident to flip-flop ``ff``."""
-        idx = self.ff_index[ff]
-        return [
-            k
-            for k, e in enumerate(self.edges)
-            if self.edge_launch_idx[k] == idx or self.edge_capture_idx[k] == idx
-        ]
-
-    def adjacency(self) -> Dict[int, List[int]]:
-        """Map from flip-flop index to the indices of its incident edges."""
-        adj: Dict[int, List[int]] = {i: [] for i in range(self.n_flip_flops)}
-        for k in range(self.n_edges):
-            adj[int(self.edge_launch_idx[k])].append(k)
-            adj[int(self.edge_capture_idx[k])].append(k)
-        return adj
-
-    # ------------------------------------------------------------------
-    def nominal_min_period(self) -> float:
-        """Smallest period meeting every nominal setup constraint at x = 0."""
-        if not self.edges:
-            return 0.0
-        return max(e.nominal_required_period() for e in self.edges)
-
-    def statistical_period_form(self) -> CanonicalForm:
-        """Canonical form of the circuit's minimum period (statistical max
-        over all edges of ``d_ij_max + s_j - (k_j - k_i)``)."""
-        if not self.edges:
-            raise ValueError("constraint graph has no edges")
-        forms = [e.setup_quantity + (-e.skew_difference) for e in self.edges]
-        result = forms[0]
-        for form in forms[1:]:
-            result = result.max(form)
-        return result
-
-    # ------------------------------------------------------------------
-    # Stacked (compiled) edge quantities
-    # ------------------------------------------------------------------
-    @property
-    def n_sources(self) -> int:
-        """Number of shared variation sources of the design's model."""
-        return self.design.variation_model.n_shared_sources
-
-    @property
-    def stacked_setup_forms(self) -> ArrayForms:
-        """All edges' ``d_ij_max + s_j`` as one coefficient matrix (cached)."""
-        if self._stacked_setup is None:
-            max_delay = ArrayForms.from_forms(
-                (e.max_delay for e in self.edges), n_sources=self.n_sources
-            )
-            setup = ArrayForms.from_forms(
-                (e.setup for e in self.edges), n_sources=self.n_sources
-            )
-            self._stacked_setup = max_delay.add(setup)
-        return self._stacked_setup
-
-    @property
-    def stacked_hold_forms(self) -> ArrayForms:
-        """All edges' ``d_ij_min - h_j`` as one coefficient matrix (cached)."""
-        if self._stacked_hold is None:
-            min_delay = ArrayForms.from_forms(
-                (e.min_delay for e in self.edges), n_sources=self.n_sources
-            )
-            hold = ArrayForms.from_forms(
-                (e.hold for e in self.edges), n_sources=self.n_sources
-            )
-            self._stacked_hold = min_delay.subtract(hold)
-        return self._stacked_hold
-
-    @property
-    def skew_difference_vector(self) -> np.ndarray:
-        """Static ``k_j - k_i`` of every edge as one vector."""
-        return np.array([e.skew_difference for e in self.edges])
-
-    # ------------------------------------------------------------------
-    def sample(
-        self,
-        batch: SampleBatch,
-        sampler: Optional[MonteCarloSampler] = None,
-        rng: RngLike = None,
-    ) -> ConstraintSamples:
-        """Evaluate every edge's setup/hold quantities for a sample batch.
-
-        Uses the cached stacked coefficient matrices: all edges times all
-        samples is one matrix multiplication per quantity (plus one
-        independent-noise draw, consumed in the same order as the
-        historical per-list evaluation for bit-stable results).
-        """
-        sampler = sampler or MonteCarloSampler(self.design.variation_model, rng=rng)
-        setup_values = sampler.evaluate_array(self.stacked_setup_forms, batch, rng=rng)
-        hold_values = sampler.evaluate_array(self.stacked_hold_forms, batch, rng=rng)
-        return ConstraintSamples(setup_values, hold_values, self.skew_difference_vector)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -6,23 +6,22 @@ of the circuit's minimum clock period *without* tuning buffers; target
 periods ``mu_T``, ``mu_T + sigma_T`` and ``mu_T + 2 sigma_T`` then
 correspond to original yields of roughly 50 %, 84.13 % and 97.72 %.
 
-This module provides the nominal, statistical (canonical SSTA) and
-sample-based versions of that analysis.
+This module provides the sample-based version of that analysis.  The
+nominal and statistical (canonical SSTA) minimum periods are methods of
+the design's compiled constraint system
+(:meth:`~repro.core.compiled.CompiledConstraintSystem.nominal_min_period`
+and :meth:`~repro.core.compiled.CompiledConstraintSystem.statistical_period_form`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.circuit.design import CircuitDesign
-from repro.timing.constraints import (
-    ConstraintSamples,
-    SequentialConstraintGraph,
-    extract_constraint_graph,
-)
+from repro.timing.constraints import ConstraintSamples
 from repro.utils.rng import RngLike
 from repro.variation.sampling import MonteCarloSampler
 
@@ -65,48 +64,25 @@ class PeriodAnalysis:
         return float(np.quantile(self.periods, q))
 
 
-def nominal_min_period(
-    design: CircuitDesign,
-    constraint_graph: Optional[SequentialConstraintGraph] = None,
-) -> float:
-    """Smallest clock period meeting all nominal setup constraints."""
-    graph = constraint_graph or extract_constraint_graph(design)
-    return graph.nominal_min_period()
-
-
-def statistical_period(
-    design: CircuitDesign,
-    constraint_graph: Optional[SequentialConstraintGraph] = None,
-) -> Dict[str, float]:
-    """SSTA estimate (canonical max) of the minimum-period distribution."""
-    graph = constraint_graph or extract_constraint_graph(design)
-    form = graph.statistical_period_form()
-    return {"mean": form.mean, "std": form.std}
-
-
 def sample_min_periods(
     design: CircuitDesign,
     n_samples: int = 1000,
     rng: RngLike = 0,
-    constraint_graph: Optional[SequentialConstraintGraph] = None,
     constraint_samples: Optional[ConstraintSamples] = None,
-    compiled=None,
 ) -> PeriodAnalysis:
     """Monte-Carlo distribution of the un-tuned minimum clock period.
 
-    Either draws ``n_samples`` fresh samples or reuses pre-evaluated
-    ``constraint_samples``.  When a
-    :class:`~repro.core.compiled.CompiledConstraintSystem` is passed as
-    ``compiled`` the batch is evaluated through its stacked coefficient
-    matrices (one matmul per quantity) instead of the constraint graph.
+    Either reuses pre-evaluated ``constraint_samples`` or draws
+    ``n_samples`` fresh samples and evaluates them through the design's
+    compiled constraint system (one matmul per quantity).
     """
     if constraint_samples is None:
-        source = compiled if compiled is not None else (
-            constraint_graph or extract_constraint_graph(design)
-        )
+        # repro.core sits above repro.timing, so import at call time.
+        from repro.core.compiled import ensure_compiled_system
+
         sampler = MonteCarloSampler(design.variation_model, rng=rng)
         batch = sampler.sample(n_samples)
-        constraint_samples = source.sample(batch, sampler=sampler)
+        constraint_samples = ensure_compiled_system(design).sample(batch, sampler=sampler)
     periods = constraint_samples.min_setup_period_per_sample()
     hold_ok = constraint_samples.hold_feasible_per_sample()
     return PeriodAnalysis(

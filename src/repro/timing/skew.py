@@ -148,8 +148,16 @@ def _project_onto_constraints(
 def apply_skews(
     constraint_graph: SequentialConstraintGraph, skew_map: ClockSkewMap
 ) -> None:
-    """Update the skew fields of every edge of ``constraint_graph`` in place."""
+    """Update the skew fields of every edge of ``constraint_graph`` in place.
+
+    Also sets the design's clock skew map and clears its compiled
+    constraint system, so the next
+    :func:`~repro.core.compiled.ensure_compiled_system` compiles the new
+    skews instead of returning a system built from the old ones.
+    """
     for edge in constraint_graph.edges:
         edge.skew_launch = skew_map.skew(edge.launch)
         edge.skew_capture = skew_map.skew(edge.capture)
-    constraint_graph.design.clock_skew = skew_map
+    design = constraint_graph.design
+    design.clock_skew = skew_map
+    design.cached_compiled_system = None

@@ -75,9 +75,12 @@ class PostSiliconConfigurator:
     Parameters
     ----------
     topology:
-        Constraint-graph topology of the design, or a
-        :class:`~repro.core.compiled.CompiledConstraintSystem` (its
-        topology view is used).
+        The design's :class:`~repro.core.compiled.CompiledConstraintSystem`
+        (as returned by :func:`~repro.core.compiled.ensure_compiled_system`;
+        its topology view is used), or a bare
+        :class:`~repro.core.sample_solver.ConstraintTopology`.  The
+        samples passed to :meth:`evaluate` must come from the same
+        system's edges.
     plan:
         The buffer plan produced by the insertion flow.
     step:

@@ -11,12 +11,13 @@ oxide thickness and threshold voltage.  This subpackage provides:
   of Visweswariah et al. (paper reference [3]) including Clark's
   max-approximation, which the statistical timing engine propagates;
 * :mod:`repro.variation.arrayforms` — stacks of canonical forms as one
-  coefficient matrix with vectorised arithmetic, row-wise Clark max/min
-  and single-matmul batch evaluation (the compiled hot path);
+  coefficient matrix with vectorised arithmetic and row-wise Clark
+  max/min (the compiled hot path);
 * :mod:`repro.variation.model` — assembly of a per-circuit variation model
   that assigns every gate a sensitivity vector over the shared sources;
 * :mod:`repro.variation.sampling` — vectorised Monte-Carlo sampling of the
-  shared sources and evaluation of canonical forms per sample.
+  shared sources and single-matmul evaluation of stacked forms per sample
+  (``MonteCarloSampler.evaluate_array``, the one evaluation kernel).
 """
 
 from repro.variation.arrayforms import ArrayForms, clark_max_many

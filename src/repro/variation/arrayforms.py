@@ -9,14 +9,16 @@ forms stored as one ``(n_forms, n_sources + 2)`` coefficient matrix
 * column ``n_sources + 1`` — the independent sigmas ``a_r`` (>= 0).
 
 Every operation of the scalar class exists in vectorised row-wise form:
-addition/subtraction (independent terms combine in quadrature), scaling,
-Clark's statistical max/min, and Monte-Carlo evaluation of all forms
-against a sample batch with a single matrix multiplication
-``means + sensitivities @ samples``.  The statistical timing engine
-(:mod:`repro.timing.propagate`) sweeps whole levels of the timing graph
-through these kernels instead of looping over Python objects, and the
-compiled constraint system (:mod:`repro.core.compiled`) keeps the stacked
-edge quantities around for batch evaluation.
+addition/subtraction (independent terms combine in quadrature), scaling
+and Clark's statistical max/min.  Monte-Carlo evaluation of all forms
+against a sample batch, ``means + sensitivities @ samples`` plus the
+independent noise, is one matrix multiplication in
+:meth:`repro.variation.sampling.MonteCarloSampler.evaluate_array`.  The
+statistical timing engine (:mod:`repro.timing.propagate`) sweeps whole
+levels of the timing graph through these kernels instead of looping over
+Python objects, and the compiled constraint system
+(:mod:`repro.core.compiled`) keeps the stacked edge quantities around for
+batch evaluation.
 
 ``CanonicalForm`` remains the scalar view: :meth:`ArrayForms.form`
 materialises one row, :meth:`ArrayForms.from_forms` stacks scalar forms.
@@ -259,47 +261,6 @@ class ArrayForms:
         return self.negate().clark_max(
             other.negate() if isinstance(other, ArrayForms) else (-other)  # type: ignore[operator]
         ).negate()
-
-    # ------------------------------------------------------------------
-    # Monte-Carlo evaluation
-    # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        source_samples: np.ndarray,
-        independent_samples: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Evaluate every form against a sample batch in one matmul.
-
-        Parameters
-        ----------
-        source_samples:
-            Array ``(n_sources, n_samples)`` of standard-normal draws of
-            the shared sources.
-        independent_samples:
-            Optional ``(n_forms, n_samples)`` standard-normal draws for
-            the independent terms; omitted contributions are dropped.
-
-        Returns
-        -------
-        numpy.ndarray
-            Array ``(n_forms, n_samples)``.
-        """
-        source_samples = np.asarray(source_samples, dtype=float)
-        if source_samples.ndim != 2 or source_samples.shape[0] != self.n_sources:
-            raise ValueError(
-                f"source_samples must have shape ({self.n_sources}, n); "
-                f"got {source_samples.shape}"
-            )
-        values = self.means[:, None] + self.sensitivities @ source_samples
-        if independent_samples is not None and np.any(self.independent != 0.0):
-            independent_samples = np.asarray(independent_samples, dtype=float)
-            if independent_samples.shape != values.shape:
-                raise ValueError(
-                    f"independent_samples must have shape {values.shape}; "
-                    f"got {independent_samples.shape}"
-                )
-            values = values + self.independent[:, None] * independent_samples
-        return values
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

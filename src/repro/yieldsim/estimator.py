@@ -8,21 +8,21 @@ the paper's experimental protocol (Sec. IV):
    target periods);
 2. evaluate the yield of a finished buffer plan on a *fresh* batch of
    samples via the post-silicon configurator.
+
+Both steps read the design's compiled constraint system
+(:func:`~repro.core.compiled.ensure_compiled_system`): batches are drawn
+and evaluated through its stacked matrices, and the configurator solves
+on its topology.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-
 from repro.circuit.design import CircuitDesign
 from repro.core.compiled import ensure_compiled_system
 from repro.core.results import BufferPlan
-from repro.timing.constraints import (
-    ConstraintSamples,
-    SequentialConstraintGraph,
-    ensure_constraint_graph,
-)
+from repro.timing.constraints import ConstraintSamples
 from repro.timing.period import PeriodAnalysis, sample_min_periods
 from repro.tuning.configurator import PostSiliconConfigurator
 from repro.utils.rng import RngLike, ensure_rng
@@ -36,9 +36,8 @@ class YieldEstimator:
     Parameters
     ----------
     design:
-        The circuit design under analysis.
-    constraint_graph:
-        Optional pre-extracted sequential constraint graph.
+        The circuit design under analysis; its compiled constraint
+        system is built (or reused) on construction.
     n_samples:
         Default sample count for estimates.
     rng:
@@ -58,7 +57,6 @@ class YieldEstimator:
     def __init__(
         self,
         design: CircuitDesign,
-        constraint_graph: Optional[SequentialConstraintGraph] = None,
         n_samples: int = 2000,
         rng: RngLike = 0,
         executor=None,
@@ -67,18 +65,10 @@ class YieldEstimator:
         from repro.engine import Executor, create_executor
 
         self.design = design
-        if constraint_graph is not None:
-            from repro.core.compiled import CompiledConstraintSystem
-
-            self.constraint_graph = constraint_graph
-            self.compiled = CompiledConstraintSystem.from_constraint_graph(constraint_graph)
-        else:
-            self.constraint_graph = ensure_constraint_graph(design)
-            self.compiled = ensure_compiled_system(design)
+        self.compiled = ensure_compiled_system(design)
         self.n_samples = int(n_samples)
         self._rng = ensure_rng(rng)
         self._sampler = MonteCarloSampler(design.variation_model, rng=self._rng)
-        self._topology = self.compiled.topology
         self._owns_executor = executor is not None and not isinstance(executor, Executor)
         self.executor = create_executor(executor, jobs) if executor is not None else None
 
@@ -113,11 +103,7 @@ class YieldEstimator:
     ) -> PeriodAnalysis:
         """Distribution of the un-tuned minimum clock period."""
         samples = constraint_samples or self.draw_samples()
-        return sample_min_periods(
-            self.design,
-            constraint_graph=self.constraint_graph,
-            constraint_samples=samples,
-        )
+        return sample_min_periods(self.design, constraint_samples=samples)
 
     # ------------------------------------------------------------------
     def original_yield(

@@ -1,17 +1,21 @@
 """Array-kernel conformance: the numpy ArrayForms kernels vs the scalar oracle.
 
 The Clark-kernel operations of :class:`~repro.variation.arrayforms.ArrayForms`
-(stacking, ``clark_max``, the batched ``means + sens @ samples``
-evaluation) and the level-ordered propagation sweep built on them must
-agree with the scalar :class:`~repro.variation.canonical.CanonicalForm`
-oracle to ``1e-12``, and hand back arrays of the library they compute in.
+(stacking, ``clark_max``), the batched ``means + sens @ samples``
+evaluation of ``MonteCarloSampler.evaluate_array`` and the level-ordered
+propagation sweep built on them must agree with the scalar
+:class:`~repro.variation.canonical.CanonicalForm` oracle to ``1e-12``,
+and hand back arrays of the library they compute in.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.variation.arrayforms import ArrayForms
 from repro.variation.canonical import CanonicalForm
+from repro.variation.sampling import MonteCarloSampler, SampleBatch
 
 TOL = 1e-12
 
@@ -29,6 +33,11 @@ def _random_forms(rng, n=10, sources=4):
         )
         for _ in range(n)
     ]
+
+
+def _sampler(seed=None):
+    """The evaluation kernel's owner, over the 4 sources of ``_random_forms``."""
+    return MonteCarloSampler(SimpleNamespace(n_shared_sources=4), rng=seed)
 
 
 def _forms_close(form, oracle, tol=TOL):
@@ -71,22 +80,22 @@ class TestKernelOpsAgainstScalarOracle:
         forms = _random_forms(rng, n=6)
         stacked = ArrayForms.from_forms(forms)
         samples = rng.normal(size=(4, 32))
-        values = stacked.evaluate(samples)
+        values = _sampler().evaluate_array(
+            stacked, SampleBatch(samples), include_independent=False
+        )
         assert isinstance(values, xp.ndarray)
         for i, form in enumerate(forms):
-            expected = form.mean + form.sensitivities @ samples
-            assert np.max(np.abs(values[i] - expected)) <= TOL
+            assert np.max(np.abs(values[i] - form.evaluate(samples))) <= TOL
 
     def test_evaluation_with_independent_noise(self, xp, rng):
         forms = _random_forms(rng, n=5)
         stacked = ArrayForms.from_forms(forms)
         samples = rng.normal(size=(4, 16))
-        noise = rng.normal(size=(5, 16))
-        values = stacked.evaluate(samples, noise)
+        values = _sampler(np.random.default_rng(8)).evaluate_array(stacked, SampleBatch(samples))
+        noise = np.random.default_rng(8).standard_normal((5, 16))  # the sampler's draw
         assert isinstance(values, xp.ndarray)
         for i, form in enumerate(forms):
-            expected = form.mean + form.sensitivities @ samples + form.independent * noise[i]
-            assert np.max(np.abs(values[i] - expected)) <= TOL
+            assert np.max(np.abs(values[i] - form.evaluate(samples, noise[i]))) <= TOL
 
 
 class TestPropagationSweepOnBackend:

@@ -8,12 +8,13 @@ from repro.baselines import (
     flip_flop_criticality,
     random_plan,
 )
+from repro.core.compiled import ensure_compiled_system
 from repro.core.config import BufferSpec
 
 
 @pytest.fixture(scope="module")
-def period(small_design, small_constraint_graph):
-    return small_constraint_graph.nominal_min_period() * 1.02
+def period(small_design):
+    return ensure_compiled_system(small_design).nominal_min_period() * 1.02
 
 
 class TestEveryFF:
@@ -30,20 +31,20 @@ class TestEveryFF:
 
 
 class TestCriticality:
-    def test_scores_cover_all_ffs(self, small_design, period, small_constraint_graph):
-        scores = flip_flop_criticality(small_design, period, small_constraint_graph)
+    def test_scores_cover_all_ffs(self, small_design, period):
+        scores = flip_flop_criticality(small_design, period)
         assert set(scores) == set(small_design.netlist.flip_flops)
         assert all(s >= 0 for s in scores.values())
 
-    def test_tighter_period_increases_criticality(self, small_design, small_constraint_graph):
-        nominal = small_constraint_graph.nominal_min_period()
-        tight = flip_flop_criticality(small_design, nominal * 0.95, small_constraint_graph)
-        loose = flip_flop_criticality(small_design, nominal * 1.15, small_constraint_graph)
+    def test_tighter_period_increases_criticality(self, small_design):
+        nominal = ensure_compiled_system(small_design).nominal_min_period()
+        tight = flip_flop_criticality(small_design, nominal * 0.95)
+        loose = flip_flop_criticality(small_design, nominal * 1.15)
         assert sum(tight.values()) > sum(loose.values())
 
-    def test_plan_picks_top_k(self, small_design, period, small_constraint_graph):
-        scores = flip_flop_criticality(small_design, period, small_constraint_graph)
-        plan = criticality_plan(small_design, period, 4, constraint_graph=small_constraint_graph)
+    def test_plan_picks_top_k(self, small_design, period):
+        scores = flip_flop_criticality(small_design, period)
+        plan = criticality_plan(small_design, period, 4)
         assert plan.n_buffers == 4
         chosen_scores = [scores[b.flip_flop] for b in plan.buffers]
         threshold = sorted(scores.values(), reverse=True)[3]
@@ -74,23 +75,19 @@ class TestRandom:
 
 
 class TestComparativeShape:
-    def test_criticality_beats_random_at_equal_budget(
-        self, small_design, small_constraint_graph, period
-    ):
+    def test_criticality_beats_random_at_equal_budget(self, small_design, period):
         """The informed baseline must rescue more chips than random placement
         with the same number of buffers — the comparison the paper's intro
         motivates."""
         from repro.yieldsim import YieldEstimator
 
-        estimator = YieldEstimator(
-            small_design, constraint_graph=small_constraint_graph, n_samples=250, rng=8
-        )
+        estimator = YieldEstimator(small_design, n_samples=250, rng=8)
         samples = estimator.draw_samples()
         analysis = estimator.period_analysis(samples)
         target = analysis.target_period(0.0)
         k = 5
         informed = estimator.evaluate_plan(
-            criticality_plan(small_design, target, k, constraint_graph=small_constraint_graph),
+            criticality_plan(small_design, target, k),
             target,
             constraint_samples=samples,
         )
@@ -101,19 +98,12 @@ class TestComparativeShape:
 
 
 class TestBaselineRegistry:
-    def test_choices_build_plans(self, small_design, small_constraint_graph):
+    def test_choices_build_plans(self, small_design):
         from repro.baselines import BASELINE_CHOICES, build_baseline_plan
 
         period = 30.0
         for name in BASELINE_CHOICES:
-            plan = build_baseline_plan(
-                name,
-                small_design,
-                period,
-                n_buffers=3,
-                constraint_graph=small_constraint_graph,
-                rng=5,
-            )
+            plan = build_baseline_plan(name, small_design, period, n_buffers=3, rng=5)
             assert plan.target_period == period
             if name == "every_ff":
                 assert plan.n_buffers == len(small_design.netlist.flip_flops)

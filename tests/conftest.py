@@ -15,6 +15,7 @@ from repro.circuit.design import CircuitDesign
 from repro.circuit.generators import GeneratorConfig, generate_sequential_circuit
 from repro.circuit.library import default_library
 from repro.circuit.suite import build_suite_circuit
+from repro.core.compiled import ensure_compiled_system
 from repro.timing.constraints import ensure_constraint_graph
 from repro.variation.sampling import MonteCarloSampler
 
@@ -81,11 +82,11 @@ def small_constraint_graph(small_design):
 
 
 @pytest.fixture(scope="session")
-def small_samples(small_design, small_constraint_graph):
+def small_samples(small_design):
     """A batch of evaluated constraint samples for the small design."""
     sampler = MonteCarloSampler(small_design.variation_model, rng=11)
     batch = sampler.sample(300)
-    return small_constraint_graph.sample(batch, sampler=sampler)
+    return ensure_compiled_system(small_design).sample(batch, sampler=sampler)
 
 
 @pytest.fixture()

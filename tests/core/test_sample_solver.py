@@ -42,7 +42,10 @@ def verify_solution(topology, problem, solution):
 
 class TestTopology:
     def test_from_constraint_graph(self, small_constraint_graph):
-        topology = ConstraintTopology.from_constraint_graph(small_constraint_graph)
+        from repro.core.compiled import CompiledConstraintSystem
+
+        compiled = CompiledConstraintSystem.from_constraint_graph(small_constraint_graph)
+        topology = compiled.topology
         assert topology.n_ffs == small_constraint_graph.n_flip_flops
         assert topology.n_edges == small_constraint_graph.n_edges
 
@@ -333,24 +336,22 @@ class TestMilpBackend:
 
 
 class TestAgainstRealCircuit:
-    def test_graph_solver_close_to_milp_optimum(self, small_design, small_constraint_graph, small_samples):
+    def test_graph_solver_close_to_milp_optimum(self, small_design, small_samples):
         """On real samples the greedy graph solver must find buffer counts
         equal to the exact MILP optimum in the vast majority of cases and
         never below it."""
         from repro.core.config import BufferSpec
         from repro.timing.period import sample_min_periods
 
-        analysis = sample_min_periods(
-            small_design,
-            constraint_graph=small_constraint_graph,
-            constraint_samples=small_samples,
-        )
+        from repro.core.compiled import ensure_compiled_system
+
+        analysis = sample_min_periods(small_design, constraint_samples=small_samples)
         period = analysis.target_period(1.0)
         spec = BufferSpec()
         step = spec.step_size(period)
         setup = np.floor(small_samples.setup_bounds(period) / step + 1e-9)
         hold = np.floor(small_samples.hold_bounds() / step + 1e-9)
-        topology = ConstraintTopology.from_constraint_graph(small_constraint_graph)
+        topology = ensure_compiled_system(small_design).topology
         lower = np.full(topology.n_ffs, -20.0)
         upper = np.full(topology.n_ffs, 20.0)
         solver = PerSampleSolver(topology)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.compiled import ensure_compiled_system
 from repro.core.config import BufferSpec
-from repro.core.sample_solver import ConstraintTopology, PerSampleSolver
+from repro.core.sample_solver import PerSampleSolver
 from repro.engine import (
     BatchProblem,
     EngineStats,
@@ -24,14 +25,10 @@ from repro.timing.period import sample_min_periods
 
 
 @pytest.fixture(scope="module")
-def solve_setup(small_design, small_constraint_graph, small_samples):
+def solve_setup(small_design, small_samples):
     """Topology, solver and a real training batch in solver units."""
-    topology = ConstraintTopology.from_constraint_graph(small_constraint_graph)
-    analysis = sample_min_periods(
-        small_design,
-        constraint_graph=small_constraint_graph,
-        constraint_samples=small_samples,
-    )
+    topology = ensure_compiled_system(small_design).topology
+    analysis = sample_min_periods(small_design, constraint_samples=small_samples)
     period = analysis.target_period(0.0)
     spec = BufferSpec()
     step = spec.step_size(period)
@@ -181,14 +178,14 @@ class TestChunking:
 
 
 @pytest.fixture(scope="module")
-def eval_setup(solve_setup, small_constraint_graph, small_samples):
+def eval_setup(solve_setup, small_design, small_samples):
     """A plan over every third flip-flop, its configurator and an
     evaluation batch with failing samples."""
     from repro.core.results import Buffer, BufferPlan
     from repro.tuning.configurator import PostSiliconConfigurator
 
     topology = solve_setup[0].topology
-    period = small_constraint_graph.nominal_min_period() * 1.01
+    period = ensure_compiled_system(small_design).nominal_min_period() * 1.01
     half = BufferSpec().max_range(period) / 2
     plan = BufferPlan(
         buffers=[
@@ -240,12 +237,12 @@ class TestEvaluationSweep:
         assert passed.tolist() == expected_passed.tolist()
         assert needed.tolist() == expected_needed.tolist()
 
-    def test_evaluate_plan_uses_warm_solver_pool(self, solve_setup, small_constraint_graph, small_samples):
+    def test_evaluate_plan_uses_warm_solver_pool(self, solve_setup, small_design, small_samples):
         """Solve phases and the evaluation sweep share one worker pool."""
         from repro.core.results import Buffer, BufferPlan
 
         solver, batch, lower, upper = solve_setup
-        period = small_constraint_graph.nominal_min_period() * 1.01
+        period = ensure_compiled_system(small_design).nominal_min_period() * 1.01
         plan = BufferPlan(
             buffers=[Buffer(flip_flop=solver.topology.ff_names[0], lower=-1.0, upper=1.0, step=0.0)],
             target_period=period,

@@ -15,12 +15,10 @@ from repro.yieldsim import YieldEstimator
 
 
 @pytest.fixture(scope="module")
-def setting(small_design, small_constraint_graph):
+def setting(small_design):
     config = FlowConfig(n_samples=250, n_eval_samples=400, seed=5, target_sigma=0.0)
     result = BufferInsertionFlow(small_design, config).run()
-    estimator = YieldEstimator(
-        small_design, constraint_graph=small_constraint_graph, n_samples=400, rng=31
-    )
+    estimator = YieldEstimator(small_design, n_samples=400, rng=31)
     samples = estimator.draw_samples()
     return result, estimator, samples
 
@@ -56,13 +54,11 @@ class TestAgainstBaselines:
         assert gain_few >= 0.5 * gain_all
         assert result.plan.n_buffers <= 0.5 * small_design.netlist.n_flip_flops
 
-    def test_competitive_with_criticality_heuristic(self, setting, small_design, small_constraint_graph):
+    def test_competitive_with_criticality_heuristic(self, setting, small_design):
         result, estimator, samples = setting
         budget = max(1, result.plan.n_buffers)
         heuristic = estimator.evaluate_plan(
-            criticality_plan(
-                small_design, result.target_period, budget, constraint_graph=small_constraint_graph
-            ),
+            criticality_plan(small_design, result.target_period, budget),
             result.target_period,
             constraint_samples=samples,
         )

@@ -73,6 +73,10 @@ class TestArgumentValidation:
         args = build_parser().parse_args(["insert", "--cache-size", "128"])
         assert args.cache_size == 128
 
+    @pytest.mark.parametrize("command", ["insert", "characterize"])
+    def test_seed_zero_accepted(self, command):
+        assert build_parser().parse_args([command, "--seed", "0"]).seed == 0
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -97,6 +101,8 @@ class TestArgumentValidation:
              "must be in 0..65535, got -1"),
             (["serve", "--queue", "sqlite:unused.sqlite", "--port", "70000"],
              "must be in 0..65535, got 70000"),
+            (["insert", "--seed", "-1"], "must be >= 0, got -1"),
+            (["characterize", "--seed", "-1"], "must be >= 0, got -1"),
         ],
     )
     def test_bad_value_exits_2_with_a_message(self, argv, message, capsys):

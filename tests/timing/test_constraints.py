@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.compiled import CompiledConstraintSystem
 from repro.timing.constraints import (
     ConstraintSamples,
     SequentialEdge,
@@ -11,6 +12,12 @@ from repro.timing.constraints import (
 )
 from repro.variation.canonical import CanonicalForm
 from repro.variation.sampling import MonteCarloSampler
+
+
+@pytest.fixture(scope="module")
+def compiled(small_constraint_graph):
+    """The array system stacked from the small design's extracted graph."""
+    return CompiledConstraintSystem.from_constraint_graph(small_constraint_graph)
 
 
 def _edge(setup_mean=10.0, hold_mean=3.0, skew_launch=0.0, skew_capture=0.0):
@@ -95,18 +102,18 @@ class TestExtraction:
         second = ensure_constraint_graph(tiny_design)
         assert first is second
 
-    def test_nominal_min_period_positive(self, small_constraint_graph):
-        assert small_constraint_graph.nominal_min_period() > 0.0
+    def test_nominal_min_period_positive(self, compiled):
+        assert compiled.nominal_min_period() > 0.0
 
-    def test_statistical_period_form(self, small_constraint_graph):
-        form = small_constraint_graph.statistical_period_form()
-        assert form.mean >= small_constraint_graph.nominal_min_period() - 1e-6
+    def test_statistical_period_form(self, compiled):
+        form = compiled.statistical_period_form()
+        assert form.mean >= compiled.nominal_min_period() - 1e-6
         assert form.std > 0.0
 
-    def test_sampling_shapes(self, small_design, small_constraint_graph):
+    def test_sampling_shapes(self, small_design, small_constraint_graph, compiled):
         sampler = MonteCarloSampler(small_design.variation_model, rng=1)
         batch = sampler.sample(40)
-        samples = small_constraint_graph.sample(batch, sampler=sampler)
+        samples = compiled.sample(batch, sampler=sampler)
         assert samples.n_edges == small_constraint_graph.n_edges
         assert samples.n_samples == 40
 
@@ -114,52 +121,13 @@ class TestExtraction:
         # d_max + s  must exceed  d_min - h on every edge and sample.
         assert np.all(small_samples.setup_values > small_samples.hold_values)
 
-    def test_edges_of_ff(self, small_constraint_graph):
+    def test_edges_of_ff(self, small_constraint_graph, compiled):
         ff = small_constraint_graph.ff_names[0]
-        edges = small_constraint_graph.edges_of_ff(ff)
+        edges = compiled.topology.edges_of_ff[small_constraint_graph.ff_index[ff]]
         for k in edges:
             edge = small_constraint_graph.edges[k]
             assert ff in (edge.launch, edge.capture)
 
-    def test_adjacency_covers_all_edges(self, small_constraint_graph):
-        adjacency = small_constraint_graph.adjacency()
-        total = sum(len(v) for v in adjacency.values())
+    def test_adjacency_covers_all_edges(self, small_constraint_graph, compiled):
+        total = sum(len(edges) for edges in compiled.topology.edges_of_ff)
         assert total == 2 * small_constraint_graph.n_edges
-
-
-class TestStackedForms:
-    def test_stacked_setup_matches_per_edge_quantities(self, small_constraint_graph):
-        stacked = small_constraint_graph.stacked_setup_forms
-        assert stacked.n_forms == small_constraint_graph.n_edges
-        for k, edge in enumerate(small_constraint_graph.edges[:25]):
-            quantity = edge.setup_quantity
-            assert stacked.means[k] == pytest.approx(quantity.mean, abs=1e-12)
-            assert np.allclose(stacked.sensitivities[k], quantity.sensitivities, atol=1e-12)
-            assert stacked.independent[k] == pytest.approx(quantity.independent, abs=1e-9)
-
-    def test_stacked_hold_matches_per_edge_quantities(self, small_constraint_graph):
-        stacked = small_constraint_graph.stacked_hold_forms
-        for k, edge in enumerate(small_constraint_graph.edges[:25]):
-            quantity = edge.hold_quantity
-            assert stacked.means[k] == pytest.approx(quantity.mean, abs=1e-12)
-            assert np.allclose(stacked.sensitivities[k], quantity.sensitivities, atol=1e-12)
-            assert stacked.independent[k] == pytest.approx(quantity.independent, abs=1e-9)
-
-    def test_stacks_are_cached(self, small_constraint_graph):
-        assert small_constraint_graph.stacked_setup_forms is small_constraint_graph.stacked_setup_forms
-
-    def test_matmul_sample_matches_per_form_evaluation(self, small_design, small_constraint_graph):
-        """The one-matmul sample path is bit-identical to evaluating the
-        per-edge scalar forms through the same sampler stream."""
-        graph = small_constraint_graph
-        sampler_a = MonteCarloSampler(small_design.variation_model, rng=7)
-        sampler_b = MonteCarloSampler(small_design.variation_model, rng=7)
-        batch_a = sampler_a.sample(30)
-        batch_b = sampler_b.sample(30)
-        via_stacks = graph.sample(batch_a, sampler=sampler_a)
-        setup_forms = [graph.stacked_setup_forms.form(k) for k in range(graph.n_edges)]
-        hold_forms = [graph.stacked_hold_forms.form(k) for k in range(graph.n_edges)]
-        setup_values = sampler_b.evaluate(setup_forms, batch_b)
-        hold_values = sampler_b.evaluate(hold_forms, batch_b)
-        assert np.array_equal(via_stacks.setup_values, setup_values)
-        assert np.array_equal(via_stacks.hold_values, hold_values)

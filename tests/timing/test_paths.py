@@ -25,15 +25,17 @@ class TestCriticalPaths:
             assert path.nodes[-1] == path.capture
 
     def test_worst_path_matches_required_period(self, tiny_design, timing_graph):
+        from repro.core.compiled import CompiledConstraintSystem
         from repro.timing.constraints import extract_constraint_graph
 
         graph = extract_constraint_graph(tiny_design, timing_graph)
+        compiled = CompiledConstraintSystem.from_constraint_graph(graph)
         worst = nominal_critical_paths(timing_graph, top_k=1)[0]
         # The worst path delay plus the capture FF's setup should be close to
         # the nominal minimum period (canonical max adds a small bias and
         # skews shift it slightly).
         setup = tiny_design.library.get("DFF").ff_timing.setup
-        assert graph.nominal_min_period() == pytest.approx(worst.delay + setup, rel=0.1)
+        assert compiled.nominal_min_period() == pytest.approx(worst.delay + setup, rel=0.1)
 
     def test_path_nodes_are_connected(self, timing_graph):
         graph = timing_graph.graph

@@ -3,24 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.timing.period import (
-    nominal_min_period,
-    sample_min_periods,
-    statistical_period,
-)
+from repro.core.compiled import ensure_compiled_system
+from repro.timing.period import sample_min_periods
 
 
 class TestPeriodAnalysis:
     @pytest.fixture(scope="class")
-    def analysis(self, small_design, small_constraint_graph, small_samples):
-        return sample_min_periods(
-            small_design,
-            constraint_graph=small_constraint_graph,
-            constraint_samples=small_samples,
-        )
+    def analysis(self, small_design, small_samples):
+        return sample_min_periods(small_design, constraint_samples=small_samples)
 
-    def test_mean_close_to_nominal(self, analysis, small_design, small_constraint_graph):
-        nominal = nominal_min_period(small_design, small_constraint_graph)
+    def test_mean_close_to_nominal(self, analysis, small_design):
+        nominal = ensure_compiled_system(small_design).nominal_min_period()
         assert analysis.mean == pytest.approx(nominal, rel=0.25)
 
     def test_sigma_reasonable_fraction_of_mean(self, analysis):
@@ -50,12 +43,10 @@ class TestPeriodAnalysis:
     def test_quantile_period(self, analysis):
         assert analysis.quantile_period(0.9) >= analysis.quantile_period(0.5)
 
-    def test_statistical_period_close_to_monte_carlo(self, small_design, small_constraint_graph, analysis):
-        ssta = statistical_period(small_design, small_constraint_graph)
-        assert ssta["mean"] == pytest.approx(analysis.mean, rel=0.1)
+    def test_statistical_period_close_to_monte_carlo(self, small_design, analysis):
+        ssta = ensure_compiled_system(small_design).statistical_period_form()
+        assert ssta.mean == pytest.approx(analysis.mean, rel=0.1)
 
-    def test_fresh_sampling_path(self, small_design, small_constraint_graph):
-        analysis = sample_min_periods(
-            small_design, n_samples=50, rng=3, constraint_graph=small_constraint_graph
-        )
+    def test_fresh_sampling_path(self, small_design):
+        analysis = sample_min_periods(small_design, n_samples=50, rng=3)
         assert analysis.periods.shape == (50,)

@@ -127,20 +127,15 @@ class TestTestCostModel:
 
 
 class TestBinningOnRealCircuit:
-    def test_tuning_shifts_population_toward_faster_bins(
-        self, small_design, small_constraint_graph, small_samples
-    ):
+    def test_tuning_shifts_population_toward_faster_bins(self, small_design, small_samples):
         from repro.core import BufferInsertionFlow, FlowConfig
+        from repro.core.compiled import ensure_compiled_system
         from repro.timing.period import sample_min_periods
 
-        analysis = sample_min_periods(
-            small_design,
-            constraint_graph=small_constraint_graph,
-            constraint_samples=small_samples,
-        )
+        analysis = sample_min_periods(small_design, constraint_samples=small_samples)
         config = FlowConfig(n_samples=200, n_eval_samples=200, seed=5, target_sigma=0.0)
         result = BufferInsertionFlow(small_design, config).run()
-        topology = ConstraintTopology.from_constraint_graph(small_constraint_graph)
+        topology = ensure_compiled_system(small_design).topology
         bins = default_bins(analysis.mean, analysis.std, n_bins=4)
         step = result.plan.buffers[0].step if result.plan.buffers else 0.0
         binning = speed_binning(

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 import repro
 from repro.variation.arrayforms import ArrayForms, clark_max_coeffs, clark_max_many
 from repro.variation.canonical import CanonicalForm
+from repro.variation.sampling import MonteCarloSampler, SampleBatch
 
 TOL = 1e-12
 
@@ -211,28 +213,43 @@ class TestClark:
         assert abs(out[0, -1] - expected.independent) <= TOL
 
 
+def four_source_sampler(seed=None):
+    """A sampler over a 4-source model (the width of ``random_forms``)."""
+    return MonteCarloSampler(SimpleNamespace(n_shared_sources=4), rng=seed)
+
+
 class TestEvaluate:
+    """Stacks are evaluated by ``MonteCarloSampler.evaluate_array``; every
+    row must match the scalar form's own evaluation."""
+
     def test_batch_evaluation_matches_scalar(self, random_forms, rng):
         stacked = ArrayForms.from_forms(random_forms)
         samples = rng.standard_normal((4, 50))
-        values = stacked.evaluate(samples)
+        values = four_source_sampler().evaluate_array(
+            stacked, SampleBatch(samples), include_independent=False
+        )
         for i, form in enumerate(random_forms):
             assert np.allclose(values[i], form.evaluate(samples), atol=TOL)
 
     def test_independent_draws_applied(self, random_forms, rng):
         stacked = ArrayForms.from_forms(random_forms)
         samples = rng.standard_normal((4, 20))
-        noise = rng.standard_normal((stacked.n_forms, 20))
-        values = stacked.evaluate(samples, noise)
+        values = four_source_sampler(np.random.default_rng(6)).evaluate_array(
+            stacked, SampleBatch(samples)
+        )
+        noise = np.random.default_rng(6).standard_normal((stacked.n_forms, 20))
         for i, form in enumerate(random_forms):
             assert np.allclose(values[i], form.evaluate(samples, noise[i]), atol=TOL)
 
     def test_shape_validation(self, random_forms):
-        stacked = ArrayForms.from_forms(random_forms)
-        with pytest.raises(ValueError):
-            stacked.evaluate(np.zeros((3, 10)))
-        with pytest.raises(ValueError):
-            stacked.evaluate(np.zeros((4, 10)), np.zeros((2, 10)))
+        sampler = four_source_sampler(0)
+        with pytest.raises(ValueError, match="sample batch"):
+            sampler.evaluate_array(
+                ArrayForms.from_forms(random_forms), SampleBatch(np.zeros((3, 10)))
+            )
+        three_sources = ArrayForms.from_forms([make(1.0, [0.1, 0.2, 0.3])])
+        with pytest.raises(ValueError, match="forms do not match"):
+            sampler.evaluate_array(three_sources, SampleBatch(np.zeros((4, 10))))
 
 
 # Sweeps the tiny design (the conftest fixture, rebuilt) with every scipy

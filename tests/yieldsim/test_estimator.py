@@ -3,13 +3,14 @@
 import pytest
 
 from repro.baselines import every_ff_plan
+from repro.core.compiled import ensure_compiled_system
 from repro.core.results import BufferPlan
 from repro.yieldsim import YieldEstimator
 
 
 @pytest.fixture(scope="module")
-def estimator(small_design, small_constraint_graph):
-    return YieldEstimator(small_design, constraint_graph=small_constraint_graph, n_samples=300, rng=2)
+def estimator(small_design):
+    return YieldEstimator(small_design, n_samples=300, rng=2)
 
 
 @pytest.fixture(scope="module")
@@ -59,36 +60,29 @@ class TestYieldEstimator:
 
 
 class TestExecutorLifecycle:
-    def test_name_created_executor_is_owned_and_closed(self, small_design, small_constraint_graph):
+    def test_name_created_executor_is_owned_and_closed(self, small_design):
         estimator = YieldEstimator(
-            small_design, constraint_graph=small_constraint_graph, n_samples=50,
-            rng=2, executor="processes", jobs=2,
+            small_design, n_samples=50, rng=2, executor="processes", jobs=2
         )
         assert estimator.executor is not None
         estimator.close()
         assert estimator.executor is None
         estimator.close()  # idempotent
 
-    def test_passed_instance_not_closed(self, small_design, small_constraint_graph):
+    def test_passed_instance_not_closed(self, small_design):
         from repro.engine import SerialExecutor
 
         external = SerialExecutor()
-        with YieldEstimator(
-            small_design, constraint_graph=small_constraint_graph, n_samples=50,
-            rng=2, executor=external,
-        ) as estimator:
+        with YieldEstimator(small_design, n_samples=50, rng=2, executor=external) as estimator:
             assert estimator.executor is external
         assert estimator.executor is external  # context exit leaves it alone
 
-    def test_executor_does_not_change_yield(self, small_design, small_constraint_graph):
-        period = small_constraint_graph.nominal_min_period() * 1.01
+    def test_executor_does_not_change_yield(self, small_design):
+        period = ensure_compiled_system(small_design).nominal_min_period() * 1.01
         plan = every_ff_plan(small_design, period)
-        serial = YieldEstimator(
-            small_design, constraint_graph=small_constraint_graph, n_samples=120, rng=4
-        ).evaluate_plan(plan, period)
+        serial = YieldEstimator(small_design, n_samples=120, rng=4).evaluate_plan(plan, period)
         with YieldEstimator(
-            small_design, constraint_graph=small_constraint_graph, n_samples=120,
-            rng=4, executor="processes", jobs=2,
+            small_design, n_samples=120, rng=4, executor="processes", jobs=2
         ) as parallel_estimator:
             parallel = parallel_estimator.evaluate_plan(plan, period)
         assert serial.tuned_yield == parallel.tuned_yield
