@@ -29,6 +29,7 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import os
+import threading
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -76,6 +77,23 @@ def _init_worker(shared: Any) -> None:
     """Pool initializer: stash the shared object in the worker process."""
     global _WORKER_SHARED
     _WORKER_SHARED = shared
+    threading.Thread(target=_exit_with_parent, name="exit-with-parent", daemon=True).start()
+
+
+def _exit_with_parent() -> None:
+    """Exit the worker as soon as the process that started it is gone.
+
+    A parent killed with SIGKILL never shuts its pool down, and its
+    workers would wait on the call queue under PID 1 forever: forked
+    workers hold that queue's write end themselves, so reading it never
+    reports EOF.
+    """
+    import multiprocessing.connection
+
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
 
 
 def _run_with_shared(fn: ChunkFn, payload: Any) -> Any:

@@ -338,8 +338,9 @@ class JobQueue:
         so this equals ``self._fold().get(fingerprint)``.  Like the full
         fold, it is safe inside this backend's transaction: the JSONL
         driver's history takes no lock, and the SQLite driver reads on
-        a fresh connection that sees all committed events (WAL readers
-        never block on the write lock we hold).
+        another pooled connection that sees all committed events, not
+        the transaction's own appends (WAL readers never block on the
+        write lock we hold).
         """
         fingerprint = str(fingerprint)
         return _fold_events(self.backend.history(fingerprint)).get(fingerprint)

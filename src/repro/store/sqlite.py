@@ -24,18 +24,36 @@ read, so a record round-tripped through SQLite is value-identical to
 one round-tripped through JSONL — reports over either driver are
 byte-identical.
 
-Connections are opened per operation (and per transaction), which makes
-one backend object safe to share across threads; ``busy_timeout`` turns
-writer collisions into short waits instead of errors.
+Each operation (and each transaction) borrows a configured connection
+from one process-wide pool, so the pragmas and the schema script run
+once per connection rather than once per operation.  The pool is keyed
+by the store file's identity (``st_dev``, ``st_ino``) and shared by
+every thread and backend object of that file, one operation per
+connection at a time; ``busy_timeout`` turns writer collisions into
+short waits instead of errors.  Between operations a pooled connection
+holds no transaction and no read snapshot, so every operation sees
+everything committed before it started.
+
+The pool keeps at most :data:`POOL_CONNECTIONS_PER_FILE` idle
+connections for each of the :data:`POOL_FILES` most recently used
+files.  It closes a connection when it evicts it, on
+:meth:`SqliteBackend.close` and at interpreter exit.  Closing a file's
+last connection checkpoints the WAL into the file and deletes it, so a
+process that exits cleanly leaves a self-contained store.  As for any
+SQLite database, do not delete or replace a store file while another
+process may still have it open.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import json
 import os
 import sqlite3
-from typing import Dict, Iterator, List, Optional, Sequence
+import threading
+from collections import OrderedDict
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.store.base import Record, StoreBackend, StoreError, StoreTransaction
 from repro.store.jsonl import dump_record
@@ -45,6 +63,15 @@ SQLITE_SCHEMA_VERSION = 1
 
 #: Milliseconds a writer waits on a locked database before failing.
 BUSY_TIMEOUT_MS = 30_000
+
+#: Idle connections the pool keeps per store file.  Two cover an
+#: operation that reads the store inside its own transaction
+#: (``JobQueue.claim``).
+POOL_CONNECTIONS_PER_FILE = 2
+
+#: Store files the pool keeps idle connections for; the least recently
+#: used file's connections are closed past this bound.
+POOL_FILES = 4
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -66,6 +93,96 @@ CREATE INDEX IF NOT EXISTS idx_history_fingerprint
 CREATE UNIQUE INDEX IF NOT EXISTS idx_history_identity
     ON history (fingerprint, record);
 """
+
+
+#: A store file's identity: ``(st_dev, st_ino)``.
+_FileKey = Tuple[int, int]
+
+
+def _file_key(path: str) -> Optional[_FileKey]:
+    """The identity of the file at ``path`` (``None`` when there is none)."""
+    try:
+        status = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return status.st_dev, status.st_ino
+
+
+class _ConnectionPool:
+    """Idle configured connections, per store file, for the whole process.
+
+    Files are kept in least-recently-returned order.  Each idle entry
+    remembers the path its connections were opened under, so a store
+    removed from that path can have them closed before a new file takes
+    its place.  Connections are closed outside the lock: closing a
+    file's last connection checkpoints its WAL.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: "OrderedDict[_FileKey, Tuple[str, List[sqlite3.Connection]]]" = OrderedDict()
+        self._inherited: List[object] = []
+        #: Held by a new connection while it switches its file to WAL.
+        self.wal_switch = threading.Lock()
+
+    def take(self, key: _FileKey) -> Optional[sqlite3.Connection]:
+        """An idle connection to the file ``key``, now owned by the caller."""
+        with self._lock:
+            entry = self._idle.get(key)
+            if entry is None:
+                return None
+            connections = entry[1]
+            connection = connections.pop()
+            if not connections:
+                del self._idle[key]
+            return connection
+
+    def give(self, key: _FileKey, path: str, connection: sqlite3.Connection) -> None:
+        """Return ``connection`` to the file ``key``'s idle connections."""
+        closing: List[sqlite3.Connection] = []
+        with self._lock:
+            connections = self._idle.setdefault(key, (path, []))[1]
+            self._idle.move_to_end(key)
+            if len(connections) < POOL_CONNECTIONS_PER_FILE:
+                connections.append(connection)
+            else:
+                closing.append(connection)
+            while len(self._idle) > POOL_FILES:
+                closing.extend(self._idle.popitem(last=False)[1][1])
+        for stale in closing:
+            stale.close()
+
+    def close(self, path: Optional[str] = None, key: Optional[_FileKey] = None) -> None:
+        """Close the idle connections opened under ``path`` or to the file
+        ``key``; every idle connection when neither is given."""
+        everything = path is None and key is None
+        with self._lock:
+            keys = [
+                candidate
+                for candidate, (opened_under, _) in self._idle.items()
+                if everything or opened_under == path or candidate == key
+            ]
+            closing = [connection for k in keys for connection in self._idle.pop(k)[1]]
+        for connection in closing:
+            connection.close()
+
+    def forget(self) -> None:
+        """Drop the parent's connections in a forked child, unclosed.
+
+        A connection must not cross a fork: the child holds none of the
+        parent's file locks.  The child keeps them referenced, so that
+        garbage collection never closes them there, and starts empty.
+        """
+        self._inherited.append(self._idle)
+        self._idle = OrderedDict()
+        self._lock = threading.Lock()
+        self.wal_switch = threading.Lock()
+
+
+_POOL = _ConnectionPool()
+atexit.register(_POOL.close)
+if hasattr(os, "register_at_fork"):  # absent where there is no fork (Windows)
+    os.register_at_fork(after_in_child=_POOL.forget)
 
 
 class _SqliteTransaction(StoreTransaction):
@@ -96,7 +213,14 @@ class SqliteBackend(StoreBackend):
         return os.path.exists(self.path)
 
     def close(self) -> None:
-        """No long-lived handles: every operation opens and closes its own."""
+        """Close this store file's idle pooled connections.
+
+        The pool closes them at interpreter exit anyway; closing earlier
+        checkpoints the WAL into the file now (when no other connection
+        to the file is open).  Later operations open new connections.
+        """
+        path = os.path.abspath(self.path)
+        _POOL.close(path=path, key=_file_key(path))
 
     # ------------------------------------------------------------------
     def _connect(self) -> sqlite3.Connection:
@@ -107,19 +231,31 @@ class SqliteBackend(StoreBackend):
             # Autocommit mode: transactions are opened explicitly with
             # BEGIN IMMEDIATE so their scope is exactly what the code
             # says, not what the driver's implicit-BEGIN heuristics do.
+            # check_same_thread=False: the pool hands a connection to
+            # whichever thread runs the next operation, one at a time.
             connection = sqlite3.connect(
-                self.path, timeout=BUSY_TIMEOUT_MS / 1000.0, isolation_level=None
+                self.path,
+                timeout=BUSY_TIMEOUT_MS / 1000.0,
+                isolation_level=None,
+                check_same_thread=False,
             )
-            connection.execute("PRAGMA journal_mode=WAL")
+            # Switching a new file to WAL upgrades a read lock to a write
+            # lock, which SQLite refuses at once, ignoring busy_timeout,
+            # while another connection holds the write lock: two
+            # connections switching one new file at the same moment fail
+            # with "database is locked".  Switch one at a time.
+            with _POOL.wal_switch:
+                connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=FULL")
             connection.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
             connection.executescript(_SCHEMA)
             self._check_schema_version(connection)
             return connection
         except sqlite3.DatabaseError as error:
-            raise self.error(
-                f"store {self.path!r} is not a valid sqlite store: {error}"
-            ) from error
+            raise self._invalid(error) from error
+
+    def _invalid(self, error: sqlite3.DatabaseError) -> StoreError:
+        return self.error(f"store {self.path!r} is not a valid sqlite store: {error}")
 
     def _check_schema_version(self, connection: sqlite3.Connection) -> None:
         row = connection.execute(
@@ -141,11 +277,40 @@ class SqliteBackend(StoreBackend):
 
     @contextlib.contextmanager
     def _connection(self) -> Iterator[sqlite3.Connection]:
-        connection = self._connect()
+        """One operation's connection: taken from the pool, returned after.
+
+        A connection that leaves the operation by an exception, or still
+        inside a transaction, is closed instead of returned.
+        """
+        path = os.path.abspath(self.path)
+        key = _file_key(path)
+        if key is None:
+            # The store is new, or was removed from this path.  Close the
+            # removed file's connections first: a new file here would map
+            # the same -shm, and the POSIX locks one process holds on a
+            # file do not exclude each other.
+            _POOL.close(path=path)
+        connection = None if key is None else _POOL.take(key)
+        pooled = connection is not None
+        if not pooled:
+            connection = self._connect()
+            key = _file_key(path)
         try:
+            if pooled:
+                # On every checkout: the file may have been upgraded by
+                # another process since this connection checked it.
+                try:
+                    self._check_schema_version(connection)
+                except sqlite3.DatabaseError as error:
+                    raise self._invalid(error) from error
             yield connection
-        finally:
+        except BaseException:
             connection.close()
+            raise
+        if key is None or connection.in_transaction:
+            connection.close()
+        else:
+            _POOL.give(key, path, connection)
 
     def _parse(self, text: str) -> Record:
         try:
@@ -246,6 +411,8 @@ class SqliteBackend(StoreBackend):
                     "DELETE FROM history WHERE fingerprint NOT IN "
                     "(SELECT fingerprint FROM keep_fps)"
                 )
+                # The connection returns to the pool: leave no rows behind.
+                connection.execute("DROP TABLE keep_fps")
                 for record in records:
                     self._insert(connection, record)
 

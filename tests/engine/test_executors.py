@@ -1,7 +1,16 @@
 """Unit tests for the execution backends."""
 
+import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+
 import pytest
 
+import repro
 from repro.engine import (
     EXECUTOR_CHOICES,
     Executor,
@@ -109,3 +118,65 @@ class TestSeedDiscipline:
 
     def test_none_base_seed(self):
         assert spawn_task_seeds(None, [0, 1]) == [None, None]
+
+
+_POOL_THEN_SLEEP = textwrap.dedent(
+    """
+    import multiprocessing
+    import operator
+    import time
+
+    from repro.engine import ProcessPoolExecutor
+
+    executor = ProcessPoolExecutor(jobs=2)
+    assert list(executor.map_chunks(operator.add, [1, 2], shared=1, shared_key="k")) == [2, 3]
+    print(" ".join(str(child.pid) for child in multiprocessing.active_children()), flush=True)
+    time.sleep(600)
+    """
+)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is alive; a zombie counts as exited (PID 1 may not reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+class TestOrphanedWorkers:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/stat")
+    def test_workers_exit_when_the_parent_is_killed(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _POOL_THEN_SLEEP],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        workers = []
+        try:
+            ready, _, _ = select.select([parent.stdout], [], [], 120)
+            assert ready, "the pool never reported its workers"
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2, parent.stderr.read()
+            parent.kill()
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait(timeout=30)
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            parent.stdout.close()
+            parent.stderr.close()
