@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.sample_solver import LP_BACKEND_CHOICES
 from repro.engine import EXECUTOR_CHOICES
 from repro.utils.validation import (
     check_fraction,
@@ -122,8 +123,10 @@ class FlowConfig:
         Regions with at most this many candidate buffers are additionally
         refined by exhaustive minimum-support search in the graph backend.
     lp_backend:
-        LP backend used for the concentration subproblems
-        (``"auto"``/``"scipy"``/``"simplex"``).
+        LP backend (``"auto"``/``"scipy"``/``"simplex"``) of the
+        concentration LPs, which only supports of three or more buffers
+        solve (one or two have a closed form), and of the ``"milp"``
+        solver's relaxations.  Any other value is rejected here.
     executor:
         Execution backend of the sample-solving engine:
         ``"serial"`` (default) or ``"processes"``
@@ -184,6 +187,10 @@ class FlowConfig:
         check_probability(self.correlation_threshold, "correlation_threshold")
         check_non_negative(self.distance_factor, "distance_factor")
         check_positive(self.exact_region_size, "exact_region_size")
+        if self.lp_backend not in LP_BACKEND_CHOICES:
+            raise ValueError(
+                f"lp_backend must be one of {LP_BACKEND_CHOICES}, got {self.lp_backend!r}"
+            )
         if self.executor not in EXECUTOR_CHOICES:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_CHOICES}, got {self.executor!r}"

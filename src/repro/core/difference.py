@@ -17,7 +17,8 @@ with one row ``x_u - x_v <= w`` per constraint.  ``u`` and ``v`` are
 variable positions ``0 .. n - 1``; position ``n`` is the reference (the
 pinned value 0), so the row ``(i, n, w)`` reads ``x_i <= w`` and
 ``(n, i, w)`` reads ``-x_i <= w``.  :func:`edge_rows` builds the rows of
-sequential edges, and :func:`solve_difference_system` is the one
+sequential edges, :func:`tightest_rows` keeps the one row per ordered
+pair that can bind, and :func:`solve_difference_system` is the one
 Bellman–Ford loop.
 
 This module is the shared substrate of the per-sample solver
@@ -62,6 +63,25 @@ def edge_rows(
     w[0::2] = setup
     w[1::2] = hold
     return u, v, w
+
+
+def tightest_rows(rows: DifferenceRows, n: int) -> DifferenceRows:
+    """The tightest row of every ordered pair, in ascending ``(u, v)`` order.
+
+    Of all rows ``x_u - x_v <= w`` with the same ``(u, v)`` only the one
+    with the smallest ``w`` can bind, so the reduced system has the same
+    feasible set.  ``n`` is the reference position.  The result depends
+    only on the set of rows, never on their order.
+    """
+    u, v, w = rows
+    pair = u * (n + 1) + v
+    order = np.lexsort((w, pair))
+    pair = pair[order]
+    first = np.empty(pair.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    keep = order[first]
+    return u[keep], v[keep], w[keep]
 
 
 def solve_difference_system(
@@ -134,16 +154,28 @@ def check_assignment(
     upper: Optional[np.ndarray] = None,
     tolerance: float = 1e-9,
 ) -> bool:
-    """Verify values (one per position) against rows and bounds (reference = 0)."""
-    x = np.append(np.asarray(values, dtype=float), 0.0)
-    u, v, w = rows
-    if np.any(x[u] - x[v] > w + tolerance):
+    """Verify values (one per position) against rows and bounds (reference = 0).
+
+    Like :func:`solve_difference_system` it loops over Python lists: the
+    per-sample systems are a few dozen rows, where numpy's per-call
+    overhead would dominate.  A NaN value fails the check.
+    """
+    x = np.asarray(values, dtype=float).tolist()
+    if lower is not None and not all(
+        bound - tolerance <= value
+        for value, bound in zip(x, np.asarray(lower, dtype=float).tolist(), strict=True)
+    ):
         return False
-    if lower is not None and np.any(x[:-1] < lower - tolerance):
+    if upper is not None and not all(
+        value <= bound + tolerance
+        for value, bound in zip(x, np.asarray(upper, dtype=float).tolist(), strict=True)
+    ):
         return False
-    if upper is not None and np.any(x[:-1] > upper + tolerance):
-        return False
-    return True
+    x.append(0.0)
+    heads, tails, weights = (np.asarray(array).tolist() for array in rows)
+    return all(
+        x[u] - x[v] <= w + tolerance for u, v, w in zip(heads, tails, weights, strict=True)
+    )
 
 
 def tighten_to_integers(weights: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ Two interchangeable backends implement this:
   (Bellman–Ford feasibility via :mod:`repro.core.difference`), redundant
   buffers are pruned back out, small regions are refined by exhaustive
   minimum-support search, and the tuning values are finally concentrated
-  around the target with a small LP.  All arithmetic is done in discrete
-  step units so the returned tuning values respect the buffer's step grid
-  exactly.
+  around the target: in closed form for one or two buffers, with a small
+  LP for more.  All arithmetic is done in discrete step units so the
+  returned tuning values respect the buffer's step grid exactly.
 * ``"milp"`` — the faithful big-M integer program of the paper, built with
   :mod:`repro.milp` and warm-started from the graph solution.  Exact but
   markedly slower; used for validation and small designs.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -42,9 +43,14 @@ from repro.core.difference import (
     check_assignment,
     edge_rows,
     solve_difference_system,
+    tightest_rows,
 )
+from repro.obs.metrics import get_registry
 
 _TOL = 1e-9
+
+#: LP backends of :func:`repro.milp.backends.solve_lp` (``"auto"`` picks).
+LP_BACKEND_CHOICES = ("auto", "scipy", "simplex")
 
 #: Scope constraint rows (positions in the sorted support, the reference
 #: last) and Bellman–Ford witness of a support that repairs its region.
@@ -182,7 +188,9 @@ def concentration_lp(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The concentration LP of a support as ``(c, a_ub, b_ub, lower, upper)``.
 
-    With one ``t_i >= |x_i - target_i|`` per flip-flop ``i`` of ``ffs``
+    The solver builds it only for supports of three or more buffers;
+    :func:`closed_form_concentration` serves one or two.  With one
+    ``t_i >= |x_i - target_i|`` per flip-flop ``i`` of ``ffs``
     (ascending), the LP is::
 
         minimise  sum_i t_i
@@ -190,7 +198,8 @@ def concentration_lp(
                   x_u - x_v <= w           (every scope row, in order)
                   lower_i <= x_i <= upper_i,   0 <= t_i <= span_i
 
-    with ``span_i = upper_i - lower_i + |target_i| + 1``.  Columns are
+    with ``span_i = upper_i - lower_i + |target_i| + 1``, which bounds
+    ``|x_i - target_i|`` because the flow's windows hold 0.  Columns are
     ``x_i, t_i`` per flip-flop; the scope ``rows`` index ``ffs`` by
     position, and an end at position ``len(ffs)`` (the pinned reference)
     contributes no coefficient.
@@ -227,6 +236,99 @@ def concentration_lp(
     return c, a_ub, b_ub, lower, upper
 
 
+def closed_form_concentration(
+    lower: np.ndarray,
+    upper: np.ndarray,
+    rows: DifferenceRows,
+    targets: np.ndarray,
+    integral: bool,
+) -> Optional[List[float]]:
+    """The canonical concentration optimum of one or two buffers.
+
+    ``lower``, ``upper`` and ``targets`` hold one entry per support
+    position, and ``rows`` are the support's scope rows with the
+    reference at position ``len(lower)``.  The canonical optimum is the
+    lexicographically smallest ``(sum |x_i - t_i|, sum |x_i|, x_0, x_1)``
+    over the feasible set (its integer points when ``integral``), with
+    both sums rounded to 1e-9 before they are compared.  It depends on
+    the set of rows only, not on their order.  Returns ``None`` when the
+    feasible set is empty.
+
+    The rows reduce to a box and, for two buffers, a band
+    ``dlo <= x_0 - x_1 <= dhi``.  For a fixed ``x_0`` the best ``x_1`` is
+    its target clamped to the interval the box and band leave it (on the
+    integer grid, the clamped floor or ceiling of the target).  What is
+    left is convex and piecewise linear in ``x_0``, and its smallest
+    minimiser is one of its kinks: an end of the box, a target, 0, or
+    one of ``lo_1, hi_1, t_1, 0`` shifted by ``dlo`` or ``dhi`` (on the
+    grid, the floor or ceiling of one).  Each kink is clipped to the
+    feasible range of ``x_0`` and the best candidate pair is returned.
+    """
+    n = len(lower)
+    lo = lower.tolist()
+    hi = upper.tolist()
+    dlo, dhi = -math.inf, math.inf
+    for u, v, w in zip(*(array.tolist() for array in rows), strict=True):
+        if u == v:
+            if w < -_TOL:
+                return None
+        elif v == n:
+            hi[u] = min(hi[u], w)
+        elif u == n:
+            lo[v] = max(lo[v], -w)
+        elif u == 0:
+            dhi = min(dhi, w)
+        else:
+            dlo = max(dlo, -w)
+    if integral:
+        lo = [float(math.ceil(b - _TOL)) for b in lo]
+        hi = [float(math.floor(b + _TOL)) for b in hi]
+        if dlo > -math.inf:
+            dlo = float(math.ceil(dlo - _TOL))
+        if dhi < math.inf:
+            dhi = float(math.floor(dhi + _TOL))
+    if any(low > high + _TOL for low, high in zip(lo, hi, strict=True)):
+        return None
+    if n == 1:
+        (t,) = targets.tolist()
+        return [
+            min(
+                _nearest(lo[0], hi[0], t, integral),
+                key=lambda x: (round(abs(x - t), 9), round(abs(x), 9), x),
+            )
+        ]
+
+    t0, t1 = targets.tolist()
+    first_lo = max(lo[0], lo[1] + dlo)
+    first_hi = min(hi[0], hi[1] + dhi)
+    if dlo > dhi + _TOL or first_lo > first_hi + _TOL:
+        return None
+    kinks = [lo[0], hi[0], t0, 0.0]
+    for b in (lo[1], hi[1], t1, 0.0):
+        kinks += (b + dlo, b + dhi)
+    firsts = {min(max(kink, first_lo), first_hi) for kink in kinks}
+    if integral:
+        firsts = {float(f(x)) for x in firsts for f in (math.floor, math.ceil)}
+    best = None
+    for x0 in firsts:
+        spread, size = abs(x0 - t0), abs(x0)
+        for x1 in _nearest(max(lo[1], x0 - dhi), min(hi[1], x0 - dlo), t1, integral):
+            key = (round(spread + abs(x1 - t1), 9), round(size + abs(x1), 9), x0, x1)
+            if best is None or key < best:
+                best = key
+    return [best[2], best[3]]
+
+
+def _nearest(low: float, high: float, target: float, integral: bool) -> Tuple[float, ...]:
+    """Where ``|x - target|`` is least on ``[low, high]``: the clamped
+    target, or on the integer grid its clamped floor and ceiling."""
+    if integral:
+        down = min(max(float(math.floor(target)), low), high)
+        up = min(max(float(math.ceil(target)), low), high)
+        return (down,) if down == up else (down, up)
+    return (min(max(target, low), high),)
+
+
 # ----------------------------------------------------------------------
 # The solver
 # ----------------------------------------------------------------------
@@ -249,10 +351,12 @@ class PerSampleSolver:
         Graph backend: regions whose candidate pool is at most this large
         are refined by exhaustive minimum-support search.
     concentrate:
-        Whether to run the value-concentration LP (phase 2 of each
+        Whether to concentrate the tuning values (phase 2 of each
         per-sample problem).
     lp_backend:
-        LP backend for the concentration problems.
+        LP backend (one of :data:`LP_BACKEND_CHOICES`) for the
+        concentration LPs of three or more buffers and for the MILP
+        backend's relaxations.
     """
 
     def __init__(
@@ -268,6 +372,8 @@ class PerSampleSolver:
     ) -> None:
         if backend not in ("graph", "milp"):
             raise ValueError(f"unknown backend {backend!r}")
+        if lp_backend not in LP_BACKEND_CHOICES:
+            raise ValueError(f"unknown LP backend {lp_backend!r}")
         self.topology = topology
         self.backend = backend
         self.pool_hops = int(pool_hops)
@@ -445,23 +551,28 @@ class PerSampleSolver:
         self, problem: SampleProblem, ffs: List[int], region_edges: List[int]
     ) -> DifferenceRows:
         """Scope rows of a support ``ffs`` (ascending) that covers its
-        region: the setup row then the hold row of each scope edge, in
-        ascending edge order (:func:`~repro.core.difference.edge_rows`).
+        region: of the setup and hold rows of every scope edge
+        (:func:`~repro.core.difference.edge_rows`), the tightest one per
+        ordered pair of positions, in ascending ``(u, v)`` order
+        (:func:`~repro.core.difference.tightest_rows`).
 
         Ends outside the support are pinned to 0, i.e. mapped to the
         reference position ``len(ffs)``.  A covering support leaves no
         scope edge with both ends pinned: the scope's other edges all
-        touch the support.
+        touch the support.  The rows are a function of the scope's
+        constraint set, so Bellman–Ford, the witnesses and concentration
+        never depend on edge order.
         """
         scope = np.array(self._scope_edges(ffs, region_edges), dtype=np.intp)
         position = np.full(self.topology.n_ffs, len(ffs))
         position[ffs] = np.arange(len(ffs))
-        return edge_rows(
+        rows = edge_rows(
             position[self.topology.edge_launch[scope]],
             position[self.topology.edge_capture[scope]],
             problem.setup_bound[scope],
             problem.hold_bound[scope],
         )
+        return tightest_rows(rows, len(ffs))
 
     def _is_feasible(
         self,
@@ -622,12 +733,8 @@ class PerSampleSolver:
         buffer count fixed by the support.  The support's scope rows and
         Bellman–Ford witness come from ``witnesses``, where the support
         search left them, so concentration solves no difference system.
-        A single buffer has a closed form; larger supports solve
-        :func:`concentration_lp` on the same rows with
-        :func:`repro.milp.backends.solve_lp` on the backend
-        :meth:`_concentrate_backend` picks.  The witness is returned when
-        concentration is disabled or the (rounded) LP vertex fails
-        :func:`~repro.core.difference.check_assignment` on the rows.
+        The values come from :meth:`_concentrated_values`; the witness is
+        returned when concentration is disabled or falls back.
         """
         found = self._feasible_assignment(problem, region_edges, support, witnesses)
         if found is None:
@@ -635,34 +742,69 @@ class PerSampleSolver:
         rows, witness = found
         if not self.concentrate:
             return witness
-
-        if len(support) == 1:
-            single = self._concentrate_single(problem, next(iter(support)), rows, targets)
-            if single is not None:
-                return single
+        ffs = sorted(support)
+        x = self._concentrated_values(problem, ffs, rows, targets)
+        if x is None:
             return witness
+        # Keyed in the support's iteration order, which callers see.
+        values = dict(zip(ffs, x, strict=True))
+        return {ff: values[ff] for ff in support}
+
+    def _concentrated_values(
+        self,
+        problem: SampleProblem,
+        ffs: List[int],
+        rows: DifferenceRows,
+        targets: np.ndarray,
+    ) -> Optional[List[float]]:
+        """Concentrated values of a support ``ffs`` (ascending) with scope
+        ``rows``, or ``None`` to fall back to the Bellman–Ford witness.
+
+        One or two buffers get the canonical optimum of
+        :func:`closed_form_concentration`.  Three or more solve
+        :func:`concentration_lp` with :func:`repro.milp.backends.solve_lp`
+        on the backend :meth:`_concentrate_backend` picks; in discrete
+        mode the vertex is rounded half up, one offset for every
+        coordinate, which keeps every integer-weight row and integer
+        bound satisfied (banker's rounding of two ``.5`` coordinates can
+        break a row between them).  Every point is checked with
+        :func:`~repro.core.difference.check_assignment` on the rows.  Each
+        fallback is counted in :mod:`repro.obs` under
+        ``solver.concentrate.fallback.*``: the closed form finds no point,
+        the LP has no solution, or either point fails the check.
+        ``solver.concentrate.lp_solves`` counts the LPs.
+        """
+        lower, upper = problem.lower[ffs], problem.upper[ffs]
+        registry = get_registry()
+        if len(ffs) <= 2:
+            x = closed_form_concentration(lower, upper, rows, targets[ffs], self.integral)
+            if x is None:
+                registry.counter("solver.concentrate.fallback.closed_form_empty").inc()
+                return None
+            if not check_assignment(x, rows, lower, upper, tolerance=1e-6):
+                registry.counter("solver.concentrate.fallback.closed_form_check").inc()
+                return None
+            return x
 
         from repro.milp.backends import solve_lp  # imports scipy.optimize: first use only
 
-        ffs = sorted(support)
         c, a_ub, b_ub, lp_lower, lp_upper = concentration_lp(problem, ffs, rows, targets)
+        registry.counter("solver.concentrate.lp_solves").inc()
         result = solve_lp(
             c, a_ub, b_ub, None, None, lp_lower, lp_upper,
             backend=self._concentrate_backend(len(ffs)),
         )
-        if not result.status.has_solution or result.x is None:  # pragma: no cover - witness exists
-            return witness
-
+        if not result.status.has_solution or result.x is None:
+            registry.counter("solver.concentrate.fallback.lp_no_solution").inc()
+            return None
         x = result.x[0::2]
         if self.integral:
-            x = np.round(x)
-        if not check_assignment(
-            x, rows, problem.lower[ffs], problem.upper[ffs], tolerance=1e-6
-        ):
-            return witness
-        # Keyed in the support's iteration order, which callers see.
-        values = dict(zip(ffs, x.tolist(), strict=True))
-        return {ff: values[ff] for ff in support}
+            x = np.floor(x + 0.5)
+        x = x.tolist()
+        if not check_assignment(x, rows, lower, upper, tolerance=1e-6):
+            registry.counter("solver.concentrate.fallback.lp_check").inc()
+            return None
+        return x
 
     def _concentrate_backend(self, n_support: int) -> str:
         """LP backend for one concentration problem.
@@ -676,36 +818,6 @@ class PerSampleSolver:
         if self.lp_backend == "auto" and n_support <= 12:
             return "simplex"
         return self.lp_backend
-
-    def _concentrate_single(
-        self,
-        problem: SampleProblem,
-        ff: int,
-        rows: DifferenceRows,
-        targets: np.ndarray,
-    ) -> Optional[Dict[int, float]]:
-        """Closed-form concentration for a single-buffer support.
-
-        Every scope row pins the lone free variable (position 0) to an
-        interval: a row ``(1, 0, w)`` from the reference is ``x >= -w``
-        and a row ``(0, 1, w)`` to it is ``x <= w``.  ``min |x - target|``
-        over an interval is the clamped target (the unique LP optimum),
-        so no LP is needed.  Returns ``None`` when the interval collapses
-        (caller falls back to the Bellman–Ford witness).
-        """
-        u, v, w = rows
-        if np.any(w[u == v] < -_TOL):  # pragma: no cover - witness exists
-            return None
-        lo = max([float(problem.lower[ff]), *(-w[u == 1]).tolist()])
-        hi = min([float(problem.upper[ff]), *w[v == 1].tolist()])
-        if lo > hi + _TOL:  # pragma: no cover - witness exists, so cannot happen
-            return None
-        value = min(max(float(targets[ff]), lo), hi)
-        if self.integral:
-            # In discrete mode the interval endpoints are integral, so the
-            # rounded value cannot leave [lo, hi].
-            value = min(max(float(round(value)), lo), hi)
-        return {ff: value}
 
     # ------------------------------------------------------------------
     # Faithful MILP formulation (validation backend)

@@ -27,6 +27,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
     derandomize=True,
 )
+# `--hypothesis-profile=deep` runs profile-governed properties 20x longer.
+settings.register_profile("deep", settings.get_profile("repro"), max_examples=500)
 settings.load_profile("repro")
 
 

@@ -1,5 +1,10 @@
 """Tests for flow configuration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import BufferSpec, FlowConfig
@@ -66,3 +71,25 @@ class TestFlowConfig:
         with pytest.raises(ValueError):
             FlowConfig(cache_size=0)
         assert FlowConfig(cache_size=16).cache_size == 16
+
+    @pytest.mark.parametrize("lp_backend", ["hihgs", "HiGHS", "", "cplex"])
+    def test_unknown_lp_backend_rejected(self, lp_backend):
+        with pytest.raises(ValueError, match="lp_backend must be one of"):
+            FlowConfig(lp_backend=lp_backend)
+
+    @pytest.mark.parametrize("lp_backend", ["auto", "scipy", "simplex"])
+    def test_known_lp_backends_accepted(self, lp_backend):
+        assert FlowConfig(lp_backend=lp_backend).lp_backend == lp_backend
+
+    def test_validation_does_not_import_the_lp_backends(self):
+        """Checking ``lp_backend`` must not pull in scipy.optimize."""
+        code = (
+            "import sys\n"
+            "from repro.core.config import FlowConfig\n"
+            "FlowConfig(lp_backend='scipy')\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "assert 'repro.milp.backends' not in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -7,6 +7,7 @@ from repro.core.difference import (
     check_assignment,
     solve_difference_system,
     tighten_to_integers,
+    tightest_rows,
 )
 
 
@@ -105,6 +106,28 @@ class TestCheckAssignment:
     def test_bound_violations(self):
         assert not check_assignment([2.0], rows(), upper=np.array([1.0]))
         assert not check_assignment([0.0], rows(), lower=np.array([1.0]))
+
+    def test_nan_fails(self):
+        assert not check_assignment([np.nan, 1.0], rows((0, 1, 1.0)))
+        assert not check_assignment([np.nan], rows(), lower=np.array([-1.0]))
+
+
+class TestTightestRows:
+    def test_keeps_the_least_weight_per_pair_in_pair_order(self):
+        reduced = tightest_rows(
+            rows((1, 0, 4.0), (0, 2, 3.0), (1, 0, 2.0), (2, 1, 0.0), (0, 2, 5.0), (1, 0, 2.0)),
+            2,
+        )
+        assert [a.tolist() for a in reduced] == [[0, 1, 2], [2, 0, 1], [3.0, 2.0, 0.0]]
+
+    def test_same_feasible_points(self):
+        full = rows((0, 1, 1.0), (0, 1, -1.0), (1, 2, 2.0), (1, 2, 0.5))
+        reduced = tightest_rows(full, 2)
+        for point in ([0.0, 1.0], [0.0, 0.5], [0.0, 0.6], [1.0, 1.0]):
+            assert check_assignment(point, reduced) == check_assignment(point, full)
+
+    def test_no_rows(self):
+        assert all(a.size == 0 for a in tightest_rows(rows(), 3))
 
 
 class TestTighten:

@@ -244,6 +244,143 @@ class TestGraphBackend:
         with pytest.raises(ValueError):
             PerSampleSolver(chain_topology(3), backend="cplex")
 
+    @pytest.mark.parametrize("lp_backend", ["hihgs", "HiGHS", ""])
+    def test_invalid_lp_backend_rejected(self, lp_backend):
+        with pytest.raises(ValueError, match="unknown LP backend"):
+            PerSampleSolver(chain_topology(3), lp_backend=lp_backend)
+
+
+class TestClosedFormConcentration:
+    """The canonical optimum: least ``sum |x - t|``, then least
+    ``sum |x|``, then the lexicographically smallest point."""
+
+    @staticmethod
+    def _solve(lower, upper, triples, targets, integral=True):
+        u, v, w = zip(*triples, strict=True) if triples else ((), (), ())
+        rows = (np.array(u, dtype=np.intp), np.array(v, dtype=np.intp), np.array(w, dtype=float))
+        return sample_solver.closed_form_concentration(
+            np.array(lower, dtype=float), np.array(upper, dtype=float), rows,
+            np.array(targets, dtype=float), integral,
+        )
+
+    def test_one_buffer_clamps_its_target(self):
+        # x <= 2 and -x <= 3: the target 5 clamps to 2.
+        assert self._solve([-10], [10], [(0, 1, 2.0), (1, 0, 3.0)], [5.0]) == [2.0]
+        assert self._solve([-10], [10], [(0, 1, 2.0), (1, 0, 3.0)], [5.0], False) == [2.0]
+
+    @pytest.mark.parametrize(
+        "target, expected", [(2.5, 2.0), (3.5, 3.0), (-2.5, -2.0), (-3.5, -3.0), (2.25, 2.0)]
+    )
+    def test_grid_values_are_nearest_with_ties_toward_zero(self, target, expected):
+        assert self._solve([-10], [10], [], [target]) == [expected]
+
+    def test_a_binding_band_splits_toward_the_smaller_first_value(self):
+        # x_1 - x_0 >= 3 with both targets 0: every split costs 3, so the
+        # smaller x_0 wins.
+        assert self._solve([-10, -10], [10, 10], [(0, 1, -3.0)], [0.0, 0.0]) == [-3.0, 0.0]
+        assert self._solve([-1, -10], [10, 10], [(0, 1, -3.0)], [0.0, 0.0]) == [-1.0, 2.0]
+
+    def test_targets_pull_both_values(self):
+        # x_0 - x_1 <= 1 with targets (4, 0): the band forces a cost of 3,
+        # split so that sum |x| is least, then x_0 is least.
+        assert self._solve([-10, -10], [10, 10], [(0, 1, 1.0)], [4.0, 0.0]) == [1.0, 0.0]
+
+    def test_empty_feasible_set_is_none(self):
+        assert self._solve([-10], [10], [(0, 1, -4.0), (1, 0, 3.0)], [0.0]) is None
+        assert self._solve([-10, -10], [10, 10], [(0, 0, -1.0)], [0.0, 0.0]) is None
+        assert self._solve([0, 0], [1, 1], [(0, 1, -3.0)], [0.0, 0.0]) is None
+
+    def test_discrete_mode_rounds_fractional_rows_inward(self):
+        assert self._solve([-10], [10], [(1, 0, -1.5)], [0.0]) == [2.0]
+        assert self._solve([-10], [10], [(1, 0, -1.5)], [0.0], False) == [1.5]
+
+
+class TestConcentrationCounters:
+    """Every fallback of concentration to the Bellman–Ford witness is
+    counted in :mod:`repro.obs`, and so is every concentration LP."""
+
+    FALLBACKS = (
+        "solver.concentrate.fallback.closed_form_empty",
+        "solver.concentrate.fallback.closed_form_check",
+        "solver.concentrate.fallback.lp_no_solution",
+        "solver.concentrate.fallback.lp_check",
+    )
+
+    @staticmethod
+    def _counts():
+        from repro.obs.metrics import get_registry
+
+        return dict(get_registry().snapshot()["counters"])
+
+    def _delta(self, before):
+        after = self._counts()
+        return {name: after.get(name, 0) - before.get(name, 0) for name in after}
+
+    @staticmethod
+    def _two_buffer_region():
+        topology = chain_topology(4)
+        return topology, make_problem(topology, [1, -3, 1], [10, 10, 10])
+
+    def test_closed_form_without_a_point_falls_back(self, monkeypatch):
+        monkeypatch.setattr(sample_solver, "closed_form_concentration", lambda *args: None)
+        topology, problem = self._two_buffer_region()
+        before = self._counts()
+        solution = PerSampleSolver(topology).solve(problem)
+        assert solution.feasible
+        verify_solution(topology, problem, solution)
+        assert self._delta(before)["solver.concentrate.fallback.closed_form_empty"] == 1
+
+    def test_closed_form_point_failing_the_check_falls_back(self, monkeypatch):
+        monkeypatch.setattr(sample_solver, "check_assignment", lambda *args, **kwargs: False)
+        topology, problem = self._two_buffer_region()
+        before = self._counts()
+        PerSampleSolver(topology).solve(problem)
+        assert self._delta(before)["solver.concentrate.fallback.closed_form_check"] == 1
+
+    def test_lp_fallbacks_are_counted(self, monkeypatch):
+        from repro.milp import backends
+        from repro.milp.simplex import LpResult
+        from repro.milp.status import SolveStatus
+
+        topology = chain_topology(5)
+        problem = make_problem(topology, [-4.0, -6.0, -2.0, 8.0], [10.0] * 4, bound=6.0)
+        solver = PerSampleSolver(topology)
+        before = self._counts()
+        reference = solver.solve(problem)
+        assert len(reference.tunings) >= 3
+        assert self._delta(before).get("solver.concentrate.lp_solves", 0) >= 1
+
+        monkeypatch.setattr(sample_solver, "check_assignment", lambda *args, **kwargs: False)
+        before = self._counts()
+        solver.solve(problem)
+        assert self._delta(before)["solver.concentrate.fallback.lp_check"] >= 1
+
+        monkeypatch.setattr(
+            backends, "solve_lp", lambda *args, **kwargs: LpResult(SolveStatus.INFEASIBLE)
+        )
+        before = self._counts()
+        solver.solve(problem)
+        assert self._delta(before)["solver.concentrate.fallback.lp_no_solution"] >= 1
+
+    def test_a_flow_on_the_flow_tight_design_never_falls_back(self):
+        """s13207 at 0.3 scale and target sigma 0 (the flow_tight
+        workload's design, with fewer samples): concentration solves
+        LPs and never returns a witness."""
+        from repro.circuit.suite import build_suite_circuit
+        from repro.core import BufferInsertionFlow, FlowConfig
+
+        design = build_suite_circuit("s13207", scale=0.3, seed=5)
+        config = FlowConfig(
+            n_samples=200, n_eval_samples=50, seed=1, target_sigma=0.0, executor="serial"
+        )
+        before = self._counts()
+        BufferInsertionFlow(design, config).run()
+        delta = self._delta(before)
+        assert delta.get("solver.concentrate.lp_solves", 0) > 0
+        assert {name: delta.get(name, 0) for name in self.FALLBACKS} == dict.fromkeys(
+            self.FALLBACKS, 0
+        )
+
 
 class TestWitnessReuse:
     def test_no_support_is_solved_twice_in_a_region(self, monkeypatch):
