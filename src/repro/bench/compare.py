@@ -19,6 +19,7 @@ verdict with configurable thresholds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -155,8 +156,15 @@ def gate(
         Noise floor: scenarios where both sides are faster than this
         pass unconditionally.
     """
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
+    # NaN compares false both ways, so it would pass every ratio.
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be finite and > 0, got {threshold}")
+    if phase_threshold is not None and not (
+        math.isfinite(phase_threshold) and phase_threshold > 0.0
+    ):
+        raise ValueError(f"phase_threshold must be finite and > 0, got {phase_threshold}")
+    if not (math.isfinite(min_seconds) and min_seconds >= 0.0):
+        raise ValueError(f"min_seconds must be finite and >= 0, got {min_seconds}")
     comparison = compare_artifacts(baseline, candidate)
     failures: List[str] = []
     for sid in comparison.missing_in_candidate:

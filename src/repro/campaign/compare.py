@@ -26,6 +26,7 @@ errors — mirroring ``bench gate``'s contract so CI treats both alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -183,8 +184,9 @@ def gate_comparison(
     Thresholds are inclusive ("no worse than" passes), matching the
     bench gate's convention.
     """
-    if max_yield_drop < 0.0:
-        raise ValueError(f"max_yield_drop must be >= 0, got {max_yield_drop}")
+    # NaN compares false both ways, so it would pass every drop.
+    if not (math.isfinite(max_yield_drop) and max_yield_drop >= 0.0):
+        raise ValueError(f"max_yield_drop must be finite and >= 0, got {max_yield_drop}")
     if max_buffer_increase < 0:
         raise ValueError(
             f"max_buffer_increase must be >= 0, got {max_buffer_increase}"

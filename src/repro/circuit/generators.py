@@ -21,6 +21,7 @@ The generator is deterministic given its seed and is the workhorse behind
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -146,6 +147,12 @@ def generate_sequential_circuit(
     comb_cells = [c for c in library.combinational_cells() if c.n_inputs >= 1]
     cell_weights = np.array([1.0 / (1.0 + 0.6 * c.n_inputs) for c in comb_cells])
     cell_weights = cell_weights / cell_weights.sum()
+    # The cumulative weights Generator.choice(p=...) searches on every
+    # draw, computed once: bisect_right on one uniform draw picks the
+    # same cell from the same stream.
+    cumulative = cell_weights.cumsum()
+    cumulative /= cumulative[-1]
+    cell_cdf: List[float] = cumulative.tolist()
 
     gate_counter = 0
     deep_gate_pool: Dict[int, List[str]] = {}
@@ -159,7 +166,7 @@ def generate_sequential_circuit(
             other = capture_groups[int(generator.integers(0, n_clouds))]
             extra = [ff for ff in other if ff not in launches]
             if extra:
-                launches.append(str(generator.choice(extra)))
+                launches.append(_pick(generator, extra))
         cloud_pis = [pis[int(i)] for i in generator.choice(n_pis, size=min(2, n_pis), replace=False)]
 
         # Depth distribution: most clouds are shallow-to-medium, a small
@@ -174,7 +181,7 @@ def generate_sequential_circuit(
             netlist,
             generator,
             comb_cells,
-            cell_weights,
+            cell_cdf,
             sources=launches + cloud_pis,
             depth=depth,
             n_gates=n_cloud_gates,
@@ -186,13 +193,13 @@ def generate_sequential_circuit(
         # Connect capture flip-flop D inputs to the cloud's deepest gates.
         pool = deep_gate_pool[cloud_idx]
         for ff in captures:
-            netlist.set_flip_flop_input(ff, str(generator.choice(pool)))
+            netlist.set_flip_flop_input(ff, _pick(generator, pool))
 
     # --- Primary outputs observe deep gates of random clouds ---------------
     for i in range(n_pos):
         cloud_idx = int(generator.integers(0, n_clouds))
         pool = deep_gate_pool[cloud_idx]
-        netlist.add_primary_output(f"po_{i}", driver=str(generator.choice(pool)))
+        netlist.add_primary_output(f"po_{i}", driver=_pick(generator, pool))
 
     netlist.validate(library=library)
     return netlist
@@ -202,7 +209,7 @@ def _build_cloud(
     netlist: Netlist,
     generator: np.random.Generator,
     comb_cells: Sequence,
-    cell_weights: np.ndarray,
+    cell_cdf: List[float],
     sources: List[str],
     depth: int,
     n_gates: int,
@@ -228,11 +235,12 @@ def _build_cloud(
         levels[level] = []
         prev_level = levels[level - 1]
         earlier: List[str] = [g for lvl in range(level - 1) for g in levels[lvl]]
+        pool = earlier + prev_level
         for _ in range(per_level[level - 1]):
-            cell = comb_cells[int(generator.choice(len(comb_cells), p=cell_weights))]
+            cell = comb_cells[bisect_right(cell_cdf, generator.random())]
             gname = f"g_{gate_idx}"
             gate_idx += 1
-            fanins = _pick_fanins(generator, cell.n_inputs, prev_level, earlier)
+            fanins = _pick_fanins(generator, cell.n_inputs, prev_level, earlier, pool)
             netlist.add_gate(gname, cell=cell.name, fanins=fanins)
             levels[level].append(gname)
 
@@ -245,23 +253,30 @@ def _pick_fanins(
     n_inputs: int,
     prev_level: List[str],
     earlier: List[str],
+    pool: List[str],
 ) -> List[str]:
     """Pick fan-ins: the first always comes from the previous level (to keep
-    the depth chain alive), the rest from any earlier level."""
+    the depth chain alive), the rest from ``pool``, any earlier level
+    (``earlier + prev_level``, built once per level)."""
     fanins: List[str] = []
     if prev_level:
-        fanins.append(str(generator.choice(prev_level)))
-    pool = earlier + prev_level
+        fanins.append(_pick(generator, prev_level))
     n_needed = max(1, n_inputs) - len(fanins)
     for _ in range(n_needed):
         if not pool:
             break
-        candidate = str(generator.choice(pool))
+        candidate = _pick(generator, pool)
         if candidate not in fanins or len(pool) <= len(fanins):
             fanins.append(candidate)
     if not fanins:
-        fanins = [str(generator.choice(prev_level or earlier))]
+        fanins = [_pick(generator, prev_level or earlier)]
     return fanins
+
+
+def _pick(generator: np.random.Generator, names: List[str]) -> str:
+    """One uniform pick from ``names``: the draw of ``generator.choice(names)``
+    without converting the list to an array."""
+    return names[int(generator.integers(0, len(names)))]
 
 
 def _split_evenly(total: int, parts: int) -> List[int]:

@@ -7,6 +7,9 @@ instance drives exactly one signal whose name equals the instance name,
 which matches the ISCAS89 ``.bench`` convention and keeps the data model
 small.
 
+Its combinational logic is one :class:`CombinationalGraph` on integer
+node ids, built on first use and dropped by every mutator.
+
 Sequential loops (feedback through flip-flops) are legal; combinational
 loops are not and are rejected by :meth:`Netlist.validate`.
 """
@@ -15,9 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
+from typing import Dict, Hashable, List, Optional, Sequence
 
 
 class InstanceKind(enum.Enum):
@@ -62,12 +63,108 @@ class Instance:
         return self.kind is InstanceKind.GATE
 
 
+@dataclass(frozen=True)
+class CombinationalGraph:
+    """The combinational logic of a netlist on integer node ids.
+
+    Each flip-flop ``f`` is split into two nodes: ``f`` acting as a source
+    (its ``Q`` output launching into the combinational logic) and
+    ``("sink", f)`` acting as a sink (its ``D`` input).  Every other
+    instance is one node named like the instance.
+
+    The orders below follow from the instance and pin orders alone and
+    equal those of a general digraph built instance by instance, edge by
+    edge; they fix the Clark sweep's fold order and the placement order.
+    The lists are shared and read-only.
+
+    Attributes
+    ----------
+    names:
+        Node id -> node name.  Ids run in instance order, with each
+        flip-flop's sink right after it.
+    index:
+        Node name -> node id.
+    fanin:
+        Per node, the ids of its drivers: the instance's fan-ins in pin
+        order, repeats dropped.
+    fanout:
+        Per node, the ids of the nodes it drives, in edge-insertion order
+        (target instance order, then pin order).
+    order:
+        Topological order of all node ids, generation by generation as
+        in Kahn's algorithm: first the nodes without drivers in id order,
+        then each next generation in the order its nodes lose their last
+        unvisited driver.
+    """
+
+    names: List[Hashable]
+    index: Dict[Hashable, int]
+    fanin: List[List[int]]
+    fanout: List[List[int]]
+    order: List[int]
+
+    @classmethod
+    def build(cls, instances: Dict[str, Instance]) -> CombinationalGraph:
+        """Build the graph of ``instances``; ``ValueError`` on a cycle.
+
+        Every fan-in must name an instance (``KeyError`` otherwise).
+        """
+        names: List[Hashable] = []
+        index: Dict[Hashable, int] = {}
+        for inst in instances.values():
+            index[inst.name] = len(names)
+            names.append(inst.name)
+            if inst.is_flip_flop:
+                sink = ("sink", inst.name)
+                index[sink] = len(names)
+                names.append(sink)
+        fanin: List[List[int]] = [[] for _ in names]
+        fanout: List[List[int]] = [[] for _ in names]
+        for inst in instances.values():
+            target = index[inst.name] + 1 if inst.is_flip_flop else index[inst.name]
+            drivers = fanin[target]
+            for src in inst.fanins:
+                source = index[src]
+                if source not in drivers:
+                    drivers.append(source)
+                    fanout[source].append(target)
+
+        remaining = [len(drivers) for drivers in fanin]
+        generation = [node for node, count in enumerate(remaining) if not count]
+        order: List[int] = []
+        while generation:
+            order.extend(generation)
+            following: List[int] = []
+            for node in generation:
+                for succ in fanout[node]:
+                    remaining[succ] -= 1
+                    if not remaining[succ]:
+                        following.append(succ)
+            generation = following
+        if len(order) < len(names):
+            # Each unordered node keeps an unordered driver, so walking
+            # drivers back repeats a node, and that node is on a cycle.
+            node = next(n for n, count in enumerate(remaining) if count)
+            seen = set()
+            while node not in seen:
+                seen.add(node)
+                node = next(d for d in fanin[node] if remaining[d])
+            raise ValueError(f"combinational cycle detected through {names[node]!r}")
+        return cls(names=names, index=index, fanin=fanin, fanout=fanout, order=order)
+
+
 class Netlist:
-    """A named gate-level netlist."""
+    """A named gate-level netlist.
+
+    Mutate it through its methods only: they drop the cached
+    :meth:`combinational_graph`, which direct edits of
+    :attr:`Instance.fanins` would leave stale.
+    """
 
     def __init__(self, name: str = "top") -> None:
         self.name = name
         self._instances: Dict[str, Instance] = {}
+        self._graph: Optional[CombinationalGraph] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -76,6 +173,7 @@ class Netlist:
         if instance.name in self._instances:
             raise ValueError(f"instance {instance.name!r} already exists in netlist {self.name!r}")
         self._instances[instance.name] = instance
+        self._graph = None
         return instance
 
     def add_primary_input(self, name: str) -> Instance:
@@ -102,6 +200,7 @@ class Netlist:
         if not inst.is_flip_flop:
             raise ValueError(f"{name!r} is not a flip-flop")
         inst.fanins = [data_input]
+        self._graph = None
 
     def set_output_driver(self, name: str, driver: str) -> None:
         """Connect (or reconnect) the driver of primary output ``name``."""
@@ -109,6 +208,7 @@ class Netlist:
         if inst.kind is not InstanceKind.PRIMARY_OUTPUT:
             raise ValueError(f"{name!r} is not a primary output")
         inst.fanins = [driver]
+        self._graph = None
 
     # ------------------------------------------------------------------
     # Lookup
@@ -179,39 +279,16 @@ class Netlist:
                 fanouts[src].append(inst.name)
         return fanouts
 
-    def combinational_digraph(self) -> "nx.DiGraph":
-        """Directed graph of the combinational logic with flip-flops split.
+    def combinational_graph(self) -> CombinationalGraph:
+        """The combinational graph on integer ids (built once, then cached).
 
-        Each flip-flop ``f`` appears as two nodes: ``f`` acting as a source
-        (its ``Q`` output launching into the combinational logic) and
-        ``("sink", f)`` acting as a sink (its ``D`` input).  The resulting
-        graph is acyclic for a legal sequential circuit.
+        Raises ``KeyError`` on a fan-in that names no instance and
+        ``ValueError`` on a combinational cycle; :meth:`validate` reports
+        the former as ``ValueError`` first.
         """
-        graph = nx.DiGraph()
-        for inst in self._instances.values():
-            if inst.is_flip_flop:
-                graph.add_node(inst.name, kind="ff_source")
-                graph.add_node(("sink", inst.name), kind="ff_sink")
-            else:
-                graph.add_node(inst.name, kind=inst.kind.value)
-        for inst in self._instances.values():
-            target = ("sink", inst.name) if inst.is_flip_flop else inst.name
-            for src in inst.fanins:
-                graph.add_edge(src, target)
-        return graph
-
-    def sequential_adjacency(self) -> "nx.DiGraph":
-        """Flip-flop-to-flip-flop adjacency (which FF pairs are connected by
-        at least one combinational path).  Node set = flip-flop names."""
-        comb = self.combinational_digraph()
-        seq = nx.DiGraph()
-        seq.add_nodes_from(self.flip_flops)
-        # Forward reachability from every FF source restricted to comb nodes.
-        for ff in self.flip_flops:
-            for node in nx.descendants(comb, ff):
-                if isinstance(node, tuple) and node[0] == "sink":
-                    seq.add_edge(ff, node[1])
-        return seq
+        if self._graph is None:
+            self._graph = CombinationalGraph.build(self._instances)
+        return self._graph
 
     # ------------------------------------------------------------------
     # Validation & statistics
@@ -241,10 +318,8 @@ class Netlist:
                         f"gate {inst.name!r}: cell {cell.name} expects {cell.n_inputs} "
                         f"inputs, got {len(inst.fanins)}"
                     )
-        comb = self.combinational_digraph()
-        if not nx.is_directed_acyclic_graph(comb):
-            cycle = nx.find_cycle(comb)
-            raise ValueError(f"combinational cycle detected: {cycle}")
+        # Building the graph (or finding it built) is the cycle check.
+        self.combinational_graph()
 
     def stats(self) -> Dict[str, int]:
         """Basic size statistics (counts per instance kind)."""

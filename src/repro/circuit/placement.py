@@ -16,9 +16,9 @@ placer.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
-
 
 from repro.circuit.netlist import Netlist
 from repro.utils.rng import RngLike, ensure_rng
@@ -121,10 +121,12 @@ def grid_placement(
 
     # Spread occupied sites uniformly over the available sites.
     site_indices = _spread_indices(n_cells, n_rows * n_cols)
+    # One (dx, dy) pair per cell, in placement order: the same stream as
+    # one size-2 draw per cell.
+    offsets = (generator.uniform(-jitter, jitter, size=(n_cells, 2)) * pitch).tolist()
     locations: Dict[str, Tuple[float, float]] = {}
-    for name, site in zip(order, site_indices, strict=True):
+    for name, site, (dx, dy) in zip(order, site_indices, offsets, strict=True):
         row, col = divmod(site, n_cols)
-        dx, dy = generator.uniform(-jitter, jitter, size=2) * pitch
         x = min(max((col + 0.5) * pitch + dx, 0.0), die_width)
         y = min(max((row + 0.5) * pitch + dy, 0.0), die_height)
         locations[name] = (float(x), float(y))
@@ -139,19 +141,21 @@ def grid_placement(
 
 def _bfs_order(netlist: Netlist) -> List[str]:
     """Breadth-first instance order from the circuit's timing start points."""
-    comb = netlist.combinational_digraph()
-    starts = list(netlist.primary_inputs) + list(netlist.flip_flops)
-    visited: Dict[str, None] = {}
-    queue: List[str] = list(starts)
-    for node in queue:
-        visited.setdefault(node, None)
+    graph = netlist.combinational_graph()
+    names = graph.names
+    starts = [graph.index[name] for name in netlist.primary_inputs + netlist.flip_flops]
+    visited: Dict[str, None] = dict.fromkeys(names[node] for node in starts)
+    queue = deque(starts)
     while queue:
-        node = queue.pop(0)
-        for succ in comb.successors(node):
-            key = succ[1] if isinstance(succ, tuple) else succ
+        node = queue.popleft()
+        for succ in graph.fanout[node]:
+            name = names[succ]
+            # A flip-flop's D input: the flip-flop itself is the key, and
+            # the search does not pass through it.
+            key = name[1] if isinstance(name, tuple) else name
             if key not in visited:
                 visited[key] = None
-                if not isinstance(succ, tuple):
+                if not isinstance(name, tuple):
                     queue.append(succ)
     # Any instance not reached (e.g. dangling outputs) is appended at the end.
     for name in netlist.instances:

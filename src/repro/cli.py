@@ -576,13 +576,13 @@ def _add_campaign_parsers(subparsers) -> None:
 
     compare.add_argument(
         "--max-yield-drop",
-        type=float,
+        type=_nonnegative_float,
         default=DEFAULT_MAX_YIELD_DROP,
         help="tolerated tuned-yield drop in percentage points (inclusive)",
     )
     compare.add_argument(
         "--max-buffer-increase",
-        type=int,
+        type=_nonnegative_int,
         default=DEFAULT_MAX_BUFFER_INCREASE,
         help="tolerated per-cell buffer-count increase (inclusive)",
     )
@@ -623,7 +623,7 @@ def _add_pool_parsers(subparsers) -> None:
     )
     gc.add_argument(
         "--max-age-days",
-        type=float,
+        type=_nonnegative_float,
         default=None,
         help="drop records completed longer ago than this many days",
     )
@@ -805,19 +805,19 @@ def _add_bench_parsers(subparsers) -> None:
     gate.add_argument("candidate", help="candidate BENCH_*.json")
     gate.add_argument(
         "--threshold",
-        type=float,
+        type=_positive_float,
         default=DEFAULT_THRESHOLD,
         help="maximum tolerated candidate/baseline runtime ratio (inclusive)",
     )
     gate.add_argument(
         "--phase-threshold",
-        type=float,
+        type=_positive_float,
         default=None,
         help="optional per-phase ratio ceiling (step1_train, prune_resolve, ...)",
     )
     gate.add_argument(
         "--min-seconds",
-        type=float,
+        type=_nonnegative_float,
         default=DEFAULT_MIN_SECONDS,
         help="noise floor: scenarios where both sides run faster than this always pass "
         "(raise for cross-machine gating of sub-second scenarios)",

@@ -52,9 +52,9 @@ class CompiledConstraintSystem:
     """Frozen array-native view of a design's sequential constraints.
 
     Built once per design via :meth:`from_constraint_graph` (or the
-    :func:`ensure_compiled_system` cache helper); holds no references to
-    the networkx timing graph, so it is cheap to keep around and to ship
-    to worker processes.
+    :func:`ensure_compiled_system` cache helper); holds no reference to
+    the timing graph or the netlist's graph, so it is cheap to keep
+    around and to ship to worker processes.
 
     Attributes
     ----------

@@ -19,6 +19,7 @@ the same store and policy always produce the same plan.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -89,8 +90,9 @@ def plan_gc(
     ``keep_newest`` then caps the survivors to the N most recent.  With
     neither policy the plan keeps everything (a pure inventory pass).
     """
-    if max_age_days is not None and max_age_days < 0:
-        raise ValueError(f"max_age_days must be >= 0, got {max_age_days}")
+    # NaN compares false both ways, so it would keep every record.
+    if max_age_days is not None and not (math.isfinite(max_age_days) and max_age_days >= 0):
+        raise ValueError(f"max_age_days must be finite and >= 0, got {max_age_days}")
     if keep_newest is not None and keep_newest < 0:
         raise ValueError(f"keep_newest must be >= 0, got {keep_newest}")
     now = time.time() if now is None else float(now)

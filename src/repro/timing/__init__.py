@@ -15,7 +15,6 @@
   sampling live in the compiled system (:mod:`repro.core.compiled`).
 * :mod:`repro.timing.skew` — hold-aware static skews and their
   application to a constraint graph.
-* :mod:`repro.timing.paths` — nominal critical-path extraction.
 * :mod:`repro.timing.period` — the Monte-Carlo distribution of the
   un-tuned minimum clock period.
 """
@@ -28,7 +27,6 @@ from repro.timing.constraints import (
 )
 from repro.timing.skew import apply_skews, hold_aware_random_skews
 from repro.timing.graph import DelayAnnotation, TimingGraph
-from repro.timing.paths import CriticalPath, nominal_critical_paths
 from repro.timing.period import PeriodAnalysis, sample_min_periods
 from repro.timing.propagate import ff_pair_delay_forms, nominal_arrival_times
 
@@ -43,8 +41,6 @@ __all__ = [
     "apply_skews",
     "ff_pair_delay_forms",
     "nominal_arrival_times",
-    "CriticalPath",
-    "nominal_critical_paths",
     "PeriodAnalysis",
     "sample_min_periods",
 ]

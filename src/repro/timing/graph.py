@@ -1,9 +1,9 @@
 """Annotated timing graph.
 
-:class:`TimingGraph` wraps the combinational DAG of a design (flip-flops
-split into a launch node and a capture node, see
-:meth:`repro.circuit.netlist.Netlist.combinational_digraph`) and annotates
-every node with a :class:`DelayAnnotation`:
+:class:`TimingGraph` annotates the combinational graph of a design's
+netlist (:meth:`repro.circuit.netlist.Netlist.combinational_graph`:
+integer node ids, flip-flops split into a launch node and a capture
+node) with one :class:`DelayAnnotation` per node:
 
 * nominal maximum (propagation) and minimum (contamination) delay,
 * canonical statistical forms of both, built from the design's variation
@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
 
-import networkx as nx
-
 from repro.circuit.design import CircuitDesign
-from repro.circuit.netlist import InstanceKind
+from repro.circuit.netlist import CombinationalGraph, InstanceKind
 from repro.variation.canonical import CanonicalForm
 
 
@@ -46,60 +44,78 @@ class TimingGraph:
     * flip-flop names (launch nodes, annotated with clock-to-Q),
     * ``("sink", ff_name)`` tuples (capture nodes, zero delay),
     * primary-output names (zero delay sinks).
+
+    ``comb`` is the netlist's
+    :class:`~repro.circuit.netlist.CombinationalGraph` and ``annotations``
+    holds one annotation per node id.  Nodes with the same nominal delays
+    in the same variation region share one (read-only) annotation.
     """
 
     def __init__(self, design: CircuitDesign) -> None:
         self.design = design
-        self.graph: "nx.DiGraph" = design.netlist.combinational_digraph()
-        self._annotations: Dict[Hashable, DelayAnnotation] = {}
-        self._annotate()
-        self._topo_order: List[Hashable] = list(nx.topological_sort(self.graph))
+        self.comb: CombinationalGraph = design.netlist.combinational_graph()
+        self._forms: Dict[Tuple[float, int], CanonicalForm] = {}
+        self.annotations: List[DelayAnnotation] = self._annotate()
+        self._topo_order: List[Hashable] = [self.comb.names[node] for node in self.comb.order]
 
     # ------------------------------------------------------------------
-    def _annotate(self) -> None:
+    def _annotate(self) -> List[DelayAnnotation]:
         netlist = self.design.netlist
         library = self.design.library
         variation = self.design.variation_model
-        placement = self.design.placement
+        locations = self.design.placement.locations
+        zero_form = variation.constant_form(0.0)
+        zero = DelayAnnotation(0.0, 0.0, zero_form, zero_form)
 
-        for node in self.graph.nodes:
+        shared: Dict[Tuple[float, float, int], DelayAnnotation] = {}
+        annotations: List[DelayAnnotation] = []
+        for node in self.comb.names:
             if isinstance(node, tuple):
                 # Flip-flop capture node: no delay of its own.
-                self._annotations[node] = self._zero_annotation()
+                annotations.append(zero)
                 continue
             inst = netlist.instance(node)
             if inst.kind in (InstanceKind.PRIMARY_INPUT, InstanceKind.PRIMARY_OUTPUT):
-                self._annotations[node] = self._zero_annotation()
+                annotations.append(zero)
                 continue
             cell = library.get(inst.cell)
-            x, y = placement.location(node) if node in placement.locations else (None, None)
             if inst.is_flip_flop:
                 nominal_max = cell.ff_timing.clk_to_q
                 nominal_min = cell.ff_timing.clk_to_q * 0.8
             else:
                 nominal_max = cell.delay
                 nominal_min = cell.contamination_delay
-            form_max = variation.delay_form(nominal_max, x, y).form
-            form_min = variation.delay_form(nominal_min, x, y).form
-            self._annotations[node] = DelayAnnotation(
-                nominal_max=nominal_max,
-                nominal_min=nominal_min,
-                form_max=form_max,
-                form_min=form_min,
-            )
+            region = variation.region_at(*locations.get(node, (None, None)))
+            key = (nominal_max, nominal_min, region)
+            if key not in shared:
+                shared[key] = DelayAnnotation(
+                    nominal_max,
+                    nominal_min,
+                    self._form(nominal_max, node),
+                    self._form(nominal_min, node),
+                )
+            annotations.append(shared[key])
+        return annotations
 
-    def _zero_annotation(self) -> DelayAnnotation:
-        zero = self.design.variation_model.constant_form(0.0)
-        return DelayAnnotation(0.0, 0.0, zero, zero)
+    def _form(self, nominal: float, name: str) -> CanonicalForm:
+        """Canonical form of delay ``nominal`` at instance ``name``'s location,
+        built once per (nominal delay, variation region) and shared."""
+        variation = self.design.variation_model
+        x, y = self.design.placement.locations.get(name, (None, None))
+        key = (nominal, variation.region_at(x, y))
+        form = self._forms.get(key)
+        if form is None:
+            form = self._forms[key] = variation.delay_form(nominal, x, y).form
+        return form
 
     # ------------------------------------------------------------------
     def annotation(self, node: Hashable) -> DelayAnnotation:
         """Delay annotation of a node."""
-        return self._annotations[node]
+        return self.annotations[self.comb.index[node]]
 
     @property
     def topological_order(self) -> List[Hashable]:
-        """Topological order of the timing graph."""
+        """Topological order of the timing graph (node names)."""
         return self._topo_order
 
     def launch_nodes(self) -> List[str]:
@@ -111,29 +127,16 @@ class TimingGraph:
         """The capture (D-input) node of flip-flop ``ff``."""
         return ("sink", ff)
 
-    def fanout_cone(self, source: Hashable) -> List[Hashable]:
-        """All nodes reachable from ``source`` (excluding the source itself)."""
-        return list(nx.descendants(self.graph, source))
-
     def setup_form(self, ff: str) -> CanonicalForm:
         """Canonical form of the setup time of flip-flop ``ff``."""
         cell = self.design.library.get(self.design.netlist.instance(ff).cell)
-        x, y = self._ff_location(ff)
-        return self.design.variation_model.delay_form(cell.ff_timing.setup, x, y).form
+        return self._form(cell.ff_timing.setup, ff)
 
     def hold_form(self, ff: str) -> CanonicalForm:
         """Canonical form of the hold time of flip-flop ``ff``."""
         cell = self.design.library.get(self.design.netlist.instance(ff).cell)
-        x, y = self._ff_location(ff)
-        return self.design.variation_model.delay_form(cell.ff_timing.hold, x, y).form
-
-    def _ff_location(self, ff: str):
-        if ff in self.design.placement.locations:
-            return self.design.placement.location(ff)
-        return (None, None)
+        return self._form(cell.ff_timing.hold, ff)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TimingGraph({self.design.name!r}, nodes={self.graph.number_of_nodes()}, "
-            f"edges={self.graph.number_of_edges()})"
-        )
+        n_edges = sum(len(drivers) for drivers in self.comb.fanin)
+        return f"TimingGraph({self.design.name!r}, nodes={len(self.comb.names)}, edges={n_edges})"

@@ -1,9 +1,12 @@
 """Arrival-time propagation.
 
-Three engines are provided:
+All three engines walk the netlist's combinational graph on integer ids
+(:class:`~repro.circuit.netlist.CombinationalGraph`, read through the
+:class:`~repro.timing.graph.TimingGraph`) in its one topological order,
+folding each node's drivers in pin order:
 
 * :func:`nominal_arrival_times` — classic deterministic STA over the whole
-  graph (used for critical-path reporting and sanity checks);
+  graph (a test oracle and sanity check);
 * :func:`all_ff_pair_delay_forms` — **array-native** statistical
   propagation: one level-ordered sweep of the whole timing graph in which
   every node carries the stacked arrival forms of *all* launching
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.obs.trace import span as trace_span
@@ -50,15 +52,16 @@ def nominal_arrival_times(timing_graph: TimingGraph) -> Dict[Hashable, Tuple[flo
     dict
         ``node -> (max_arrival, min_arrival)``.
     """
-    graph = timing_graph.graph
-    launches = set(timing_graph.launch_nodes())
-    arrival: Dict[Hashable, Tuple[float, float]] = {}
+    comb = timing_graph.comb
+    annotations = timing_graph.annotations
+    launches = {comb.index[name] for name in timing_graph.launch_nodes()}
+    arrival: Dict[int, Tuple[float, float]] = {}
 
-    for node in timing_graph.topological_order:
-        ann = timing_graph.annotation(node)
+    for node in comb.order:
+        ann = annotations[node]
         pred_max: Optional[float] = None
         pred_min: Optional[float] = None
-        for pred in graph.predecessors(node):
+        for pred in comb.fanin[node]:
             if pred not in arrival:
                 continue
             pmax, pmin = arrival[pred]
@@ -71,7 +74,7 @@ def nominal_arrival_times(timing_graph: TimingGraph) -> Dict[Hashable, Tuple[flo
                 arrival[node] = (0.0, 0.0)
         else:
             arrival[node] = (pred_max + ann.nominal_max, pred_min + ann.nominal_min)
-    return arrival
+    return {comb.names[node]: times for node, times in arrival.items()}
 
 
 def ff_pair_delay_forms(
@@ -89,22 +92,28 @@ def ff_pair_delay_forms(
     dict
         ``capture_ff -> (max_delay_form, min_delay_form)``.
     """
-    graph = timing_graph.graph
-    if launch_ff not in graph:
+    comb = timing_graph.comb
+    if launch_ff not in comb.index:
         raise KeyError(f"unknown launch flip-flop {launch_ff!r}")
+    launch = comb.index[launch_ff]
 
-    cone = set(nx.descendants(graph, launch_ff))
-    cone.add(launch_ff)
+    cone = {launch}
+    stack = [launch]
+    while stack:
+        for succ in comb.fanout[stack.pop()]:
+            if succ not in cone:
+                cone.add(succ)
+                stack.append(succ)
 
-    launch_ann = timing_graph.annotation(launch_ff)
-    arrivals_max: Dict[Hashable, CanonicalForm] = {launch_ff: launch_ann.form_max}
-    arrivals_min: Dict[Hashable, CanonicalForm] = {launch_ff: launch_ann.form_min}
+    launch_ann = timing_graph.annotations[launch]
+    arrivals_max: Dict[int, CanonicalForm] = {launch: launch_ann.form_max}
+    arrivals_min: Dict[int, CanonicalForm] = {launch: launch_ann.form_min}
 
     results: Dict[str, Tuple[CanonicalForm, CanonicalForm]] = {}
-    for node in timing_graph.topological_order:
-        if node == launch_ff or node not in cone:
+    for node in comb.order:
+        if node == launch or node not in cone:
             continue
-        preds_in_cone = [p for p in graph.predecessors(node) if p in arrivals_max]
+        preds_in_cone = [p for p in comb.fanin[node] if p in arrivals_max]
         if not preds_in_cone:
             continue
         max_in = arrivals_max[preds_in_cone[0]]
@@ -113,12 +122,13 @@ def ff_pair_delay_forms(
             max_in = max_in.max(arrivals_max[pred])
             min_in = min_in.min(arrivals_min[pred])
 
-        if isinstance(node, tuple) and node[0] == "sink":
+        name = comb.names[node]
+        if isinstance(name, tuple):
             # Capture flip-flop: record and do not propagate further.
-            results[node[1]] = (max_in, min_in)
+            results[name[1]] = (max_in, min_in)
             continue
 
-        ann = timing_graph.annotation(node)
+        ann = timing_graph.annotations[node]
         arrivals_max[node] = max_in + ann.form_max
         arrivals_min[node] = min_in + ann.form_min
     return results
@@ -218,36 +228,44 @@ def _all_pairs_array(
     freed once every successor has consumed them, bounding live memory
     by the level frontier.
     """
-    graph = timing_graph.graph
+    comb = timing_graph.comb
+    names = comb.names
+    annotations = timing_graph.annotations
     for launch in launch_ffs:
-        if launch not in graph:
+        if launch not in comb.index:
             raise KeyError(f"unknown launch flip-flop {launch!r}")
-    launch_index = {ff: i for i, ff in enumerate(launch_ffs)}
     width = timing_graph.design.variation_model.n_shared_sources + 2
+
+    # Nodes share annotations (TimingGraph builds one per nominal delay
+    # and region), so each block is built once; no block is written to.
+    blocks: Dict[int, np.ndarray] = {}
 
     def _node_block(ann) -> np.ndarray:
         """One node's (2, 1, width) max/negated-min coefficient block."""
-        block = np.empty((2, 1, width))
-        block[0, 0] = _form_row(ann.form_max, width)
-        block[1, 0] = _form_row(ann.form_min, width, negate=True)
+        block = blocks.get(id(ann))
+        if block is None:
+            block = blocks[id(ann)] = np.empty((2, 1, width))
+            block[0, 0] = _form_row(ann.form_max, width)
+            block[1, 0] = _form_row(ann.form_min, width, negate=True)
         return block
 
-    # node -> (sorted launch-id tuple, (2, k, width) coefficient block)
-    arrivals: Dict[Hashable, Tuple[Tuple[int, ...], np.ndarray]] = {}
-    for ff in launch_ffs:
-        arrivals[ff] = ((launch_index[ff],), _node_block(timing_graph.annotation(ff)))
-
+    # node id -> (sorted launch-index tuple, (2, k, width) coefficient block)
+    arrivals: Dict[int, Tuple[Tuple[int, ...], np.ndarray]] = {}
     # Level schedule over the reachable subgraph: a node's level is one
     # past its deepest reached predecessor, so all nodes of a level have
-    # every input ready and none feeds another.
-    levels: Dict[Hashable, int] = {ff: 0 for ff in launch_ffs}
-    pred_lists: Dict[Hashable, List[Hashable]] = {}
-    schedule: List[List[Hashable]] = []
-    topo_position: Dict[str, int] = {}
-    for node in timing_graph.topological_order:
-        if node in levels:
+    # every input ready and none feeds another.  -1 marks unreached.
+    levels = [-1] * len(names)
+    for index, ff in enumerate(launch_ffs):
+        launch = comb.index[ff]
+        arrivals[launch] = ((index,), _node_block(annotations[launch]))
+        levels[launch] = 0
+    pred_lists: Dict[int, List[int]] = {}
+    schedule: List[List[int]] = []
+    topo_position: Dict[int, int] = {}
+    for node in comb.order:
+        if levels[node] >= 0:
             continue  # launch flip-flop: fixed start, nothing propagates in
-        preds = [p for p in graph.predecessors(node) if p in levels]
+        preds = [p for p in comb.fanin[node] if levels[p] >= 0]
         if not preds:
             continue
         depth = 1 + max(levels[p] for p in preds)
@@ -256,17 +274,17 @@ def _all_pairs_array(
         while len(schedule) < depth:
             schedule.append([])
         schedule[depth - 1].append(node)
-        if isinstance(node, tuple) and node[0] == "sink":
-            topo_position[node[1]] = len(topo_position)
+        if isinstance(names[node], tuple):
+            topo_position[node] = len(topo_position)
 
-    remaining: Dict[Hashable, int] = {}
+    remaining: Dict[int, int] = {}
 
-    def consume(pred: Hashable) -> Tuple[Tuple[int, ...], np.ndarray]:
+    def consume(pred: int) -> Tuple[Tuple[int, ...], np.ndarray]:
         """Fetch a predecessor's block, freeing it after its last use."""
         reached = arrivals[pred]
         left = remaining.get(pred)
         if left is None:
-            left = sum(1 for s in graph.successors(pred) if s in pred_lists)
+            left = sum(1 for s in comb.fanout[pred] if s in pred_lists)
         if left <= 1:
             del arrivals[pred]
             remaining.pop(pred, None)
@@ -274,10 +292,10 @@ def _all_pairs_array(
             remaining[pred] = left - 1
         return reached
 
-    captured: Dict[str, Tuple[Tuple[int, ...], np.ndarray]] = {}
+    captured: Dict[int, Tuple[Tuple[int, ...], np.ndarray]] = {}
     for level_nodes in schedule:
         # Fold round 0: adopt the first predecessor (by reference).
-        state: Dict[Hashable, Tuple[Tuple[int, ...], np.ndarray]] = {
+        state: Dict[int, Tuple[Tuple[int, ...], np.ndarray]] = {
             node: consume(pred_lists[node][0]) for node in level_nodes
         }
         # Fold rounds r >= 1: one batched kernel call per round merges
@@ -287,7 +305,7 @@ def _all_pairs_array(
             active = [node for node in level_nodes if len(pred_lists[node]) > round_index]
             if not active:
                 break
-            segments: List[Tuple[Hashable, Tuple[int, ...], int]] = []
+            segments: List[Tuple[int, Tuple[int, ...], int]] = []
             rows_a: List[np.ndarray] = []
             rows_b: List[np.ndarray] = []
             offset = 0
@@ -311,34 +329,30 @@ def _all_pairs_array(
         # Folds done: record captures, add node delays, publish arrivals.
         for node in level_nodes:
             ids, block = state[node]
-            if isinstance(node, tuple) and node[0] == "sink":
-                captured[node[1]] = (ids, block)
+            if node in topo_position:
+                captured[node] = (ids, block)
                 continue
-            delay = _node_block(timing_graph.annotation(node))
+            delay = _node_block(annotations[node])
             out = np.empty_like(block)
             out[..., :-1] = block[..., :-1] + delay[..., :-1]
             out[..., -1] = np.hypot(block[..., -1], delay[..., -1])
             arrivals[node] = (ids, out)
 
     # Emit pairs launch-major, captures in topological discovery order
-    # (matches the scalar path's ordering exactly).
-    ordered_captures = sorted(captured, key=topo_position.__getitem__)
+    # (matches the scalar path's ordering exactly): sort the captured
+    # (launch index, capture position) entries.
+    entries = sorted(
+        (launch, topo_position[node], node, row)
+        for node, (ids, _) in captured.items()
+        for row, launch in enumerate(ids)
+    )
     pairs: Dict[Tuple[str, str], Tuple[CanonicalForm, CanonicalForm]] = {}
-    rows_of: Dict[str, Dict[int, int]] = {
-        capture: {launch: row for row, launch in enumerate(captured[capture][0])}
-        for capture in ordered_captures
-    }
-    for launch in launch_ffs:
-        idx = launch_index[launch]
-        for capture in ordered_captures:
-            row = rows_of[capture].get(idx)
-            if row is None:
-                continue
-            block = captured[capture][1]
-            max_row = block[0, row]
-            min_row = block[1, row]
-            pairs[(launch, capture)] = (
-                CanonicalForm(float(max_row[0]), max_row[1:-1].copy(), float(max_row[-1])),
-                CanonicalForm(float(-min_row[0]), -min_row[1:-1], float(min_row[-1])),
-            )
+    for launch, _, node, row in entries:
+        block = captured[node][1]
+        max_row = block[0, row]
+        min_row = block[1, row]
+        pairs[(launch_ffs[launch], names[node][1])] = (
+            CanonicalForm(float(max_row[0]), max_row[1:-1].copy(), float(max_row[-1])),
+            CanonicalForm(float(-min_row[0]), -min_row[1:-1], float(min_row[-1])),
+        )
     return pairs

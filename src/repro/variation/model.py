@@ -125,6 +125,15 @@ class VariationModel:
         row = int(min(self.grid_rows - 1, max(0, math.floor(y / self.die_height * self.grid_rows))))
         return row * self.grid_cols + col
 
+    def region_at(self, x: Optional[float] = None, y: Optional[float] = None) -> int:
+        """Region of a die location (a missing coordinate is the centre's);
+        :meth:`delay_form` depends on the location only through it."""
+        if x is None:
+            x = self.die_width / 2.0
+        if y is None:
+            y = self.die_height / 2.0
+        return self.region_of(x, y)
+
     # ------------------------------------------------------------------
     # Canonical-form construction
     # ------------------------------------------------------------------
@@ -151,11 +160,7 @@ class VariationModel:
         """
         if nominal_delay < 0:
             raise ValueError(f"nominal_delay must be >= 0, got {nominal_delay}")
-        if x is None:
-            x = self.die_width / 2.0
-        if y is None:
-            y = self.die_height / 2.0
-        region = self.region_of(x, y)
+        region = self.region_at(x, y)
 
         sens = np.zeros(self._n_shared)
         independent_var = 0.0

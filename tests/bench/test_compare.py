@@ -113,6 +113,27 @@ class TestGateThresholds:
         with pytest.raises(ValueError, match="threshold"):
             gate(artifact("b", {0.0: 1.0}), artifact("c", {0.0: 1.0}), threshold=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"threshold": float("nan")}, "threshold"),
+            ({"threshold": float("inf")}, "threshold"),
+            ({"phase_threshold": float("nan")}, "phase_threshold"),
+            ({"phase_threshold": float("inf")}, "phase_threshold"),
+            ({"phase_threshold": 0.0}, "phase_threshold"),
+            ({"min_seconds": float("nan")}, "min_seconds"),
+            ({"min_seconds": float("inf")}, "min_seconds"),
+            ({"min_seconds": -1.0}, "min_seconds"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_rejected(self, kwargs, name):
+        # A NaN threshold compares false both ways: it used to pass a 10x
+        # slowdown.  An infinite noise floor exempts every scenario.
+        baseline = artifact("b", {0.0: 1.0})
+        slower = artifact("c", {0.0: 10.0}, phase_scale=10.0)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            gate(baseline, slower, **kwargs)
+
     def test_verdict_serialises(self):
         verdict = gate(artifact("b", {0.0: 1.0}), artifact("c", {0.0: 2.0}), threshold=1.5)
         data = verdict.as_dict()

@@ -169,6 +169,13 @@ class TestGate:
         with pytest.raises(ValueError, match="max_buffer_increase"):
             gate_comparison(comparison, max_buffer_increase=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_yield_drop_rejected(self, value):
+        # NaN compares false both ways: it used to pass a 45-point drop.
+        comparison = self._comparison(old_yield=0.95, new_yield=0.5)
+        with pytest.raises(ValueError, match="max_yield_drop"):
+            gate_comparison(comparison, max_yield_drop=value)
+
     def test_verdict_as_dict(self):
         verdict = gate_comparison(self._comparison(new_yield=0.5))
         payload = verdict.as_dict()

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.circuit.netlist import Netlist
+from tests.circuit.nx_oracle import combinational_digraph, sequential_adjacency
 
 
 @pytest.fixture()
@@ -58,11 +59,11 @@ class TestConstruction:
 
 class TestGraphViews:
     def test_combinational_digraph_is_acyclic(self, simple_netlist):
-        graph = simple_netlist.combinational_digraph()
+        graph = combinational_digraph(simple_netlist)
         assert nx.is_directed_acyclic_graph(graph)
 
     def test_ff_split_into_source_and_sink(self, simple_netlist):
-        graph = simple_netlist.combinational_digraph()
+        graph = combinational_digraph(simple_netlist)
         assert "ff1" in graph
         assert ("sink", "ff1") in graph
         # The D input edge goes to the sink node, not to the source node.
@@ -70,7 +71,7 @@ class TestGraphViews:
         assert not graph.has_edge("g2", "ff1")
 
     def test_sequential_adjacency(self, simple_netlist):
-        seq = simple_netlist.sequential_adjacency()
+        seq = sequential_adjacency(simple_netlist)
         assert seq.has_edge("ff1", "ff1")  # self loop through g1->g2
         assert seq.has_edge("ff1", "ff2")
 

@@ -73,6 +73,13 @@ class TestPlan:
         with pytest.raises(ValueError, match="keep_newest"):
             plan_gc(backend, keep_newest=-2)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_max_age_raises(self, backend, value):
+        # NaN compares false both ways: it used to keep every record.
+        backend.append(record("aa", age_days=50))
+        with pytest.raises(ValueError, match="max_age_days"):
+            plan_gc(backend, max_age_days=value, now=NOW)
+
     def test_plan_never_touches_the_store(self, backend):
         backend.append(record("aa", age_days=50))
         plan_gc(backend, max_age_days=1, now=NOW)

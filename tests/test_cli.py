@@ -114,6 +114,31 @@ class TestArgumentValidation:
         assert f"argument {argv[-2]}: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench", "gate", "a.json", "b.json", "--threshold", "nan"], "must be finite"),
+            (["bench", "gate", "a.json", "b.json", "--threshold", "0"], "must be > 0"),
+            (["bench", "gate", "a.json", "b.json", "--phase-threshold", "nan"], "must be finite"),
+            (["bench", "gate", "a.json", "b.json", "--min-seconds", "inf"], "must be finite"),
+            (["bench", "gate", "a.json", "b.json", "--min-seconds", "-1"], "must be >= 0"),
+            (["campaign", "compare", "a", "b", "--max-yield-drop", "nan"], "must be finite"),
+            (["campaign", "compare", "a", "b", "--max-yield-drop", "-1"], "must be >= 0"),
+            (["campaign", "compare", "a", "b", "--max-buffer-increase", "-1"], "must be >= 0"),
+            (["pool", "gc", "--pool", "p.jsonl", "--max-age-days", "nan"], "must be finite"),
+            (["pool", "gc", "--pool", "p.jsonl", "--max-age-days", "-2"], "must be >= 0"),
+        ],
+    )
+    def test_bad_gate_threshold_exits_2_with_a_message(self, argv, message, capsys):
+        """A NaN gate threshold compares false both ways and used to pass
+        every regression; each bad value now exits 2 from argparse."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: {message}" in err
+        assert "Traceback" not in err
+
     def test_unknown_circuit_lists_the_available_names(self, capsys):
         from repro.circuit.suite import list_suite_circuits
 
@@ -345,6 +370,25 @@ class TestBench:
         assert main(["bench", "gate", base_path, slow_path, "--threshold", "1.5"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "2.00x" in out
+
+    def test_gate_nan_threshold_is_a_usage_error(self, tmp_path, capsys):
+        # NaN compares false both ways: the gate used to PASS a 10x slowdown.
+        assert self._run_quick(tmp_path, "base") == 0
+        base_path = str(tmp_path / "BENCH_base.json")
+        data = json.loads((tmp_path / "BENCH_base.json").read_text())
+        for entry in data["scenarios"]:
+            entry["total_seconds"] = [s * 10.0 for s in entry["total_seconds"]]
+            entry["best_seconds"] = min(entry["total_seconds"])
+        slow_path = str(tmp_path / "BENCH_slow.json")
+        (tmp_path / "BENCH_slow.json").write_text(json.dumps(data))
+        assert main(["bench", "gate", base_path, slow_path, "--threshold", "1.5"]) == 1
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "gate", base_path, slow_path, "--threshold", "nan"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "argument --threshold: must be finite" in captured.err
 
     def test_gate_json_verdict(self, tmp_path, capsys):
         assert self._run_quick(tmp_path, "base") == 0

@@ -12,6 +12,7 @@ from repro.timing.constraints import (
 )
 from repro.variation.canonical import CanonicalForm
 from repro.variation.sampling import MonteCarloSampler
+from tests.circuit.nx_oracle import sequential_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ class TestConstraintSamples:
 class TestExtraction:
     def test_edges_match_sequential_adjacency(self, tiny_design):
         graph = extract_constraint_graph(tiny_design)
-        adjacency = tiny_design.netlist.sequential_adjacency()
+        adjacency = sequential_adjacency(tiny_design.netlist)
         assert graph.n_edges == adjacency.number_of_edges()
 
     def test_edge_indices_consistent(self, small_constraint_graph):

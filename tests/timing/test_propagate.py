@@ -11,10 +11,10 @@ from repro.timing.propagate import (
     ff_pair_delay_forms,
     nominal_arrival_times,
 )
+from tests.circuit.nx_oracle import sequential_adjacency
 
 
-@pytest.fixture(scope="module")
-def chain_design(library):
+def chain_netlist() -> Netlist:
     """ff1 -> g1 -> g2 -> ff2 plus a short parallel branch ff1 -> g3 -> ff2."""
     netlist = Netlist("chain")
     netlist.add_flip_flop("ff1")
@@ -25,7 +25,13 @@ def chain_design(library):
     netlist.add_gate("g4", "AND2", ["g2", "g3"])
     netlist.set_flip_flop_input("ff1", "g4")
     netlist.set_flip_flop_input("ff2", "g4")
-    return CircuitDesign.from_netlist(netlist, library=library, rng=0)
+    return netlist
+
+
+@pytest.fixture(scope="module")
+def chain_design(library):
+    """The design of :func:`chain_netlist`."""
+    return CircuitDesign.from_netlist(chain_netlist(), library=library, rng=0)
 
 
 class TestNominalArrival:
@@ -79,7 +85,7 @@ class TestCanonicalPairDelays:
     def test_all_pairs_cover_sequential_adjacency(self, tiny_design):
         graph = TimingGraph(tiny_design)
         pairs = all_ff_pair_delay_forms(graph)
-        adjacency = tiny_design.netlist.sequential_adjacency()
+        adjacency = sequential_adjacency(tiny_design.netlist)
         assert set(pairs) == set(adjacency.edges())
 
     def test_array_method_matches_scalar_path(self, tiny_design):
