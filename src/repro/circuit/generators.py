@@ -9,7 +9,7 @@ a small group of launching flip-flops and a small group of capturing
 flip-flops).  This yields
 
 * a sparse, local flip-flop-to-flip-flop adjacency (each capture flip-flop
-  sees only the handful of launch flip-flops of its cloud), as in real
+  sees at most the handful of launch flip-flops of its cloud), as in real
   designs, and
 * a wide spread of cloud logic depths, so some register-to-register stages
   are far more timing-critical than others — which is precisely the
@@ -118,6 +118,13 @@ def generate_sequential_circuit(
     The construction is level-ordered inside each cloud (gates only receive
     fan-ins from strictly earlier levels, launching flip-flops or primary
     inputs), so the combinational logic is acyclic by construction.
+
+    Every flip-flop's D pin is driven from the cloud of its capture group,
+    so it captures from at most ``launch_group_size + 1`` flip-flops (the
+    cloud's launches).  It may capture from none: when the driving gate's
+    fan-in cone holds only the cloud's primary inputs, the flip-flop has
+    no incoming sequential edge (e.g. ``ff_1`` of a 2-flip-flop, 10-gate
+    circuit of depth 2 at seed 0).
     """
     library = library or default_library()
     generator = ensure_rng(rng)

@@ -267,18 +267,6 @@ class Netlist:
     # ------------------------------------------------------------------
     # Graph views
     # ------------------------------------------------------------------
-    def fanout_map(self) -> Dict[str, List[str]]:
-        """Map from each instance to the instances it drives."""
-        fanouts: Dict[str, List[str]] = {name: [] for name in self._instances}
-        for inst in self._instances.values():
-            for src in inst.fanins:
-                if src not in self._instances:
-                    raise KeyError(
-                        f"instance {inst.name!r} references unknown fan-in {src!r}"
-                    )
-                fanouts[src].append(inst.name)
-        return fanouts
-
     def combinational_graph(self) -> CombinationalGraph:
         """The combinational graph on integer ids (built once, then cached).
 

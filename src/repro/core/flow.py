@@ -44,8 +44,8 @@ remaining solves out over the executor configured by
 ``processes``).  Warm worker state is keyed by the compiled system's
 content fingerprint, so one process pool serves the solve phases, the
 final yield sweep
-(:meth:`~repro.engine.SampleScheduler.evaluate_plan` ships only the
-buffer plan and per-chunk sample-matrix slices) and any further flow
+(:meth:`~repro.engine.SampleScheduler.prepare_evaluate_plan` ships only
+the buffer plan and per-chunk sample-matrix slices) and any further flow
 runs on the same design.  The pruning re-solve of III-A2 is
 incremental: solutions that never touched a pruned buffer are *adopted*
 into the cache under the reduced candidate mask, so only the affected

@@ -11,10 +11,12 @@ sweep.  This subsystem turns that observation into a common substrate:
   seed discipline;
 * :mod:`repro.engine.batch` — batched sample-problem descriptions and
   chunking;
-* :mod:`repro.engine.scheduler` — :class:`SampleScheduler`, which skips
-  clean samples, consults the result cache, dispatches chunks and merges
-  results in deterministic sample-index order, plus
-  :func:`run_yield_evaluation` for the evaluation sweep;
+* :mod:`repro.engine.scheduler` — :class:`SampleScheduler`, which
+  prepares the solve phases and the one evaluation sweep: it skips clean
+  samples, consults the result cache, dispatches chunks and merges
+  results in deterministic sample-index order;
+* :mod:`repro.engine.gang` — :class:`PendingPhase` and the functions
+  that dispatch it (:func:`run_pending`, :func:`gang_dispatch`);
 * :mod:`repro.engine.cache` — the content-fingerprint keyed
   :class:`ResultCache` that makes pruning re-solves incremental;
 * :mod:`repro.engine.progress` — progress reporting and per-phase
@@ -58,9 +60,7 @@ from repro.engine.progress import (
 )
 from repro.engine.scheduler import (
     SampleScheduler,
-    configure_chunk,
     evaluate_plan_chunk,
-    run_yield_evaluation,
     solve_chunk,
 )
 from repro.engine.shm import (
@@ -97,7 +97,6 @@ __all__ = [
     "SharedArrayRef",
     "SharedColumns",
     "SharedMatrixStore",
-    "configure_chunk",
     "create_executor",
     "drive_pending_generator",
     "evaluate_plan_chunk",
@@ -110,7 +109,6 @@ __all__ = [
     "record_dispatch_metrics",
     "resolve_jobs",
     "run_pending",
-    "run_yield_evaluation",
     "shm_enabled",
     "solve_chunk",
     "spawn_task_seeds",

@@ -34,8 +34,8 @@ class BatchProblem:
     ----------
     setup_bounds / hold_bounds:
         Arrays ``(n_edges, n_samples)`` of right-hand sides in solver
-        units; a negative entry means the constraint is violated when no
-        buffer is adjusted.
+        units (time units for an evaluation sweep); a negative entry
+        means the constraint is violated when no buffer is adjusted.
     """
 
     setup_bounds: np.ndarray

@@ -1,11 +1,12 @@
 """Gang dispatch: many prepared engine phases in flight at once.
 
 The scheduler's phases (:meth:`~repro.engine.scheduler.SampleScheduler.
-solve_batch`, :meth:`~repro.engine.scheduler.SampleScheduler.
-evaluate_plan`) each end in a barrier: chunks are submitted, drained and
-merged before the caller continues.  Run N campaign cells back to back
-and the executor pays N x phases of those barriers — on a process pool
-the workers idle between every drain and the next submission.
+prepare_solve`, :meth:`~repro.engine.scheduler.SampleScheduler.
+prepare_evaluate_plan`) each end in a barrier when run one at a time:
+chunks are submitted, drained and merged before the caller continues.
+Run N campaign cells back to back and the executor pays N x phases of
+those barriers — on a process pool the workers idle between every drain
+and the next submission.
 
 This module removes the barrier *between peers* without touching what is
 computed:
@@ -15,8 +16,7 @@ computed:
   result stream and reproduces the sequential merge (by sample index),
   bookkeeping and spans.
 * :func:`run_pending` — dispatch + finish immediately.  The sequential
-  path: byte-for-byte the behaviour the scheduler's blocking methods
-  always had.
+  path, taken by every phase run one at a time.
 * :func:`gang_dispatch` — dispatch one *wave* of pendings from many
   peers, submitting everything that can share warm worker state before
   draining anything.  On executors with keyed worker state (the process
@@ -68,8 +68,7 @@ class PendingPhase:
     Attributes
     ----------
     fn / chunks / shared / shared_key:
-        The exact arguments of the :meth:`Executor.map_chunks` call the
-        blocking phase would have made.
+        The arguments of the phase's :meth:`Executor.map_chunks` call.
     phase:
         Phase label (observability / debugging).
     context:
@@ -169,10 +168,9 @@ def drive_pending_generator(
     """Advance a pending-yielding generator to completion, sequentially.
 
     Each yielded :class:`PendingPhase` is dispatched and finished before
-    the generator resumes — exactly the blocking behaviour of the
-    pre-gang scheduler, so a flow driven this way is bit-identical to
-    one that called the blocking methods directly.  Returns the
-    generator's return value.
+    the generator resumes (:func:`run_pending`), so a flow driven this
+    way is bit-identical to a ganged one.  Returns the generator's
+    return value.
     """
     try:
         pending = next(generator)

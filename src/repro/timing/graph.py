@@ -123,10 +123,6 @@ class TimingGraph:
         netlist = self.design.netlist
         return list(netlist.primary_inputs) + list(netlist.flip_flops)
 
-    def capture_node(self, ff: str) -> Tuple[str, str]:
-        """The capture (D-input) node of flip-flop ``ff``."""
-        return ("sink", ff)
-
     def setup_form(self, ff: str) -> CanonicalForm:
         """Canonical form of the setup time of flip-flop ``ff``."""
         cell = self.design.library.get(self.design.netlist.instance(ff).cell)

@@ -25,7 +25,7 @@ from repro.core.difference import (
     tighten_to_integers,
 )
 from repro.core.results import BufferPlan
-from repro.core.sample_solver import ConstraintTopology
+from repro.core.sample_solver import ConstraintTopology, PerSampleSolver
 from repro.timing.constraints import ConstraintSamples
 
 _TOL = 1e-9
@@ -218,30 +218,25 @@ class PostSiliconConfigurator:
         constraint_samples: ConstraintSamples,
         period: float,
         executor=None,
-        chunk_size: Optional[int] = None,
-        stats=None,
-        progress=None,
     ) -> TuningEvaluation:
         """Evaluate the plan over a whole sample batch at a target period.
 
-        The sweep runs on the sample-solving engine
-        (:func:`repro.engine.run_yield_evaluation`): samples that pass at
-        the neutral setting are filtered out vectorised, the rest are
-        chunked over ``executor`` (serial by default).  Results are
-        identical across executors.
+        The sweep is the engine's one evaluation sweep
+        (:meth:`repro.engine.SampleScheduler.prepare_evaluate_plan`) on a
+        solver over this configurator's topology: chips that pass at the
+        neutral setting are filtered out vectorised, the rest are chunked
+        over ``executor`` (serial by default).  Its warm worker state is
+        keyed by the topology's content, so a process pool stays warm
+        across plans.  Results are identical across executors.
         """
-        from repro.engine import run_yield_evaluation
+        from repro.engine import SampleScheduler, run_pending
 
-        setup_bounds = constraint_samples.setup_bounds(period)
-        hold_bounds = constraint_samples.hold_bounds()
-        passed, needed = run_yield_evaluation(
-            self,
-            setup_bounds,
-            hold_bounds,
-            executor=executor,
-            chunk_size=chunk_size,
-            stats=stats,
-            progress=progress,
-            tol=_TOL,
+        scheduler = SampleScheduler(PerSampleSolver(self.topology), executor)
+        pending = scheduler.prepare_evaluate_plan(
+            constraint_samples.setup_bounds(period),
+            constraint_samples.hold_bounds(),
+            self.plan,
+            self.step,
         )
+        passed, needed = run_pending(pending, scheduler.executor)
         return TuningEvaluation(passed=passed, needed_tuning=needed)

@@ -75,10 +75,6 @@ class TestGraphViews:
         assert seq.has_edge("ff1", "ff1")  # self loop through g1->g2
         assert seq.has_edge("ff1", "ff2")
 
-    def test_fanout_map(self, simple_netlist):
-        fanouts = simple_netlist.fanout_map()
-        assert set(fanouts["g2"]) == {"ff1", "ff2", "out"}
-
 
 class TestValidation:
     def test_valid_netlist_passes(self, simple_netlist, library):

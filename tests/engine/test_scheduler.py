@@ -18,7 +18,6 @@ from repro.engine import (
     fingerprint_arrays,
     make_chunks,
     run_pending,
-    run_yield_evaluation,
     shm_enabled,
 )
 from repro.timing.period import sample_min_periods
@@ -40,6 +39,16 @@ def solve_setup(small_design, small_samples):
     return solver, BatchProblem(setup, hold), lower, upper
 
 
+def _solve(scheduler, batch, lower, upper, **kwargs):
+    return run_pending(scheduler.prepare_solve(batch, lower, upper, **kwargs), scheduler.executor)
+
+
+def _evaluate(scheduler, setup, hold, plan):
+    return run_pending(
+        scheduler.prepare_evaluate_plan(setup, hold, plan, 0.0), scheduler.executor
+    )
+
+
 def _solution_key(solution):
     if solution is None:
         return None
@@ -50,7 +59,7 @@ class TestSolveBatch:
     def test_clean_samples_stay_none(self, solve_setup):
         solver, batch, lower, upper = solve_setup
         scheduler = SampleScheduler(solver)
-        solutions = scheduler.solve_batch(batch, lower, upper)
+        solutions = _solve(scheduler, batch, lower, upper)
         violated = set(batch.violated_indices().tolist())
         assert len(solutions) == batch.n_samples
         for index, solution in enumerate(solutions):
@@ -64,24 +73,24 @@ class TestSolveBatch:
     )
     def test_matches_serial_reference(self, solve_setup, make_executor):
         solver, batch, lower, upper = solve_setup
-        reference = SampleScheduler(solver).solve_batch(batch, lower, upper)
+        reference = _solve(SampleScheduler(solver), batch, lower, upper)
         with make_executor() as executor:
-            parallel = SampleScheduler(solver, executor=executor, chunk_size=5).solve_batch(
-                batch, lower, upper
+            parallel = _solve(
+                SampleScheduler(solver, executor=executor, chunk_size=5), batch, lower, upper
             )
         assert [_solution_key(s) for s in parallel] == [_solution_key(s) for s in reference]
 
     def test_chunk_size_does_not_change_results(self, solve_setup):
         solver, batch, lower, upper = solve_setup
-        small = SampleScheduler(solver, chunk_size=1).solve_batch(batch, lower, upper)
-        large = SampleScheduler(solver, chunk_size=1000).solve_batch(batch, lower, upper)
+        small = _solve(SampleScheduler(solver, chunk_size=1), batch, lower, upper)
+        large = _solve(SampleScheduler(solver, chunk_size=1000), batch, lower, upper)
         assert [_solution_key(s) for s in small] == [_solution_key(s) for s in large]
 
     def test_stats_recorded(self, solve_setup):
         solver, batch, lower, upper = solve_setup
         stats = EngineStats()
         scheduler = SampleScheduler(solver, stats=stats)
-        scheduler.solve_batch(batch, lower, upper, phase="unit")
+        _solve(scheduler, batch, lower, upper, phase="unit")
         recorded = stats.phases["unit"]
         assert recorded.n_tasks == len(batch.violated_indices())
         assert recorded.n_dispatched == recorded.n_tasks
@@ -93,9 +102,9 @@ class TestCachePath:
         solver, batch, lower, upper = solve_setup
         cache = ResultCache()
         scheduler = SampleScheduler(solver, cache=cache)
-        first = scheduler.solve_batch(batch, lower, upper)
+        first = _solve(scheduler, batch, lower, upper)
         before = cache.stats()
-        second = scheduler.solve_batch(batch, lower, upper)
+        second = _solve(scheduler, batch, lower, upper)
         after = cache.stats()
         assert [_solution_key(s) for s in second] == [_solution_key(s) for s in first]
         assert after["hits"] - before["hits"] == len(batch.violated_indices())
@@ -104,11 +113,11 @@ class TestCachePath:
         solver, batch, lower, upper = solve_setup
         cache = ResultCache()
         scheduler = SampleScheduler(solver, cache=cache)
-        scheduler.solve_batch(batch, lower, upper)
+        _solve(scheduler, batch, lower, upper)
         hits_before = cache.stats()["hits"]
         narrowed = np.ones(solver.topology.n_ffs, dtype=bool)
         narrowed[: solver.topology.n_ffs // 2] = False
-        scheduler.solve_batch(batch, lower, upper, candidates=narrowed)
+        _solve(scheduler, batch, lower, upper, candidates=narrowed)
         assert cache.stats()["hits"] == hits_before
 
     def test_adopt_pre_seeds_the_pruning_resolve(self, solve_setup):
@@ -120,7 +129,7 @@ class TestCachePath:
         stats = EngineStats()
         scheduler = SampleScheduler(solver, cache=cache, stats=stats)
         all_candidates = np.ones(solver.topology.n_ffs, dtype=bool)
-        solutions = scheduler.solve_batch(batch, lower, upper, candidates=all_candidates)
+        solutions = _solve(scheduler, batch, lower, upper, candidates=all_candidates)
 
         # Prune the buffers used in fewest samples (mimics Sec. III-A2).
         usage = np.zeros(solver.topology.n_ffs)
@@ -142,9 +151,7 @@ class TestCachePath:
         adopted = scheduler.adopt(batch, lower, upper, kept, None, reusable)
         assert adopted == len(reusable)
 
-        resolved = scheduler.solve_batch(
-            batch, lower, upper, candidates=kept, phase="resolve"
-        )
+        resolved = _solve(scheduler, batch, lower, upper, candidates=kept, phase="resolve")
         resolve_stats = stats.phases["resolve"]
         assert resolve_stats.n_cache_hits == len(reusable)
         assert resolve_stats.n_dispatched == len(batch.violated_indices()) - len(reusable)
@@ -179,8 +186,8 @@ class TestChunking:
 
 @pytest.fixture(scope="module")
 def eval_setup(solve_setup, small_design, small_samples):
-    """A plan over every third flip-flop, its configurator and an
-    evaluation batch with failing samples."""
+    """A plan over every third flip-flop, its configurator, the target
+    period and an evaluation batch with failing samples."""
     from repro.core.results import Buffer, BufferPlan
     from repro.tuning.configurator import PostSiliconConfigurator
 
@@ -195,20 +202,20 @@ def eval_setup(solve_setup, small_design, small_samples):
         target_period=period,
     )
     configurator = PostSiliconConfigurator(topology, plan, step=0.0)
-    return plan, configurator, small_samples.setup_bounds(period), small_samples.hold_bounds()
+    setup, hold = small_samples.setup_bounds(period), small_samples.hold_bounds()
+    return plan, configurator, period, setup, hold
 
 
 class TestEvaluationSweep:
-    def test_engine_sweep_matches_direct_loop(self, eval_setup):
-        _, configurator, setup, hold = eval_setup
+    def test_engine_sweep_matches_direct_loop(self, solve_setup, eval_setup):
+        plan, configurator, _, setup, hold = eval_setup
         direct = [
             configurator.configure_sample(setup[:, s], hold[:, s])[0]
             for s in range(setup.shape[1])
         ]
         with ProcessPoolExecutor(jobs=2) as executor:
-            passed, needed = run_yield_evaluation(
-                configurator, setup, hold, executor=executor, chunk_size=7
-            )
+            scheduler = SampleScheduler(solve_setup[0], executor=executor, chunk_size=7)
+            passed, needed = _evaluate(scheduler, setup, hold, plan)
         assert passed.tolist() == direct
         assert needed.sum() > 0
 
@@ -220,22 +227,22 @@ class TestEvaluationSweep:
         ],
     )
     def test_scheduler_evaluate_plan_matches_configurator(
-        self, solve_setup, eval_setup, make_executor
+        self, solve_setup, eval_setup, small_samples, make_executor
     ):
-        """The warm-state sweep must reproduce the standalone evaluation."""
+        """The configurator's sweep is the scheduler's, on the flow's
+        warm solver or on its own solver over the same topology."""
         solver, _, _, _ = solve_setup
-        plan, configurator, setup, hold = eval_setup
-        expected_passed, expected_needed = run_yield_evaluation(configurator, setup, hold)
-
+        plan, configurator, period, setup, hold = eval_setup
         executor = make_executor()
         try:
             scheduler = SampleScheduler(solver, executor=executor, chunk_size=7)
-            passed, needed = scheduler.evaluate_plan(setup, hold, plan, 0.0)
+            passed, needed = _evaluate(scheduler, setup, hold, plan)
+            evaluation = configurator.evaluate(small_samples, period, executor=executor)
         finally:
             if executor is not None:
                 executor.close()
-        assert passed.tolist() == expected_passed.tolist()
-        assert needed.tolist() == expected_needed.tolist()
+        assert passed.tolist() == evaluation.passed.tolist()
+        assert needed.tolist() == evaluation.needed_tuning.tolist()
 
     def test_evaluate_plan_uses_warm_solver_pool(self, solve_setup, small_design, small_samples):
         """Solve phases and the evaluation sweep share one worker pool."""
@@ -249,11 +256,10 @@ class TestEvaluationSweep:
         )
         with ProcessPoolExecutor(jobs=2) as executor:
             scheduler = SampleScheduler(solver, executor=executor, chunk_size=11)
-            scheduler.solve_batch(batch, lower, upper)
+            _solve(scheduler, batch, lower, upper)
             key_after_solve = executor.warm_key
-            scheduler.evaluate_plan(
-                small_samples.setup_bounds(period), small_samples.hold_bounds(), plan, 0.0
-            )
+            setup, hold = small_samples.setup_bounds(period), small_samples.hold_bounds()
+            _evaluate(scheduler, setup, hold, plan)
             assert executor.warm_key == key_after_solve is not None
 
 
@@ -262,8 +268,8 @@ class TestWarmSharedKeys:
         solver, _, _, _ = solve_setup
         a = SampleScheduler(solver)
         b = SampleScheduler(solver)
-        assert a._shared_key == b._shared_key
-        assert a._shared_key == f"solver-{solver.state_fingerprint()}"
+        assert a.shared_key == b.shared_key
+        assert a.shared_key == f"solver-{solver.state_fingerprint()}"
 
     def test_equivalent_solver_reuses_pool(self, solve_setup):
         """Two schedulers over equal solver state share the warm pool."""
@@ -273,9 +279,9 @@ class TestWarmSharedKeys:
         twin = PerSampleSolver(solver.topology)
         assert twin.state_fingerprint() == solver.state_fingerprint()
         with ProcessPoolExecutor(jobs=2) as executor:
-            SampleScheduler(solver, executor=executor).solve_batch(batch, lower, upper)
+            _solve(SampleScheduler(solver, executor=executor), batch, lower, upper)
             first_key = executor.warm_key
-            SampleScheduler(twin, executor=executor).solve_batch(batch, lower, upper)
+            _solve(SampleScheduler(twin, executor=executor), batch, lower, upper)
             assert executor.warm_key == first_key is not None
 
     def test_different_settings_change_key(self, solve_setup):
@@ -285,33 +291,15 @@ class TestWarmSharedKeys:
         other = PerSampleSolver(solver.topology, pool_hops=2)
         assert other.state_fingerprint() != solver.state_fingerprint()
 
-    def test_explicit_shared_key_honoured(self, solve_setup):
-        solver, _, _, _ = solve_setup
-        scheduler = SampleScheduler(solver, shared_key="pinned")
-        assert scheduler._shared_key == "pinned"
-
 
 class TestCacheSize:
-    def test_cache_size_builds_bounded_cache(self, solve_setup):
-        solver, batch, lower, upper = solve_setup
-        scheduler = SampleScheduler(solver, cache_size=3)
-        assert scheduler.cache is not None
-        assert scheduler.cache.max_entries == 3
-        scheduler.solve_batch(batch, lower, upper)
-        assert len(scheduler.cache) <= 3
-
-    def test_explicit_cache_wins_over_cache_size(self, solve_setup):
-        solver, _, _, _ = solve_setup
-        cache = ResultCache()
-        scheduler = SampleScheduler(solver, cache=cache, cache_size=3)
-        assert scheduler.cache is cache
-        assert scheduler.cache.max_entries is None
-
     def test_bounded_cache_still_correct(self, solve_setup):
         """Eviction may cost re-solves but can never change results."""
         solver, batch, lower, upper = solve_setup
-        unbounded = SampleScheduler(solver, cache=ResultCache()).solve_batch(batch, lower, upper)
-        bounded = SampleScheduler(solver, cache_size=2).solve_batch(batch, lower, upper)
+        unbounded = _solve(SampleScheduler(solver, cache=ResultCache()), batch, lower, upper)
+        bounded_cache = ResultCache(max_entries=2)
+        bounded = _solve(SampleScheduler(solver, cache=bounded_cache), batch, lower, upper)
+        assert len(bounded_cache) <= 2
         assert [_solution_key(s) for s in bounded] == [_solution_key(s) for s in unbounded]
 
 
@@ -325,11 +313,13 @@ class _InlinePublishingExecutor(SerialExecutor):
 class TestBoundFingerprints:
     """Bound matrices are hashed only to name shared-memory segments."""
 
-    def test_serial_evaluation_hashes_no_bound_matrix(self, solve_setup, eval_setup, monkeypatch):
+    def test_serial_evaluation_hashes_no_bound_matrix(
+        self, solve_setup, eval_setup, small_samples, monkeypatch
+    ):
         from repro.engine import cache as cache_module
         from repro.engine import scheduler as scheduler_module
 
-        plan, configurator, setup, hold = eval_setup
+        plan, configurator, period, setup, hold = eval_setup
         hashed = []
         original = cache_module.fingerprint_array
 
@@ -341,28 +331,23 @@ class TestBoundFingerprints:
         # global, so this sees every array either function is given.
         monkeypatch.setattr(cache_module, "fingerprint_array", recording)
         monkeypatch.setattr(scheduler_module, "fingerprint_array", recording)
-        executor = SerialExecutor()
-        scheduler = SampleScheduler(solve_setup[0], executor=executor, chunk_size=7)
-        passed, needed = run_pending(
-            scheduler.prepare_evaluate_plan(setup, hold, plan, 0.0), executor
-        )
-        swept, _ = run_yield_evaluation(configurator, setup, hold, executor=executor)
+        scheduler = SampleScheduler(solve_setup[0], executor=SerialExecutor(), chunk_size=7)
+        passed, needed = _evaluate(scheduler, setup, hold, plan)
+        swept = configurator.evaluate(small_samples, period).passed
         assert needed.any()  # chunks were dispatched
         assert swept.tolist() == passed.tolist()
         assert hashed  # the plan key is still a content hash
-        assert not any(
-            np.may_share_memory(array, setup) or np.may_share_memory(array, hold)
-            for array in hashed
-            if array is not None
-        )
+        assert not any(array.shape == setup.shape for array in hashed if array is not None)
 
     @pytest.mark.skipif(not shm_enabled(), reason="shared memory unavailable")
-    def test_published_segments_keep_content_keys(self, solve_setup, eval_setup, monkeypatch):
+    def test_published_segments_keep_content_keys(
+        self, solve_setup, eval_setup, small_samples, monkeypatch
+    ):
         from repro.engine import scheduler as scheduler_module
 
         solver, batch, lower, upper = solve_setup
-        plan, configurator, setup, hold = eval_setup
-        expected_passed, _ = SampleScheduler(solver).evaluate_plan(setup, hold, plan, 0.0)
+        plan, configurator, period, setup, hold = eval_setup
+        expected_passed, _ = _evaluate(SampleScheduler(solver), setup, hold, plan)
 
         monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")  # force sharing
         store = SharedMatrixStore()
@@ -378,11 +363,9 @@ class TestBoundFingerprints:
         executor = _InlinePublishingExecutor()
         try:
             scheduler = SampleScheduler(solver, executor=executor, chunk_size=7)
-            scheduler.solve_batch(batch, lower, upper)
-            passed, _ = scheduler.evaluate_plan(setup, hold, plan, 0.0)
-            swept, _ = run_yield_evaluation(
-                configurator, setup, hold, executor=executor, chunk_size=7
-            )
+            _solve(scheduler, batch, lower, upper)
+            passed, _ = _evaluate(scheduler, setup, hold, plan)
+            swept = configurator.evaluate(small_samples, period, executor=executor).passed
         finally:
             store.release_all()
         batch_fp = fingerprint_arrays(batch.setup_bounds, batch.hold_bounds)

@@ -150,7 +150,7 @@ class TestEndToEnd:
         from repro.circuit.suite import build_suite_circuit
         from repro.core.compiled import ensure_compiled_system
         from repro.core.sample_solver import PerSampleSolver
-        from repro.engine import BatchProblem, SampleScheduler
+        from repro.engine import BatchProblem, SampleScheduler, run_pending
         from repro.variation.sampling import MonteCarloSampler
 
         design = build_suite_circuit("s9234", scale=0.05, seed=3)
@@ -165,15 +165,15 @@ class TestEndToEnd:
         upper = np.full(compiled.n_ffs, 0.5)
 
         solver = PerSampleSolver(compiled.topology)
-        reference = SampleScheduler(solver, SerialExecutor()).solve_batch(
-            batch, lower, upper
+        reference = run_pending(
+            SampleScheduler(solver).prepare_solve(batch, lower, upper), SerialExecutor()
         )
 
         monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")  # force sharing
         with ProcessPoolExecutor(jobs=2) as executor:
             assert use_shm_for(executor, setup, hold)
-            shared = SampleScheduler(solver, executor).solve_batch(
-                batch, lower, upper
+            shared = run_pending(
+                SampleScheduler(solver, executor).prepare_solve(batch, lower, upper), executor
             )
         assert len(shared) == len(reference)
         for ours, theirs in zip(shared, reference, strict=True):

@@ -87,3 +87,22 @@ class TestExecutorLifecycle:
             parallel = parallel_estimator.evaluate_plan(plan, period)
         assert serial.tuned_yield == parallel.tuned_yield
         assert serial.original_yield == parallel.original_yield
+
+    def test_process_pool_stays_warm_across_plans(self, small_design):
+        """Every plan's sweep runs under the solver's content key, so the
+        pool the first plan warmed serves the second one too."""
+        from repro.engine import ProcessPoolExecutor
+
+        period = ensure_compiled_system(small_design).nominal_min_period() * 1.01
+        every_ff = every_ff_plan(small_design, period)
+        plans = [every_ff, BufferPlan(buffers=every_ff.buffers[::2], target_period=period)]
+        serial = YieldEstimator(small_design, n_samples=120, rng=4)
+        expected = [serial.evaluate_plan(plan, period) for plan in plans]
+        with ProcessPoolExecutor(jobs=2) as executor:
+            estimator = YieldEstimator(small_design, n_samples=120, rng=4, executor=executor)
+            first = estimator.evaluate_plan(plans[0], period)
+            warm_key = executor.warm_key
+            second = estimator.evaluate_plan(plans[1], period)
+            assert executor.warm_key == warm_key is not None
+        assert [first, second] == expected
+        assert first.tuned_yield != second.tuned_yield
