@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.compiled import ensure_compiled_system
-from repro.core.config import BufferSpec
+from repro.core.config import BufferSpec, FlowConfig
+from repro.core.flow import BufferInsertionFlow
 from repro.core.sample_solver import PerSampleSolver
 from repro.engine import (
     BatchProblem,
@@ -293,6 +294,17 @@ class TestWarmSharedKeys:
 
 
 class TestCacheSize:
+    def test_cache_size_builds_bounded_cache(self, small_design):
+        config = FlowConfig(
+            n_samples=80, n_eval_samples=150, seed=9, target_sigma=1.0, cache_size=3
+        )
+        flow = BufferInsertionFlow(small_design, config)
+        flow.run()
+        cache = flow.last_scheduler.cache
+        assert cache is not None
+        assert cache.max_entries == 3
+        assert len(cache) <= 3
+
     def test_bounded_cache_still_correct(self, solve_setup):
         """Eviction may cost re-solves but can never change results."""
         solver, batch, lower, upper = solve_setup
