@@ -43,7 +43,13 @@ from repro.campaign.spec import CampaignCell, CampaignSpec, shard_cells
 from repro.campaign.store import CampaignStore, make_record
 from repro.core.flow import BufferInsertionFlow
 from repro.core.results import FlowResult
-from repro.engine import LogProgress, create_executor, drive_pending_generator, gang_dispatch
+from repro.engine import (
+    BatchProblem,
+    LogProgress,
+    create_executor,
+    drive_pending_generator,
+    drive_pending_generators,
+)
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span as trace_span
 from repro.obs.trace import trace_context
@@ -253,13 +259,14 @@ class CampaignRunner:
         extended must abort the run, not silently continue).
     dispatch:
         ``"batched"`` (default) groups runnable cells by compiled-system
-        fingerprint and advances each group's flows in lockstep waves:
-        every wave's engine phases are submitted together
-        (:func:`repro.engine.gang_dispatch`) so one warm worker pool
-        serves all cells of a design at once — including the baseline
-        sweeps, which ship only ``(plan, step)`` pairs.
-        ``"sequential"`` drives the same per-cell generator one cell at
-        a time and commits each cell as it finishes.  Results are
+        fingerprint and runs each group's cells pipelined
+        (:func:`repro.engine.drive_pending_generators`): a cell's next
+        engine phase is dispatched as soon as its last one drains, so one
+        warm worker pool serves all cells of a design at once — including
+        the baseline sweeps, which ship only ``(plan, step)`` pairs — and
+        the parent prepares one cell's phase while the workers run the
+        others'.  ``"sequential"`` drives the same per-cell generator one
+        cell at a time and commits each cell as it finishes.  Results are
         bit-identical between the two; only the wall clock differs.
     design_builder:
         Optional replacement for :func:`build_design`, called once per
@@ -466,106 +473,96 @@ class CampaignRunner:
     def _run_batched(self, cells: List[CampaignCell], executor) -> List[str]:
         """Run the pending cells as fingerprint-grouped gangs.
 
-        Cells of one group advance in lockstep waves: each wave collects
-        every cell's next prepared engine phase and dispatches them as
-        one submission burst over the shared warm pool
-        (:func:`repro.engine.gang_dispatch`).  Results are bit-identical
-        to sequential dispatch — phase inputs are purely per-cell and
-        every phase merges by sample index — so only the wall clock
-        changes.  Finished records are committed per group in cell
-        order, keeping resume semantics (a kill loses at most the
-        in-flight group).
+        Each group runs pipelined on the shared warm pool
+        (:meth:`_run_group`).  Results are bit-identical to sequential
+        dispatch — phase inputs are purely per-cell and every phase
+        merges by sample index — so only the wall clock changes.
+        Finished records are committed per group in cell order, keeping
+        resume semantics (a kill loses at most the in-flight group).
         """
         order: List[Tuple[str, str]] = []
-        groups: Dict[Tuple[str, str], List[Tuple[int, CampaignCell]]] = {}
-        for index, cell in enumerate(cells):
+        groups: Dict[Tuple[str, str], List[CampaignCell]] = {}
+        for cell in cells:
             key = self._group_key(cell)
             if key not in groups:
                 groups[key] = []
                 order.append(key)
-            groups[key].append((index, cell))
+            groups[key].append(cell)
         self._log(
             f"batched dispatch: {len(cells)} cells in {len(groups)} "
             f"compiled-system group(s) on {executor.name}"
         )
 
         run_ids: List[str] = []
-        committed = 0
         for key in order:
             members = groups[key]
-            records = self._run_group(members, executor)
-            for index, cell in members:
-                committed += 1
-                record, seconds = records[index]
-                self._commit_record(cell, record, committed, len(cells), seconds)
+            for cell, (record, seconds) in zip(
+                members, self._run_group(members, executor), strict=True
+            ):
                 run_ids.append(cell.cell_id)
+                self._commit_record(cell, record, len(run_ids), len(cells), seconds)
         return run_ids
 
     def _run_group(
-        self, members: List[Tuple[int, CampaignCell]], executor
-    ) -> Dict[int, Tuple[Dict[str, object], float]]:
-        """Advance one gang of same-fingerprint cells in lockstep waves."""
-        registry = get_registry()
-        drivers = []
-        for index, cell in members:
-            drivers.append(
-                {
-                    "index": index,
-                    "cell": cell,
-                    "gen": self._drive_cell(cell, executor, gang_width=len(members)),
-                    "value": None,
-                    "started": False,
-                    "t0": time.perf_counter(),
-                }
-            )
-        records: Dict[int, Tuple[Dict[str, object], float]] = {}
-        active = drivers
-        while active:
-            wave = []
-            for driver in active:
-                cell = driver["cell"]
-                # Context (not a span): spans must not stay open across
-                # a generator suspension when several cells interleave
-                # on this thread.  Every span and chunk label produced
-                # while this cell's generator runs inherits the cell id.
+        self, members: List[CampaignCell], executor
+    ) -> List[Tuple[Dict[str, object], float]]:
+        """Run one gang of same-fingerprint cells pipelined
+        (:func:`repro.engine.drive_pending_generators`): each cell's next
+        engine phase is dispatched as soon as its last one drains, while
+        the workers still run the other cells' chunks.  Returns each
+        cell's ``(record, seconds)``, in ``members`` order.
+        """
+        return drive_pending_generators(
+            [self._gang_cell(cell, executor, gang_width=len(members)) for cell in members],
+            executor,
+        )
+
+    def _gang_cell(self, cell: CampaignCell, executor, gang_width: int):
+        """:meth:`_drive_cell` as one member of a gang, returning
+        ``(record, seconds)`` and recording the cell's completion.
+
+        Each step of the cell's generator runs inside its
+        ``trace_context(cell=...)``, a context and not a span: the gang's
+        cells interleave on this thread, so nothing may stay open across
+        a suspension.  Every span and chunk label produced while this
+        cell's generator runs inherits the cell id.
+        """
+        start = time.perf_counter()
+        generator = self._drive_cell(cell, executor, gang_width=gang_width)
+        value = None
+        try:
+            while True:
                 with trace_context(cell=cell.cell_id):
                     try:
-                        if driver["started"]:
-                            driver["pending"] = driver["gen"].send(driver["value"])
-                        else:
-                            driver["pending"] = next(driver["gen"])
-                            driver["started"] = True
-                        driver["value"] = None
-                        wave.append(driver)
+                        pending = generator.send(value)
                     except StopIteration as stop:
-                        seconds = time.perf_counter() - driver["t0"]
-                        # Completion marker (near-zero duration — the
-                        # cell's wall clock, inflated by interleaved
-                        # peers, rides in the attrs instead).
-                        with trace_span(
-                            "campaign.cell",
-                            cell=cell.cell_id,
-                            fingerprint=cell.fingerprint(),
-                            circuit=cell.circuit,
-                            seconds=round(seconds, 6),
-                        ):
-                            pass
-                        registry.counter("campaign.cells.executed").inc()
-                        registry.histogram("campaign.cell.seconds").observe(seconds)
-                        records[driver["index"]] = (stop.value, seconds)
-            results = gang_dispatch([driver["pending"] for driver in wave], executor)
-            for driver, value in zip(wave, results, strict=True):
-                driver["value"] = value
-                driver["pending"] = None
-            active = wave
-        return records
+                        record = stop.value
+                        break
+                value = yield pending
+        finally:
+            generator.close()
+        seconds = time.perf_counter() - start
+        # Completion marker (near-zero duration — the cell's wall clock,
+        # inflated by interleaved peers, rides in the attrs instead).
+        with trace_span(
+            "campaign.cell",
+            cell=cell.cell_id,
+            fingerprint=cell.fingerprint(),
+            circuit=cell.circuit,
+            seconds=round(seconds, 6),
+        ):
+            pass
+        registry = get_registry()
+        registry.counter("campaign.cells.executed").inc()
+        registry.histogram("campaign.cell.seconds").observe(seconds)
+        return record, seconds
 
     def _drive_cell(self, cell: CampaignCell, executor, gang_width: int):
         """Generator running one cell cooperatively (flow + baselines).
 
         Yields :class:`~repro.engine.PendingPhase` objects and returns
         the finished store record; the caller supplies each phase's
-        result via ``send`` (the wave loop of batched dispatch, or
+        result via ``send`` (:meth:`_run_group` for a gang, or
         :func:`~repro.engine.drive_pending_generator` one cell at a
         time).
         """
@@ -597,7 +594,10 @@ class CampaignRunner:
         equal-area.  Every sweep is prepared on the *flow's* scheduler
         and dispatched under its solver key: only the small ``(plan,
         step)`` pairs cross the process boundary, so the baselines of a
-        cell (or of a whole gang) run on the flow's warm pool.
+        cell (or of a whole gang) run on the flow's warm pool.  The one
+        :class:`~repro.engine.BatchProblem` is hashed at most once, and
+        its fingerprint keys the shared-memory segments every sweep
+        reuses.
         """
         if not cell.baselines:
             return {}
@@ -609,8 +609,7 @@ class CampaignRunner:
         analysis = estimator.period_analysis(samples)
         period = float(result.target_period)
         original = float(analysis.yield_at(period))
-        setup_bounds = samples.setup_bounds(period)
-        hold_bounds = samples.hold_bounds()
+        batch = BatchProblem(samples.setup_bounds(period), samples.hold_bounds())
         reports: Dict[str, Dict[str, float]] = {}
         for name in cell.baselines:
             plan = build_baseline_plan(
@@ -622,7 +621,7 @@ class CampaignRunner:
             )
             step = plan.buffers[0].step if plan.buffers else 0.0
             passed, _ = yield scheduler.prepare_evaluate_plan(
-                setup_bounds, hold_bounds, plan, float(step), phase="baseline_eval"
+                batch, plan, float(step), phase="baseline_eval"
             )
             tuned = float(np.mean(passed)) if passed.size else 1.0
             reports[name] = {

@@ -19,8 +19,7 @@ produces files that round-trip through the reader.
 from __future__ import annotations
 
 import re
-from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.circuit.library import CellLibrary, default_library
 from repro.circuit.netlist import Netlist
@@ -126,16 +125,6 @@ def parse_bench(
     return netlist
 
 
-def load_bench(
-    path: Union[str, Path],
-    library: Optional[CellLibrary] = None,
-    name: Optional[str] = None,
-) -> Netlist:
-    """Read a ``.bench`` file from disk."""
-    path = Path(path)
-    return parse_bench(path.read_text(), name=name or path.stem, library=library)
-
-
 def write_bench(netlist: Netlist, library: Optional[CellLibrary] = None) -> str:
     """Serialise a netlist back to ``.bench`` text.
 
@@ -159,8 +148,3 @@ def write_bench(netlist: Netlist, library: Optional[CellLibrary] = None) -> str:
         func = {"NOT": "NOT", "BUF": "BUFF"}.get(func, func)
         lines.append(f"{name_} = {func}({', '.join(inst.fanins)})")
     return "\n".join(lines) + "\n"
-
-
-def save_bench(netlist: Netlist, path: Union[str, Path], library: Optional[CellLibrary] = None) -> None:
-    """Write a netlist to a ``.bench`` file."""
-    Path(path).write_text(write_bench(netlist, library=library))

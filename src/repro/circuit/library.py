@@ -11,7 +11,7 @@ values only shift the clock-period scale, not the structure of the results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.circuit.cells import Cell, CellKind, FlipFlopTiming
 
@@ -125,12 +125,4 @@ def default_library(name: str = "repro_generic_45nm") -> CellLibrary:
             ff_timing=ff_timing,
         )
     )
-    return lib
-
-
-def library_from_cells(name: str, cells: Iterable[Cell]) -> CellLibrary:
-    """Convenience constructor for a library from an iterable of cells."""
-    lib = CellLibrary(name=name)
-    for cell in cells:
-        lib.add(cell)
     return lib

@@ -424,7 +424,9 @@ class BufferInsertionFlow:
             original_yield = float(np.mean(original_ok))
             # The sweep runs on the scheduler's warm worker state: only
             # the plan and the per-chunk bound slices are shipped.
-            passed, _ = yield scheduler.prepare_evaluate_plan(eval_setup, eval_hold, plan, step)
+            passed, _ = yield scheduler.prepare_evaluate_plan(
+                BatchProblem(eval_setup, eval_hold), plan, step
+            )
             improved_yield = float(np.mean(passed)) if passed.size else 1.0
 
         lower_bounds = {

@@ -16,7 +16,9 @@ sweep.  This subsystem turns that observation into a common substrate:
   samples, consults the result cache, dispatches chunks and merges
   results in deterministic sample-index order;
 * :mod:`repro.engine.gang` — :class:`PendingPhase` and the functions
-  that dispatch it (:func:`run_pending`, :func:`gang_dispatch`);
+  that dispatch it: :func:`run_pending` for one phase, and
+  :func:`drive_pending_generators`, which pipelines the phases of many
+  cooperative generators (a campaign gang's cells);
 * :mod:`repro.engine.cache` — the content-fingerprint keyed
   :class:`ResultCache` that makes pruning re-solves incremental;
 * :mod:`repro.engine.progress` — progress reporting and per-phase
@@ -41,6 +43,7 @@ from repro.engine.executor import (
 from repro.engine.gang import (
     PendingPhase,
     drive_pending_generator,
+    drive_pending_generators,
     gang_dispatch,
     record_dispatch_metrics,
     run_pending,
@@ -99,6 +102,7 @@ __all__ = [
     "SharedMatrixStore",
     "create_executor",
     "drive_pending_generator",
+    "drive_pending_generators",
     "evaluate_plan_chunk",
     "default_chunk_size",
     "gang_dispatch",

@@ -122,8 +122,9 @@ class Executor(ABC):
 
     #: Whether the executor keeps warm worker state keyed by
     #: ``shared_key`` (a dispatch with a *different* key tears the state
-    #: down).  Gang dispatch uses this to decide whether a wave of
-    #: differently-keyed phases must be drained group by group.
+    #: down).  :func:`repro.engine.gang.drive_pending_generators` uses
+    #: this to hold back a phase whose key differs from a phase still in
+    #: flight until that one has drained.
     keyed_state: bool = False
 
     def __init__(self, jobs: Optional[int] = None) -> None:

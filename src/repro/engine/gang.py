@@ -15,28 +15,38 @@ computed:
   shared object and its key, and a ``finish`` closure that drains the
   result stream and reproduces the sequential merge (by sample index),
   bookkeeping and spans.
-* :func:`run_pending` — dispatch + finish immediately.  The sequential
-  path, taken by every phase run one at a time.
-* :func:`gang_dispatch` — dispatch one *wave* of pendings from many
-  peers, submitting everything that can share warm worker state before
-  draining anything.  On executors with keyed worker state (the process
-  pool) pendings are grouped by ``shared_key`` and drained group by
-  group — submitting a second key would restart the pool and orphan the
-  first group's futures.  The stateless serial executor submits the
-  whole wave up front.
-* :func:`drive_pending_generator` — run a cooperative generator (one
-  that yields :class:`PendingPhase` objects and receives their results)
-  to completion sequentially.
+* :func:`run_pending` — dispatch + finish immediately.  Every phase is
+  finished through it, so its wall clock is the time spent waiting on
+  the executor.
+* :func:`drive_pending_generators` — run many cooperative generators
+  (each yields :class:`PendingPhase` objects and receives their results)
+  to completion, pipelined.  A phase is dispatched as soon as its
+  generator yields it; phases are finished oldest first, and a generator
+  resumes — and dispatches its next phase — as soon as its last phase
+  drains, while the workers still work through the other generators'
+  queued chunks.  :func:`drive_pending_generator` is its one-generator
+  case, and :func:`gang_dispatch` runs one wave of pendings as
+  one-phase generators.
+
+On executors with keyed worker state (the process pool) a phase whose
+``shared_key`` differs from that of a phase in flight waits, undispatched,
+until those have drained: submitting a second key restarts the pool.
+Campaign cells grouped by compiled-system fingerprint share one key, so
+their phases never wait for this.
+
+When a phase or a generator raises, every other queued phase is still
+finished (which checks its shared-memory segments back in), every
+generator is closed, and the first error is re-raised.
 
 Determinism: chunk layout and dispatch order never reach the results —
 every ``finish`` merges by sample index, and each pending's chunks were
-prepared from purely per-cell inputs.  Ganged and sequential dispatch
+prepared from purely per-cell inputs.  Pipelined and sequential dispatch
 are therefore bit-identical; only the wall clock changes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Iterator, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.batch import ChunkPayload
 from repro.engine.executor import Executor
@@ -102,6 +112,10 @@ class PendingPhase:
     def n_chunks(self) -> int:
         return len(self.chunks)
 
+    @property
+    def dispatched(self) -> bool:
+        return self._stream is not None
+
     def dispatch(self, executor: Executor) -> "PendingPhase":
         """Submit the chunks (idempotent; lazy on the serial executor)."""
         if self._stream is None:
@@ -121,60 +135,85 @@ class PendingPhase:
 
 
 def run_pending(pending: PendingPhase, executor: Executor) -> Any:
-    """Dispatch one pending phase and finish it immediately (sequential)."""
+    """Dispatch one pending phase (if not yet dispatched) and finish it."""
     return pending.dispatch(executor).finish()
+
+
+PendingGenerator = Generator[PendingPhase, Any, Any]
+
+
+def drive_pending_generators(
+    generators: Sequence[PendingGenerator], executor: Executor
+) -> List[Any]:
+    """Advance pending-yielding generators to completion, pipelined.
+
+    Every generator is started in turn and each yielded phase is
+    dispatched at once, so the workers start on the first phase while the
+    later generators still prepare theirs.  Then the oldest dispatched
+    phase is finished through :func:`run_pending`, its result is sent back
+    and the next phase of that generator is dispatched at once, behind the
+    chunks still queued for the others.  Returns the generators' return
+    values, aligned with ``generators``.
+    """
+    keyed = getattr(executor, "keyed_state", False)
+    results: List[Any] = [None] * len(generators)
+    queue: List[Tuple[int, PendingPhase]] = []  # in yield order
+
+    def dispatch_ready() -> None:
+        in_flight = {pending.shared_key for _, pending in queue if pending.dispatched}
+        for _, pending in queue:
+            if pending.dispatched or (keyed and in_flight and pending.shared_key not in in_flight):
+                continue
+            pending.dispatch(executor)
+            in_flight.add(pending.shared_key)
+
+    def advance(index: int, value: Any) -> None:
+        try:
+            queue.append((index, generators[index].send(value)))
+        except StopIteration as stop:
+            results[index] = stop.value
+        dispatch_ready()
+
+    try:
+        for index in range(len(generators)):
+            advance(index, None)
+        while queue:
+            position = next(i for i, (_, pending) in enumerate(queue) if pending.dispatched)
+            index, pending = queue.pop(position)
+            advance(index, run_pending(pending, executor))
+    except Exception:
+        # Drain the rest first: a phase checks its shared-memory segments
+        # back in only when it finishes.
+        for _, pending in queue:
+            try:
+                pending.finish()
+            except Exception:
+                pass  # the first error is the one re-raised
+        for generator in generators:
+            generator.close()
+        raise
+    return results
+
+
+def drive_pending_generator(generator: PendingGenerator, executor: Executor) -> Any:
+    """Advance one pending-yielding generator to completion and return its value.
+
+    Each yielded phase is dispatched and finished before the generator
+    resumes, so a flow driven this way is bit-identical to a pipelined one.
+    """
+    return drive_pending_generators([generator], executor)[0]
+
+
+def _one_phase(pending: PendingPhase) -> PendingGenerator:
+    return (yield pending)
 
 
 def gang_dispatch(pendings: List[PendingPhase], executor: Executor) -> List[Any]:
     """Run one wave of pending phases, overlapping whatever the executor
     allows, and return their results aligned with ``pendings``.
 
-    Executors with keyed worker state (``executor.keyed_state``) restart
-    their pool when the shared key changes, so the wave is grouped by
-    key in first-appearance order: every group is fully submitted before
-    it is drained, and a new key is only submitted once the previous
-    group has drained.  Campaign cells grouped by compiled-system
-    fingerprint share one key, which makes the common case — N cells of
-    one design — a single submission burst over one warm pool.
+    On a keyed-state executor the wave runs key by key, in order of first
+    appearance: all phases of one key are dispatched before any is
+    drained, and the next key only once they have all drained.
     """
-    results: List[Any] = [None] * len(pendings)
-    if not pendings:
-        return results
-    if getattr(executor, "keyed_state", False):
-        order: List[Optional[str]] = []
-        groups: Dict[Optional[str], List[int]] = {}
-        for i, pending in enumerate(pendings):
-            if pending.shared_key not in groups:
-                groups[pending.shared_key] = []
-                order.append(pending.shared_key)
-            groups[pending.shared_key].append(i)
-        for key in order:
-            members = groups[key]
-            for i in members:
-                pendings[i].dispatch(executor)
-            for i in members:
-                results[i] = pendings[i].finish()
-    else:
-        for pending in pendings:
-            pending.dispatch(executor)
-        for i, pending in enumerate(pendings):
-            results[i] = pending.finish()
-    return results
-
-
-def drive_pending_generator(
-    generator: Generator[PendingPhase, Any, Any], executor: Executor
-) -> Any:
-    """Advance a pending-yielding generator to completion, sequentially.
-
-    Each yielded :class:`PendingPhase` is dispatched and finished before
-    the generator resumes (:func:`run_pending`), so a flow driven this
-    way is bit-identical to a ganged one.  Returns the generator's
-    return value.
-    """
-    try:
-        pending = next(generator)
-        while True:
-            pending = generator.send(run_pending(pending, executor))
-    except StopIteration as stop:
-        return stop.value
+    return drive_pending_generators([_one_phase(pending) for pending in pendings], executor)

@@ -48,8 +48,6 @@ from repro.obs.trace import span as trace_span
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine is a leaf)
     from repro.core.sample_solver import PerSampleSolver, SampleSolution
 
-_TOL = 1e-9
-
 
 def _share_bounds(executor, dispatched: List[int], batch: BatchProblem):
     """Publish the phase's bound matrices to shared memory when worth it.
@@ -372,28 +370,30 @@ class SampleScheduler:
 
     def prepare_evaluate_plan(
         self,
-        setup_bounds: np.ndarray,
-        hold_bounds: np.ndarray,
+        batch: BatchProblem,
         plan: Any,
         step: float,
         phase: str = PHASE_YIELD_EVAL,
     ) -> PendingPhase:
-        """Prepare the post-silicon yield sweep of ``plan``.
+        """Prepare the post-silicon yield sweep of ``plan`` over ``batch``.
 
+        ``batch`` holds the chips' setup and hold bounds in time units.
         Chips passing at the neutral buffer setting are filtered out
         vectorised; the rest are chunked with the small ``(plan, step)``
         pair and dispatched under the scheduler's solver key, so a gang
         of cells sharing one compiled system evaluates *any number of
         plans* (flow plans, baseline plans) on one warm worker pool.
+        Sweeping several plans over one ``batch`` hashes its matrices at
+        most once: the batch caches its fingerprint, which keys the
+        shared-memory segments the sweeps reuse.
 
         The pending's result is ``(passed, needed_tuning)``, boolean
         per-chip arrays with the semantics of
         :class:`repro.tuning.configurator.TuningEvaluation`.
         """
         start = time.perf_counter()
-        clean = np.all(setup_bounds >= -_TOL, axis=0) & np.all(hold_bounds >= -_TOL, axis=0)
-        passed = clean.copy()
-        needed = ~clean
+        needed = batch.violated_mask()
+        passed = ~needed
         indices = [int(i) for i in np.where(needed)[0]]
         plan_key = fingerprint_arrays(
             np.frombuffer(repr(plan).encode("utf-8"), dtype=np.uint8),
@@ -404,7 +404,7 @@ class SampleScheduler:
             evaluate_plan_chunk,
             phase,
             start,
-            BatchProblem(setup_bounds, hold_bounds),
+            batch,
             passed,
             len(indices),
             indices,

@@ -229,14 +229,12 @@ class PostSiliconConfigurator:
         keyed by the topology's content, so a process pool stays warm
         across plans.  Results are identical across executors.
         """
-        from repro.engine import SampleScheduler, run_pending
+        from repro.engine import BatchProblem, SampleScheduler, run_pending
 
         scheduler = SampleScheduler(PerSampleSolver(self.topology), executor)
-        pending = scheduler.prepare_evaluate_plan(
-            constraint_samples.setup_bounds(period),
-            constraint_samples.hold_bounds(),
-            self.plan,
-            self.step,
+        batch = BatchProblem(
+            constraint_samples.setup_bounds(period), constraint_samples.hold_bounds()
         )
+        pending = scheduler.prepare_evaluate_plan(batch, self.plan, self.step)
         passed, needed = run_pending(pending, scheduler.executor)
         return TuningEvaluation(passed=passed, needed_tuning=needed)

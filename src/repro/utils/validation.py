@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 
 def check_positive(value: float, name: str) -> float:
     """Raise ``ValueError`` unless ``value`` is strictly positive."""
@@ -30,11 +28,4 @@ def check_fraction(value: float, name: str) -> float:
     """Raise ``ValueError`` unless ``value`` lies in ``(0, 1]``."""
     if not 0.0 < value <= 1.0:
         raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
-    return value
-
-
-def check_type(value: Any, types, name: str):
-    """Raise ``TypeError`` unless ``value`` is an instance of ``types``."""
-    if not isinstance(value, types):
-        raise TypeError(f"{name} must be {types}, got {type(value)}")
     return value

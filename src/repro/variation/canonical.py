@@ -255,14 +255,6 @@ class CanonicalForm:
         )
 
 
-def canonical_sum(forms: Iterable[CanonicalForm], n_sources: int) -> CanonicalForm:
-    """Sum an iterable of canonical forms (empty sum is a zero constant)."""
-    total = CanonicalForm.constant(0.0, n_sources)
-    for form in forms:
-        total = total + form
-    return total
-
-
 def canonical_max(forms: Iterable[CanonicalForm]) -> CanonicalForm:
     """Statistical maximum of an iterable of canonical forms."""
     iterator = iter(forms)

@@ -12,7 +12,9 @@ resumed — possibly on a *different* executor — must
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.campaign.report import (
 from repro.campaign.runner import CampaignRunner, campaign_status
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
+from repro.engine import shm_enabled
 
 
 def spec_12_cells() -> CampaignSpec:
@@ -168,6 +171,63 @@ class TestDispatchModes:
         # One (circuit, scale) design + one solver => a single gang.
         assert len(set(keys.values())) == 1
         assert CampaignRunner(spec, store, executor="serial").run().n_run == len(cells)
+
+    def test_gang_dispatches_next_phase_before_peer_finishes(self, tmp_path, monkeypatch):
+        """Batched dispatch is pipelined: a cell's second phase goes out
+        as soon as its first drains, before its peer's first finishes."""
+        from repro.engine import gang
+
+        events = []
+        dispatched = {}
+        dispatch, finish = gang.PendingPhase.dispatch, gang.PendingPhase.finish
+
+        def recording_dispatch(pending, executor):
+            if id(pending) not in dispatched:
+                dispatched[id(pending)] = pending  # keeps ids unique
+                events.append(("dispatch", pending.context["cell"]))
+            return dispatch(pending, executor)
+
+        def recording_finish(pending):
+            events.append(("finish", pending.context["cell"]))
+            return finish(pending)
+
+        monkeypatch.setattr(gang.PendingPhase, "dispatch", recording_dispatch)
+        monkeypatch.setattr(gang.PendingPhase, "finish", recording_finish)
+        spec = tiny_spec()
+        store = CampaignStore.open(str(tmp_path / "s.jsonl"))
+        assert CampaignRunner(spec, store, executor="serial").run().n_run == 2
+        cell_a, cell_b = (cell.cell_id for cell in spec.cells())
+        a_dispatches = [i for i, event in enumerate(events) if event == ("dispatch", cell_a)]
+        b_finishes = [i for i, event in enumerate(events) if event == ("finish", cell_b)]
+        assert a_dispatches[1] < b_finishes[0]
+
+    @pytest.mark.skipif(not shm_enabled(), reason="shared memory unavailable")
+    def test_each_cell_hashes_its_baseline_batch_once(self, tmp_path, monkeypatch):
+        """The three baseline sweeps of a cell share one evaluation batch,
+        whose matrices are hashed once to key their shared memory."""
+        from repro.engine import batch as batch_module
+        from repro.obs.trace import current_context
+
+        hashes = Counter()
+        original = batch_module.fingerprint_arrays
+
+        def recording(*arrays):
+            digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+            hashes[(current_context().get("cell"), digest)] += 1
+            return original(*arrays)
+
+        monkeypatch.setattr(batch_module, "fingerprint_arrays", recording)
+        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")  # force sharing
+        spec = tiny_spec(baselines=("every_ff", "criticality", "random"))
+        store = CampaignStore.open(str(tmp_path / "s.jsonl"))
+        runner = CampaignRunner(spec, store, executor="processes", jobs=2)
+        assert runner.run().n_run == 2
+        # Per cell: the training batch, the flow's evaluation batch and
+        # the one baseline batch, each hashed once.
+        assert sorted(cell for cell, _ in hashes) == sorted(
+            [cell.cell_id for cell in spec.cells()] * 3
+        )
+        assert set(hashes.values()) == {1}
 
     def test_invalid_dispatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="dispatch"):

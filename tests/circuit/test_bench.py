@@ -4,9 +4,7 @@ import pytest
 
 from repro.circuit.bench import (
     BenchParseError,
-    load_bench,
     parse_bench,
-    save_bench,
     write_bench,
 )
 
@@ -71,14 +69,6 @@ class TestRoundTrip:
         parsed = parse_bench(text, library=library)
         assert parsed.stats() == original.stats()
         assert set(parsed.flip_flops) == set(original.flip_flops)
-
-    def test_file_round_trip(self, tmp_path, library):
-        original = parse_bench(EXAMPLE, library=library)
-        path = tmp_path / "ex.bench"
-        save_bench(original, path, library=library)
-        loaded = load_bench(path, library=library)
-        assert loaded.stats() == original.stats()
-        assert loaded.name == "ex"
 
     def test_generated_circuit_round_trip(self, tiny_netlist, library):
         text = write_bench(tiny_netlist, library=library)

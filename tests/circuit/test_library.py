@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuit.cells import Cell, CellKind
-from repro.circuit.library import CellLibrary, library_from_cells
+from repro.circuit.library import CellLibrary
 
 
 class TestDefaultLibrary:
@@ -46,8 +46,3 @@ class TestCellLibrary:
         lib.add(cell)
         with pytest.raises(ValueError):
             lib.add(cell)
-
-    def test_library_from_cells(self):
-        cells = [Cell("A", CellKind.COMBINATIONAL, 1, delay=1.0)]
-        lib = library_from_cells("mini", cells)
-        assert "A" in lib and len(lib) == 1

@@ -1,12 +1,17 @@
-"""Gang dispatch primitives: PendingPhase, run_pending, gang_dispatch.
+"""Gang dispatch primitives: PendingPhase, run_pending,
+drive_pending_generator(s) and gang_dispatch.
 
 These tests drive the primitives with synthetic chunk functions so the
 ordering contracts are checked directly:
 
-* results always align with the input pendings, whatever the executor;
-* on keyed-state executors a wave is grouped by ``shared_key`` and a new
-  key is never submitted before the previous group fully drains (a key
-  change restarts the pool and would orphan in-flight futures);
+* results always align with the input pendings or generators, whatever
+  the executor;
+* a generator's next phase is dispatched as soon as its last one drains,
+  before a peer's queued phase is finished;
+* on keyed-state executors a new key is never submitted while a phase of
+  another key is in flight (a key change restarts the pool);
+* an error still finishes every other queued phase and closes every
+  generator before the first error propagates;
 * ``drive_pending_generator`` reproduces the sequential behaviour.
 """
 
@@ -15,10 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional
 
+import pytest
+
 from repro.engine import (
     PendingPhase,
     SerialExecutor,
     drive_pending_generator,
+    drive_pending_generators,
     gang_dispatch,
     run_pending,
 )
@@ -69,6 +77,30 @@ class RecordingKeyedExecutor(SerialExecutor):
             yield from results
 
         return stream()
+
+
+def failing_pending(log=None) -> PendingPhase:
+    """A phase whose finish drains its chunks, then raises KeyError."""
+
+    def finish(stream: Iterator[Any]) -> None:
+        for _ in stream:
+            pass
+        if log is not None:
+            log.append(("finish", "bad"))
+        raise KeyError("bad")
+
+    return PendingPhase(double_chunk, [FakeChunk([1])], None, None, finish, phase="bad")
+
+
+def assert_one_key_in_flight(events: List[tuple]) -> None:
+    """No dispatch of one key while a phase of another key is undrained."""
+    in_flight: List[Optional[str]] = []
+    for event, key in events:
+        if event == "dispatch":
+            assert all(other == key for other in in_flight), events
+            in_flight.append(key)
+        elif event == "drain":
+            in_flight.remove(key)
 
 
 class TestRunPending:
@@ -132,6 +164,98 @@ class TestGangDispatch:
             "drain",
             "drain",
         ]
+
+    def test_error_finishes_the_rest_of_the_wave(self):
+        log: List[tuple] = []
+        pendings = [failing_pending(log), make_pending([2], "good", log)]
+        with SerialExecutor() as executor, pytest.raises(KeyError, match="bad"):
+            gang_dispatch(pendings, executor)
+        assert log == [("finish", "bad"), ("finish", "good")]
+
+
+class TestDrivePendingGenerators:
+    @staticmethod
+    def cell(name: str, log: List[tuple]):
+        first = yield make_pending([1], f"{name}1", log)
+        second = yield make_pending(first, f"{name}2", log)
+        return (name, second)
+
+    def test_results_align_with_generators(self):
+        def short():
+            return "short"
+            yield  # pragma: no cover
+
+        log: List[tuple] = []
+        with SerialExecutor() as executor:
+            results = drive_pending_generators(
+                [self.cell("a", log), short(), self.cell("b", log)], executor
+            )
+        assert results == [("a", [4]), "short", ("b", [4])]
+
+    def test_next_phase_dispatched_before_peer_finishes(self):
+        executor = RecordingKeyedExecutor()
+        executor.keyed_state = False
+        log = executor.events
+        drive_pending_generators([self.cell("a", log), self.cell("b", log)], executor)
+        events = [event for event in executor.events if event[0] != "drain"]
+        # Both first phases go out before anything drains; a's second
+        # phase goes out as soon as a's first is finished, ahead of b's.
+        assert events[:4] == [
+            ("dispatch", "a1"),
+            ("dispatch", "b1"),
+            ("finish", "a1"),
+            ("dispatch", "a2"),
+        ]
+        assert events.index(("dispatch", "a2")) < events.index(("finish", "b1"))
+
+    def test_keyed_executor_never_switches_key_under_a_phase_in_flight(self):
+        executor = RecordingKeyedExecutor()
+
+        def cell(keys: List[str]):
+            for key in keys:
+                yield make_pending([1], key)
+
+        results = drive_pending_generators(
+            [cell(["a", "a"]), cell(["b"]), cell(["a", "b", "a"])], executor
+        )
+        assert results == [None, None, None]
+        assert_one_key_in_flight(executor.events)
+        assert [event for event, _ in executor.events].count("dispatch") == 6
+
+    def test_error_drains_peers_closes_generators_and_reraises_first(self):
+        log: List[tuple] = []
+        closed: List[str] = []
+
+        def cell(name: str, first: PendingPhase):
+            try:
+                yield first
+                yield make_pending([2], f"{name}2", log)
+            finally:
+                closed.append(name)
+
+        generators = [
+            cell("bad", failing_pending(log)),
+            cell("good", make_pending([3], "good1", log)),
+            cell("worse", failing_pending()),
+        ]
+        with SerialExecutor() as executor, pytest.raises(KeyError, match="bad"):
+            drive_pending_generators(generators, executor)
+        # The peers' queued phases are finished (the third's error is
+        # swallowed), no phase is dispatched after the error, and every
+        # generator is closed.
+        assert log == [("finish", "bad"), ("finish", "good1")]
+        assert sorted(closed) == ["bad", "good", "worse"]
+
+    def test_generator_error_drains_peers(self):
+        log: List[tuple] = []
+
+        def broken():
+            yield make_pending([1], "broken1", log)
+            raise RuntimeError("broken")
+
+        with SerialExecutor() as executor, pytest.raises(RuntimeError, match="broken"):
+            drive_pending_generators([broken(), self.cell("b", log)], executor)
+        assert log == [("finish", "broken1"), ("finish", "b1")]
 
 
 class TestDrivePendingGenerator:

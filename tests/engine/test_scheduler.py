@@ -46,7 +46,7 @@ def _solve(scheduler, batch, lower, upper, **kwargs):
 
 def _evaluate(scheduler, setup, hold, plan):
     return run_pending(
-        scheduler.prepare_evaluate_plan(setup, hold, plan, 0.0), scheduler.executor
+        scheduler.prepare_evaluate_plan(BatchProblem(setup, hold), plan, 0.0), scheduler.executor
     )
 
 

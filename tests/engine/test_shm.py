@@ -182,3 +182,70 @@ class TestEndToEnd:
                 continue
             assert ours.feasible == theirs.feasible
             assert ours.tunings == theirs.tunings
+
+
+class TestFailedPhaseReleasesPeers:
+    """A phase that raises must not strand its peers' segments: a
+    long-lived worker would otherwise keep one per failed job."""
+
+    @pytest.fixture
+    def phases(self, small_design, small_samples, monkeypatch):
+        """A store, a 2-worker pool, and a factory of evaluation phases
+        for a good plan and for one naming an unknown flip-flop."""
+        from repro.core.compiled import ensure_compiled_system
+        from repro.core.results import Buffer, BufferPlan
+        from repro.core.sample_solver import PerSampleSolver
+        from repro.engine import BatchProblem, SampleScheduler
+        from repro.engine import scheduler as scheduler_module
+
+        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")  # force sharing
+        shared_store = SharedMatrixStore()
+        monkeypatch.setattr(scheduler_module, "get_shared_store", lambda: shared_store)
+        compiled = ensure_compiled_system(small_design)
+        period = compiled.nominal_min_period() * 1.01
+        batch = BatchProblem(small_samples.setup_bounds(period), small_samples.hold_bounds())
+        plans = {
+            name: BufferPlan(
+                buffers=[Buffer(flip_flop=ff, lower=-1.0, upper=1.0, step=0.0)],
+                target_period=period,
+            )
+            for name, ff in (("good", compiled.topology.ff_names[0]), ("bad", "no_such_ff"))
+        }
+        executor = ProcessPoolExecutor(jobs=2)
+        scheduler = SampleScheduler(PerSampleSolver(compiled.topology), executor)
+        try:
+            yield shared_store, executor, lambda name: scheduler.prepare_evaluate_plan(
+                batch, plans[name], 0.0
+            )
+        finally:
+            executor.close()
+            shared_store.release_all()
+
+    @staticmethod
+    def refcounts(shared_store):
+        return [entry[2] for entry in shared_store._entries.values()]
+
+    def test_gang_dispatch_error_finishes_the_other_phases(self, phases):
+        from repro.engine import gang_dispatch
+
+        shared_store, executor, prepare = phases
+        pendings = [prepare("bad"), prepare("good")]
+        assert pendings[0].n_chunks > 0
+        with pytest.raises(KeyError, match="no_such_ff"):
+            gang_dispatch(pendings, executor)
+        assert self.refcounts(shared_store)  # the batch was published
+        assert max(self.refcounts(shared_store)) == 0
+
+    def test_pipelined_error_finishes_the_other_phases(self, phases):
+        from repro.engine import drive_pending_generators
+
+        shared_store, executor, prepare = phases
+
+        def cell(name):
+            yield prepare(name)
+            yield prepare("good")
+
+        with pytest.raises(KeyError, match="no_such_ff"):
+            drive_pending_generators([cell("bad"), cell("good")], executor)
+        assert self.refcounts(shared_store)
+        assert max(self.refcounts(shared_store)) == 0

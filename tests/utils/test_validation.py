@@ -7,7 +7,6 @@ from repro.utils.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
 
 
@@ -48,12 +47,3 @@ class TestCheckFraction:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             check_fraction(0.0, "f")
-
-
-class TestCheckType:
-    def test_accepts_matching_type(self):
-        assert check_type(3, int, "n") == 3
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(TypeError):
-            check_type("3", int, "n")

@@ -9,7 +9,6 @@ from repro.variation.canonical import (
     CanonicalForm,
     canonical_max,
     canonical_min,
-    canonical_sum,
 )
 
 
@@ -129,12 +128,6 @@ class TestEvaluate:
 
 
 class TestAggregates:
-    def test_canonical_sum(self):
-        forms = [make(1.0, [1.0]), make(2.0, [0.5]), make(3.0, [0.0])]
-        total = canonical_sum(forms, 1)
-        assert total.mean == 6.0
-        assert np.allclose(total.sensitivities, [1.5])
-
     def test_canonical_max_requires_one(self):
         with pytest.raises(ValueError):
             canonical_max([])
