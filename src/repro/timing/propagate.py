@@ -8,12 +8,12 @@ folding each node's drivers in pin order:
 * :func:`nominal_arrival_times` — classic deterministic STA over the whole
   graph (a test oracle and sanity check);
 * :func:`all_ff_pair_delay_forms` — **array-native** statistical
-  propagation: one level-ordered sweep of the whole timing graph in which
-  every node carries the stacked arrival forms of *all* launching
-  flip-flops whose fan-out cone contains it
-  (:class:`~repro.variation.arrayforms.ArrayForms`), so the per-node
-  Clark max/min runs vectorised across launch flip-flops instead of once
-  per flip-flop per cone;
+  propagation: one level-ordered sweep of the whole timing graph over a
+  flat coefficient table holding, for every reached node, one arrival
+  row per launching flip-flop whose fan-out cone contains it, so each
+  fold round of a level is one Clark kernel call
+  (:func:`~repro.variation.arrayforms.clark_max_coeffs`) across all of
+  the level's nodes and launch flip-flops;
 * :func:`ff_pair_delay_forms` — the scalar per-launch reference path
   (object-at-a-time :class:`~repro.variation.canonical.CanonicalForm`
   propagation restricted to one fan-out cone), kept as the equivalence
@@ -183,26 +183,85 @@ def _form_row(form: CanonicalForm, width: int, negate: bool = False) -> np.ndarr
     return row
 
 
-#: Mean assigned to launch rows that have not reached a node yet.  The
-#: value is an *absorbing element* of Clark's max in float64: against any
-#: real arrival the tightness saturates exactly (``t = 1.0``,
-#: ``phi = 0.0``), so ``max(real, absent) == real`` bit for bit and the
-#: whole merge needs no masking.  Real arrival means are orders of
+#: Mean of the sentinel row that stands for a launch flip-flop a
+#: predecessor has not reached (its sensitivities and independent term
+#: are zero).  Against a real row Clark's tightness saturates (``t`` is
+#: exactly 1 or 0 and ``phi`` exactly 0), so the merge returns the real
+#: row's mean and sensitivities bit for bit and the sweep needs no
+#: masking.  The independent term is *not* kept bit for bit: the kernel
+#: recomputes it from the second moment, which moves it in the last bits
+#: (``tests/variation/test_arrayforms.py`` pins it within 1e-12
+#: relative).  Against another sentinel the kernel's degenerate branch
+#: returns the sentinel unchanged.  Real arrival means are orders of
 #: magnitude smaller, so no confusion is possible.
 _ABSENT_MEAN = -1e30
 
 
-def _extend_block(
-    ids: Tuple[int, ...], block: np.ndarray, union: Tuple[int, ...], width: int
-) -> np.ndarray:
-    """Expand a compact block onto a larger id union with sentinel rows."""
-    if ids == union:
-        return block
-    position = {launch: row for row, launch in enumerate(union)}
-    out = np.zeros((2, len(union), width))
-    out[:, :, 0] = _ABSENT_MEAN
-    out[:, [position[i] for i in ids]] = block
-    return out
+def _row_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The row ranges ``starts[k] .. starts[k] + counts[k] - 1``, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total)
+
+
+def _fold_plan(
+    nodes: List[int],
+    pred_lists: Dict[int, List[int]],
+    start: np.ndarray,
+    count: np.ndarray,
+    row_launch: np.ndarray,
+    n_launch: int,
+) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    """Rows and fold gathers of a batch of nodes that feed none of each other.
+
+    Sorts ``nodes`` in place, most predecessors first, so that fold round
+    ``r`` covers a prefix of the batch's rows.  A node's rows are the
+    union of its predecessors' launch positions, ascending; rows are
+    numbered from 0 within the batch, node by node.
+
+    Returns
+    -------
+    tuple
+        ``(node_rows, launches, gathers)``: the row count of every node
+        (in the sorted order), the launch position of every row, and per
+        fold round the table row of the r-th predecessor for every row of
+        the round's prefix (0, the sentinel row, where it lacks the
+        launch).
+    """
+    nodes.sort(key=lambda node: -len(pred_lists[node]))
+    # (node, predecessor) pairs round by round: every node's first
+    # predecessor, then every second one, and so on.
+    pair_node: List[int] = []
+    pair_pred: List[int] = []
+    active: List[int] = []  # nodes taking part in each round
+    for r in range(len(pred_lists[nodes[0]])):
+        n_active = 0
+        for node in nodes:
+            if len(pred_lists[node]) <= r:
+                break
+            pair_pred.append(pred_lists[node][r])
+            n_active += 1
+        pair_node.extend(range(n_active))
+        active.append(n_active)
+
+    preds = np.array(pair_pred, dtype=np.intp)
+    pair_rows = count[preds]
+    src = _row_ranges(start[preds], pair_rows)
+    keys = np.repeat(np.array(pair_node, dtype=np.intp), pair_rows) * n_launch + row_launch[src]
+    batch_keys = np.unique(keys)  # by node, then launch position
+    node_rows = np.bincount(batch_keys // n_launch, minlength=len(nodes))
+    row_end = np.cumsum(node_rows)
+
+    dest = np.searchsorted(batch_keys, keys)
+    src_end = np.cumsum(pair_rows)[np.cumsum(active) - 1]
+    gathers: List[np.ndarray] = []
+    lo = 0
+    for n_active, hi in zip(active, src_end, strict=True):
+        gather = np.zeros(row_end[n_active - 1], dtype=np.intp)
+        gather[dest[lo:hi]] = src[lo:hi]
+        gathers.append(gather)
+        lo = hi
+    return node_rows, batch_keys % n_launch, gathers
 
 
 def _all_pairs_array(
@@ -211,22 +270,37 @@ def _all_pairs_array(
 ) -> Dict[Tuple[str, str], Tuple[CanonicalForm, CanonicalForm]]:
     """Level-ordered array sweep carrying all launch flip-flops at once.
 
-    Every reached node holds one compact ``(2, k, width)`` coefficient
-    block — plane 0 the max-arrival rows, plane 1 the **negated**
-    min-arrival rows — for the ``k`` launch flip-flops whose cone
-    contains the node.  Storing the minimum negated turns both
-    statistical reductions into Clark-max only (``min(a, b) =
-    -max(-a, -b)``, exactly the identity the scalar path uses), and
-    launches absent on one side of a merge carry an absorbing sentinel
-    row that Clark's saturated formulas pass through bit for bit.
+    Every reached node owns a run of rows in one flat ``(n_rows, 2,
+    width)`` coefficient table, one row per launch flip-flop whose cone
+    contains the node, in launch order.  Plane 0 of a row is the
+    max-arrival form and plane 1 the **negated** min-arrival form, so
+    both statistical reductions are Clark max (``min(a, b) = -max(-a,
+    -b)``, the identity the scalar path uses).  Row 0 is the sentinel
+    row (see :data:`_ABSENT_MEAN`) and launch ``i`` owns row ``1 + i``.
 
-    Nodes are processed **level by level** (longest pred distance from a
-    launch), which makes every node of a level independent: the r-th
-    predecessor fold of all of them is batched into a *single* Clark
-    kernel invocation over the concatenated rows, so the per-call numpy
-    overhead is paid per level-round instead of per node.  Blocks are
-    freed once every successor has consumed them, bounding live memory
-    by the level frontier.
+    Nodes are processed **level by level** (longest predecessor distance
+    from a launch), so the nodes of one level feed none of each other;
+    the capture nodes, which feed nothing, come last as one batch.  An
+    index pass (:func:`_fold_plan`) first gives every reached node its
+    launch set, the union of its predecessors' sets, and its rows.  Each
+    fold round of a batch is then one gather of the r-th predecessor's
+    rows (the sentinel row where that predecessor lacks a launch), one
+    Clark kernel call and one write back, and a level's node delays are
+    added in one vectorised step.
+
+    Every (node, launch) row meets the same Clark operands in the same
+    order as a fold over the node's predecessors in pin order: a row no
+    predecessor has reached yet folds the sentinel with the sentinel,
+    which the kernel returns unchanged.  A merge of a real row with the
+    sentinel keeps the real row's mean and sensitivities but moves its
+    independent term in the last bits; the sweep keeps these merges
+    because the pinned design digests
+    (``tests/circuit/test_design_identity.py``) depend on them.
+
+    The table keeps every reached node's rows until the captured rows
+    are emitted, so memory peaks at the end of the sweep: the whole
+    table, ``16 * (n_sources + 2)`` bytes per row, with the widest
+    batch's kernel temporaries on top.
     """
     comb = timing_graph.comb
     names = comb.names
@@ -235,33 +309,18 @@ def _all_pairs_array(
         if launch not in comb.index:
             raise KeyError(f"unknown launch flip-flop {launch!r}")
     width = timing_graph.design.variation_model.n_shared_sources + 2
+    n_launch = len(launch_ffs)
 
-    # Nodes share annotations (TimingGraph builds one per nominal delay
-    # and region), so each block is built once; no block is written to.
-    blocks: Dict[int, np.ndarray] = {}
-
-    def _node_block(ann) -> np.ndarray:
-        """One node's (2, 1, width) max/negated-min coefficient block."""
-        block = blocks.get(id(ann))
-        if block is None:
-            block = blocks[id(ann)] = np.empty((2, 1, width))
-            block[0, 0] = _form_row(ann.form_max, width)
-            block[1, 0] = _form_row(ann.form_min, width, negate=True)
-        return block
-
-    # node id -> (sorted launch-index tuple, (2, k, width) coefficient block)
-    arrivals: Dict[int, Tuple[Tuple[int, ...], np.ndarray]] = {}
     # Level schedule over the reachable subgraph: a node's level is one
     # past its deepest reached predecessor, so all nodes of a level have
     # every input ready and none feeds another.  -1 marks unreached.
     levels = [-1] * len(names)
-    for index, ff in enumerate(launch_ffs):
-        launch = comb.index[ff]
-        arrivals[launch] = ((index,), _node_block(annotations[launch]))
+    launch_nodes = [comb.index[ff] for ff in launch_ffs]
+    for launch in launch_nodes:
         levels[launch] = 0
     pred_lists: Dict[int, List[int]] = {}
     schedule: List[List[int]] = []
-    topo_position: Dict[int, int] = {}
+    captures: List[int] = []  # capture nodes in topological discovery order
     for node in comb.order:
         if levels[node] >= 0:
             continue  # launch flip-flop: fixed start, nothing propagates in
@@ -271,88 +330,82 @@ def _all_pairs_array(
         depth = 1 + max(levels[p] for p in preds)
         levels[node] = depth
         pred_lists[node] = preds
+        if isinstance(names[node], tuple):
+            captures.append(node)
+            continue
         while len(schedule) < depth:
             schedule.append([])
         schedule[depth - 1].append(node)
-        if isinstance(names[node], tuple):
-            topo_position[node] = len(topo_position)
 
-    remaining: Dict[int, int] = {}
+    # Node delays as (2, width) rows, one per shared annotation.
+    shared = list({id(ann): ann for ann in annotations}.values())
+    position = {id(ann): k for k, ann in enumerate(shared)}
+    node_delay = np.array([position[id(ann)] for ann in annotations], dtype=np.intp)
+    delays = np.array(
+        [[_form_row(ann.form_max, width), _form_row(ann.form_min, width, True)] for ann in shared]
+    ).reshape(-1, 2, width)
 
-    def consume(pred: int) -> Tuple[Tuple[int, ...], np.ndarray]:
-        """Fetch a predecessor's block, freeing it after its last use."""
-        reached = arrivals[pred]
-        left = remaining.get(pred)
-        if left is None:
-            left = sum(1 for s in comb.fanout[pred] if s in pred_lists)
-        if left <= 1:
-            del arrivals[pred]
-            remaining.pop(pred, None)
-        else:
-            remaining[pred] = left - 1
-        return reached
+    # Index pass: every batch appends its nodes' rows to the table.
+    start = np.zeros(len(names), dtype=np.intp)
+    count = np.zeros(len(names), dtype=np.intp)
+    start[launch_nodes] = 1 + np.arange(n_launch)
+    count[launch_nodes] = 1
+    row_launch = np.arange(-1, n_launch)  # launch position of every row
+    plans: List[Tuple[int, List[np.ndarray], Optional[np.ndarray]]] = []
+    n_rows = 1 + n_launch
+    # A copy of the captures: _fold_plan sorts its batch in place, and the
+    # emission below needs the discovery order.
+    for batch in [*schedule, list(captures)]:
+        if not batch:
+            continue  # a level of captures only, or nothing captured
+        node_rows, launches, gathers = _fold_plan(
+            batch, pred_lists, start, count, row_launch, n_launch
+        )
+        nodes = np.array(batch, dtype=np.intp)
+        start[nodes] = n_rows + np.cumsum(node_rows) - node_rows
+        count[nodes] = node_rows
+        row_launch = np.concatenate((row_launch, launches))
+        row_delay = None  # capture nodes have no delay of their own
+        if not isinstance(names[batch[0]], tuple):
+            row_delay = np.repeat(node_delay[nodes], node_rows)
+        plans.append((n_rows, gathers, row_delay))
+        n_rows += len(launches)
 
-    captured: Dict[int, Tuple[Tuple[int, ...], np.ndarray]] = {}
-    for level_nodes in schedule:
-        # Fold round 0: adopt the first predecessor (by reference).
-        state: Dict[int, Tuple[Tuple[int, ...], np.ndarray]] = {
-            node: consume(pred_lists[node][0]) for node in level_nodes
-        }
-        # Fold rounds r >= 1: one batched kernel call per round merges
-        # the r-th predecessor into every node of the level that has one.
-        round_index = 1
-        while True:
-            active = [node for node in level_nodes if len(pred_lists[node]) > round_index]
-            if not active:
-                break
-            segments: List[Tuple[int, Tuple[int, ...], int]] = []
-            rows_a: List[np.ndarray] = []
-            rows_b: List[np.ndarray] = []
-            offset = 0
-            for node in active:
-                ids_a, block_a = state[node]
-                ids_b, block_b = consume(pred_lists[node][round_index])
-                if ids_a == ids_b:
-                    union = ids_a
-                else:
-                    union = tuple(sorted(set(ids_a) | set(ids_b)))
-                rows_a.append(_extend_block(ids_a, block_a, union, width).reshape(-1, width))
-                rows_b.append(_extend_block(ids_b, block_b, union, width).reshape(-1, width))
-                segments.append((node, union, offset))
-                offset += 2 * len(union)
-            merged = clark_max_coeffs(np.concatenate(rows_a), np.concatenate(rows_b))
-            for node, union, start in segments:
-                k = len(union)
-                state[node] = (union, merged[start : start + 2 * k].reshape(2, k, width))
-            round_index += 1
-
-        # Folds done: record captures, add node delays, publish arrivals.
-        for node in level_nodes:
-            ids, block = state[node]
-            if node in topo_position:
-                captured[node] = (ids, block)
-                continue
-            delay = _node_block(annotations[node])
-            out = np.empty_like(block)
-            out[..., :-1] = block[..., :-1] + delay[..., :-1]
-            out[..., -1] = np.hypot(block[..., -1], delay[..., -1])
-            arrivals[node] = (ids, out)
+    # Numeric pass, batch by batch, in place in the table.
+    table = np.empty((n_rows, 2, width))
+    table[0] = 0.0
+    table[0, :, 0] = _ABSENT_MEAN
+    table[1 : 1 + n_launch] = delays[node_delay[launch_nodes]]
+    for base, gathers, row_delay in plans:
+        rows = table[base : base + len(gathers[0])]
+        rows[...] = table[gathers[0]]
+        for gather in gathers[1:]:
+            m = len(gather)
+            merged = clark_max_coeffs(rows[:m].reshape(-1, width), table[gather].reshape(-1, width))
+            rows[:m] = merged.reshape(m, 2, width)
+        if row_delay is not None:
+            delay = delays[row_delay]
+            rows[..., :-1] += delay[..., :-1]
+            rows[..., -1] = np.hypot(rows[..., -1], delay[..., -1])
 
     # Emit pairs launch-major, captures in topological discovery order
-    # (matches the scalar path's ordering exactly): sort the captured
-    # (launch index, capture position) entries.
-    entries = sorted(
-        (launch, topo_position[node], node, row)
-        for node, (ids, _) in captured.items()
-        for row, launch in enumerate(ids)
-    )
+    # (the scalar path's order).
+    captured = np.array(captures, dtype=np.intp)
+    capture_rows = _row_ranges(start[captured], count[captured])
+    position = np.repeat(np.arange(len(captures)), count[captured])
+    order = np.lexsort((position, row_launch[capture_rows]))
+    emitted = capture_rows[order]
+    forms = table[emitted]
+    min_rows = -forms[:, 1, :-1]
+    capture_names = [names[node][1] for node in captures]
     pairs: Dict[Tuple[str, str], Tuple[CanonicalForm, CanonicalForm]] = {}
-    for launch, _, node, row in entries:
-        block = captured[node][1]
-        max_row = block[0, row]
-        min_row = block[1, row]
-        pairs[(launch_ffs[launch], names[node][1])] = (
-            CanonicalForm(float(max_row[0]), max_row[1:-1].copy(), float(max_row[-1])),
-            CanonicalForm(float(-min_row[0]), -min_row[1:-1], float(min_row[-1])),
+    for k, (launch, capture) in enumerate(
+        zip(row_launch[emitted].tolist(), position[order].tolist(), strict=True)
+    ):
+        max_row = forms[k, 0]
+        min_row = min_rows[k]
+        pairs[(launch_ffs[launch], capture_names[capture])] = (
+            CanonicalForm(max_row[0], max_row[1:-1], max_row[-1]),
+            CanonicalForm(min_row[0], min_row[1:], forms[k, 1, -1]),
         )
     return pairs

@@ -74,12 +74,8 @@ def hold_aware_random_skews(
 
     launch_idx = constraint_graph.edge_launch_idx
     capture_idx = constraint_graph.edge_capture_idx
-    limits = np.array(
-        [
-            e.hold_quantity.mean - n_sigma * e.hold_quantity.std - extra_margin
-            for e in constraint_graph.edges
-        ]
-    )
+    holds = [edge.hold_quantity for edge in constraint_graph.edges]
+    limits = np.array([hold.mean - n_sigma * hold.std - extra_margin for hold in holds])
     # Edges that violate hold even with zero skew cannot be repaired by skew
     # assignment; they keep a zero allowance so the repair does not chase them.
     limits = np.maximum(limits, 0.0)

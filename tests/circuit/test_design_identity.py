@@ -3,10 +3,11 @@
 Each digest covers everything a design build decides: the netlist rows
 (name, kind, cell, fan-ins in pin order), the placement and the compiled
 constraint system's fingerprint (which covers the statistical delay
-forms the Clark sweep produced).  They were computed before the
-netlist's graph moved from networkx to integer ids; any change to the
-generator's draws, the placement order or the sweep's fold order moves
-them.
+forms the Clark sweep produced).  The suite digests were computed
+before the netlist's graph moved from networkx to integer ids, and the
+digests of perfbench's own designs before the sweep moved to flat row
+tables; any change to the generator's draws, the placement order or the
+sweep's fold order moves them.
 """
 
 import hashlib
@@ -31,6 +32,14 @@ DIGESTS = {
     "pci_bridge32": "4aef1c57b42271e9c29cf22fa63ac69ab2c7cbdbac17dc24af6843d181f1f318",
 }
 
+#: The designs of perfbench's workloads, ``(circuit, scale, design seed)``:
+#: flow_tight, flow_large (full size, about 2 s to build) and campaign_gang.
+BENCHMARK_DIGESTS = {
+    ("s13207", 0.3, 5): "1d48198008093512ecad2bc84a7c55deaba4e0eb3f81129c565b58331c3fb358",
+    ("s38584", 1.0, 2): "be7859ce3f11ca46a41c01791ebd0384e341393c4598b28291349c07f04e2b72",
+    ("s9234", 0.2, 1): "6acf37178618cdc585ab954f1e0ca60b19efe94889b8e0371b7b27cdb8cf4122",
+}
+
 
 def design_digest(design) -> str:
     """SHA-256 of the netlist rows, the placement and the compiled fingerprint."""
@@ -52,3 +61,9 @@ def design_digest(design) -> str:
 def test_suite_design_is_unchanged(circuit):
     design = build_suite_circuit(circuit, scale=SCALE, seed=SEED)
     assert design_digest(design) == DIGESTS[circuit]
+
+
+@pytest.mark.parametrize("circuit,scale,seed", list(BENCHMARK_DIGESTS))
+def test_benchmark_design_is_unchanged(circuit, scale, seed):
+    design = build_suite_circuit(circuit, scale=scale, seed=seed)
+    assert design_digest(design) == BENCHMARK_DIGESTS[(circuit, scale, seed)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.timing.constraints import SequentialEdge
 from repro.timing.skew import apply_skews, hold_aware_random_skews
 
 
@@ -32,6 +33,18 @@ class TestHoldAwareSkews:
         a = hold_aware_random_skews(small_constraint_graph, magnitude=2.0, rng=5)
         b = hold_aware_random_skews(small_constraint_graph, magnitude=2.0, rng=5)
         assert a.skews == b.skews
+
+    def test_builds_each_hold_quantity_once(self, small_constraint_graph, monkeypatch):
+        calls = []
+        hold_quantity = SequentialEdge.hold_quantity.fget
+
+        def counted(edge):
+            calls.append(edge)
+            return hold_quantity(edge)
+
+        monkeypatch.setattr(SequentialEdge, "hold_quantity", property(counted))
+        hold_aware_random_skews(small_constraint_graph, magnitude=3.0, rng=1)
+        assert len(calls) == small_constraint_graph.n_edges > 0
 
     def test_negative_magnitude_rejected(self, small_constraint_graph):
         with pytest.raises(ValueError):

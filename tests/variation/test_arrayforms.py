@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import repro
+from repro.timing.graph import TimingGraph
+from repro.timing.propagate import _ABSENT_MEAN, all_ff_pair_delay_forms
 from repro.variation.arrayforms import ArrayForms, clark_max_coeffs, clark_max_many
 from repro.variation.canonical import CanonicalForm
 from repro.variation.sampling import MonteCarloSampler, SampleBatch
@@ -211,6 +213,41 @@ class TestClark:
         assert abs(out[0, 0] - expected.mean) <= TOL
         assert np.max(np.abs(out[0, 1:-1] - expected.sensitivities)) <= TOL
         assert abs(out[0, -1] - expected.independent) <= TOL
+
+
+class TestAbsentSentinel:
+    """The propagation sweep merges an arrival row with the sentinel row
+    (mean ``_ABSENT_MEAN``, zero spread) wherever a predecessor lacks a
+    launch flip-flop.  On the sweep's own rows the merge keeps the mean
+    and sensitivities bit for bit, but recomputes the independent term
+    from the second moment, which moves it in the last bits."""
+
+    @pytest.fixture(scope="class")
+    def arrival_rows(self, tiny_design):
+        pairs = all_ff_pair_delay_forms(TimingGraph(tiny_design))
+        return ArrayForms.from_forms([f for mx, mn in pairs.values() for f in (mx, -mn)]).coeffs
+
+    @staticmethod
+    def sentinel_like(rows):
+        sentinel = np.zeros_like(rows)
+        sentinel[:, 0] = _ABSENT_MEAN
+        return sentinel
+
+    @pytest.mark.parametrize("real_first", [True, False])
+    def test_merge_keeps_real_row(self, arrival_rows, real_first):
+        sentinel = self.sentinel_like(arrival_rows)
+        if real_first:
+            out = clark_max_coeffs(arrival_rows, sentinel)
+        else:
+            out = clark_max_coeffs(sentinel, arrival_rows)
+        assert np.array_equal(out[:, :-1], arrival_rows[:, :-1])
+        independent = arrival_rows[:, -1]
+        assert np.all(independent > 0.0)
+        assert np.max(np.abs(out[:, -1] - independent) / independent) <= TOL
+
+    def test_sentinel_with_sentinel_is_sentinel(self, arrival_rows):
+        sentinel = self.sentinel_like(arrival_rows)
+        assert np.array_equal(clark_max_coeffs(sentinel, sentinel), sentinel)
 
 
 def four_source_sampler(seed=None):
