@@ -124,9 +124,9 @@ class FlowConfig:
         refined by exhaustive minimum-support search in the graph backend.
     lp_backend:
         LP backend (``"auto"``/``"scipy"``/``"simplex"``) of the
-        concentration LPs, which only supports of three or more buffers
-        solve (one or two have a closed form), and of the ``"milp"``
-        solver's relaxations.  Any other value is rejected here.
+        ``"milp"`` solver's relaxations; the default graph solver
+        concentrates without an LP, so it ignores this.  Any other value
+        is rejected here.
     executor:
         Execution backend of the sample-solving engine:
         ``"serial"`` (default) or ``"processes"``

@@ -17,12 +17,15 @@ Two interchangeable backends implement this:
   (Bellman–Ford feasibility via :mod:`repro.core.difference`), redundant
   buffers are pruned back out, small regions are refined by exhaustive
   minimum-support search, and the tuning values are finally concentrated
-  around the target: in closed form for one or two buffers, with a small
-  LP for more.  All arithmetic is done in discrete step units so the
-  returned tuning values respect the buffer's step grid exactly.
+  around the target.  Concentration is exact: the support splits into
+  the components its rows couple, and each gets the canonical optimum,
+  in closed form for one or two buffers and as a min-cost flow for more
+  (no LP is solved).  All arithmetic is done in discrete step units so
+  the returned tuning values respect the buffer's step grid exactly.
 * ``"milp"`` — the faithful big-M integer program of the paper, built with
   :mod:`repro.milp` and warm-started from the graph solution.  Exact but
-  markedly slower; used for validation and small designs.
+  markedly slower; used for validation and small designs.  It is the
+  only user of an LP engine (``lp_backend``).
 
 Both backends solve the *same* per-sample problem and are cross-checked in
 the test suite.
@@ -49,7 +52,8 @@ from repro.obs.metrics import get_registry
 
 _TOL = 1e-9
 
-#: LP backends of :func:`repro.milp.backends.solve_lp` (``"auto"`` picks).
+#: LP backends of :func:`repro.milp.backends.solve_lp` (``"auto"`` picks),
+#: used by the ``"milp"`` backend only.
 LP_BACKEND_CHOICES = ("auto", "scipy", "simplex")
 
 #: Scope constraint rows (positions in the sorted support, the reference
@@ -180,74 +184,68 @@ class SampleSolution:
     unrescuable_regions: int = 0
 
 
-def concentration_lp(
-    problem: SampleProblem,
-    ffs: Sequence[int],
-    rows: DifferenceRows,
-    targets: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The concentration LP of a support as ``(c, a_ub, b_ub, lower, upper)``.
+def coupled_components(
+    rows: DifferenceRows, n: int
+) -> List[Tuple[List[int], Tuple[List[int], List[int], List[float]]]]:
+    """Split the positions ``0 .. n - 1`` of a support by its scope rows.
 
-    The solver builds it only for supports of three or more buffers;
-    :func:`closed_form_concentration` serves one or two.  With one
-    ``t_i >= |x_i - target_i|`` per flip-flop ``i`` of ``ffs``
-    (ascending), the LP is::
-
-        minimise  sum_i t_i
-        s.t.      x_i - t_i <= target_i,   -x_i - t_i <= -target_i
-                  x_u - x_v <= w           (every scope row, in order)
-                  lower_i <= x_i <= upper_i,   0 <= t_i <= span_i
-
-    with ``span_i = upper_i - lower_i + |target_i| + 1``, which bounds
-    ``|x_i - target_i|`` because the flow's windows hold 0.  Columns are
-    ``x_i, t_i`` per flip-flop; the scope ``rows`` index ``ffs`` by
-    position, and an end at position ``len(ffs)`` (the pinned reference)
-    contributes no coefficient.
+    A row between two buffers couples them; a row to the reference
+    (position ``n``) only bounds its buffer, and a ``u == v`` row
+    constrains no value.  Returns one ``(members, rows)`` pair per
+    connected component of the coupling rows, by least member: the
+    members ascending, and the rows that touch them, in input order and
+    renumbered to positions in ``members`` with the reference at
+    ``len(members)``.  A row with both ends at the reference belongs to
+    no component.  The concentration objective is separable and no row
+    spans two components, so a support's canonical optimum is its
+    components' optima side by side.
     """
-    n_ffs = len(ffs)
-    n_vars = 2 * n_ffs
-    target = targets[ffs]
-    c = np.zeros(n_vars)
-    c[1::2] = 1.0
-    lower = np.zeros(n_vars)
-    lower[0::2] = problem.lower[ffs]
-    upper = np.empty(n_vars)
-    upper[0::2] = problem.upper[ffs]
-    upper[1::2] = (problem.upper[ffs] - problem.lower[ffs]) + np.abs(target) + 1.0
+    u, v, w = (array.tolist() for array in rows)
+    root = list(range(n))
 
-    # Rows 2k and 2k + 1 bound x_k - t_k and -x_k - t_k, so the first
-    # n_vars rows share their indices with the columns.
-    u, v, w = rows
-    a_ub = np.zeros((n_vars + w.shape[0], n_vars))
-    b_ub = np.empty(a_ub.shape[0])
-    x_cols = np.arange(0, n_vars, 2)
-    a_ub[x_cols, x_cols] = 1.0
-    a_ub[x_cols, x_cols + 1] = -1.0
-    a_ub[x_cols + 1, x_cols] = -1.0
-    a_ub[x_cols + 1, x_cols + 1] = -1.0
-    b_ub[0:n_vars:2] = target
-    b_ub[1:n_vars:2] = -target
-    scope_rows = np.arange(n_vars, a_ub.shape[0])
-    free = u < n_ffs
-    a_ub[scope_rows[free], 2 * u[free]] += 1.0
-    free = v < n_ffs
-    a_ub[scope_rows[free], 2 * v[free]] -= 1.0
-    b_ub[n_vars:] = w
-    return c, a_ub, b_ub, lower, upper
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for a, b in zip(u, v, strict=True):
+        if a < n and b < n:
+            ra, rb = find(a), find(b)
+            root[max(ra, rb)] = min(ra, rb)
+    members: Dict[int, List[int]] = {}
+    local = [0] * n
+    for p in range(n):
+        group = members.setdefault(find(p), [])
+        local[p] = len(group)
+        group.append(p)
+    parts = {r: ([], [], []) for r in members}
+    for a, b, c in zip(u, v, w, strict=True):
+        end = a if a < n else b
+        if end == n:
+            continue
+        r = find(end)
+        size = len(members[r])
+        part_u, part_v, part_w = parts[r]
+        part_u.append(local[a] if a < n else size)
+        part_v.append(local[b] if b < n else size)
+        part_w.append(c)
+    return [(group, parts[r]) for r, group in members.items()]
 
 
 def closed_form_concentration(
-    lower: np.ndarray,
-    upper: np.ndarray,
+    lower: Sequence[float],
+    upper: Sequence[float],
     rows: DifferenceRows,
-    targets: np.ndarray,
+    targets: Sequence[float],
     integral: bool,
 ) -> Optional[List[float]]:
     """The canonical concentration optimum of one or two buffers.
 
     ``lower``, ``upper`` and ``targets`` hold one entry per support
     position, and ``rows`` are the support's scope rows with the
-    reference at position ``len(lower)``.  The canonical optimum is the
+    reference at position ``len(lower)`` (arrays or lists, as from
+    :func:`coupled_components`).  The canonical optimum is the
     lexicographically smallest ``(sum |x_i - t_i|, sum |x_i|, x_0, x_1)``
     over the feasible set (its integer points when ``integral``), with
     both sums rounded to 1e-9 before they are compared.  It depends on
@@ -265,10 +263,10 @@ def closed_form_concentration(
     feasible range of ``x_0`` and the best candidate pair is returned.
     """
     n = len(lower)
-    lo = lower.tolist()
-    hi = upper.tolist()
+    lo = _as_list(lower)
+    hi = _as_list(upper)
     dlo, dhi = -math.inf, math.inf
-    for u, v, w in zip(*(array.tolist() for array in rows), strict=True):
+    for u, v, w in zip(*(_as_list(array) for array in rows), strict=True):
         if u == v:
             if w < -_TOL:
                 return None
@@ -290,7 +288,7 @@ def closed_form_concentration(
     if any(low > high + _TOL for low, high in zip(lo, hi, strict=True)):
         return None
     if n == 1:
-        (t,) = targets.tolist()
+        (t,) = _as_list(targets)
         return [
             min(
                 _nearest(lo[0], hi[0], t, integral),
@@ -298,7 +296,7 @@ def closed_form_concentration(
             )
         ]
 
-    t0, t1 = targets.tolist()
+    t0, t1 = _as_list(targets)
     first_lo = max(lo[0], lo[1] + dlo)
     first_hi = min(hi[0], hi[1] + dhi)
     if dlo > dhi + _TOL or first_lo > first_hi + _TOL:
@@ -329,6 +327,220 @@ def _nearest(low: float, high: float, target: float, integral: bool) -> Tuple[fl
     return (min(max(target, low), high),)
 
 
+def _as_list(values: Sequence) -> list:
+    """``values`` as a Python list (an array converted, a list as is)."""
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+#: Flow amounts and capacities closer to 0 than this are 0.
+_FLOW_TOL = 1e-9
+
+#: Bound on the augmentations of one flow solve; each one saturates an
+#: arc or settles a node, so a handful per buffer is the norm.
+_MAX_AUGMENTATIONS = 1000
+
+
+def flow_concentration(
+    lower: Sequence[float],
+    upper: Sequence[float],
+    rows: DifferenceRows,
+    targets: Sequence[float],
+    integral: bool,
+) -> Optional[List[float]]:
+    """The canonical concentration optimum of any number of buffers.
+
+    Takes what :func:`closed_form_concentration` takes, with finite
+    windows, and returns the same optimum: the least
+    ``(sum |x_i - t_i|, sum |x_i|)`` lexicographically, then the
+    componentwise-least point (which is also the lexicographically
+    smallest, as the optima form a lattice), or ``None`` when the
+    feasible set is empty.
+
+    This is a convex-cost dual network-flow problem, solved exactly as a
+    min-cost flow (Ahuja, Hochbaum and Orlin, Management Science 49(7),
+    2003) on the buffers' nodes ``0 .. n - 1`` and the reference node
+    ``n``.  Every row ``x_u - x_v <= w`` and every window bound is an
+    uncapacitated arc ``u -> v`` of cost ``w``.  Flows and capacities are
+    pairs compared lexicographically, one entry per objective term: the
+    slope of ``(|x - t|, |x|)`` is ``(-1, -1)`` far left of every
+    breakpoint, so each buffer's node supplies ``(1, 1)``, and each
+    breakpoint ``b`` where the slope rises by ``c`` is an arc ``i -> n``
+    of cost ``b`` and capacity ``c``: ``(2 - 2f, 0)`` at ``floor(t)`` and
+    ``(2f, 0)`` at ``ceil(t)`` with ``f = t - floor(t)`` on the integer
+    grid (where ``|x - t|`` is interpolated between its integer points),
+    ``(2, 0)`` at ``t`` otherwise, and ``(0, 2)`` at 0.
+
+    Two Bellman–Ford passes give each buffer's feasible range
+    ``[L_i, U_i]`` under all rows.  Only the objective on that range
+    matters, so a breakpoint at or above ``U_i`` is dropped and one at
+    or below ``L_i`` is folded into the node's supply (which can make it
+    a demand node); the starting graph then has no negative cycle.
+    Successive shortest paths route each excess to the nearest deficit,
+    the reference included.  An arc left with residual capacity is a
+    constraint every optimum satisfies, so the shortest distances
+    ``d(n, i)`` in the final residual graph give the componentwise-least
+    optimum ``x_i = -d(n, i)``.  On the integer grid every cost is an
+    integer, and so is every ``x_i``.
+    """
+    n = len(lower)
+    lo, hi, t = _as_list(lower), _as_list(upper), _as_list(targets)
+    if integral:
+        lo = [float(math.ceil(b - _TOL)) for b in lo]
+        hi = [float(math.floor(b + _TOL)) for b in hi]
+    cost: Dict[Tuple[int, int], float] = {}
+    for u, v, w in zip(*(_as_list(array) for array in rows), strict=True):
+        if u == v:
+            if w < -_TOL:
+                return None
+            continue
+        if integral:
+            w = float(math.floor(w + _TOL))
+        if w < cost.get((u, v), math.inf):
+            cost[u, v] = w
+    for i in range(n):
+        for pair, w in (((i, n), hi[i]), ((n, i), -lo[i])):
+            if w < cost.get(pair, math.inf):
+                cost[pair] = w
+    # Along the arcs d(n, i) = -L_i, and against them d(n, i) = U_i.
+    arcs = [(u, v, w) for (u, v), w in cost.items()]
+    along = _shortest_paths(n + 1, [(None, u, v, w) for u, v, w in arcs], n)
+    against = _shortest_paths(n + 1, [(None, v, u, w) for u, v, w in arcs], n)
+    if along is None or against is None:
+        return None
+    lowest = [-d for d in along[0]]
+    highest = against[0]
+
+    # Residual graph: arc k and its reverse k ^ 1, with pair capacities.
+    tails: List[int] = []
+    heads: List[int] = []
+    costs: List[float] = []
+    caps: List[Tuple[float, float]] = []
+
+    def add_arc(tail: int, head: int, weight: float, capacity: Tuple[float, float]) -> None:
+        tails.extend((tail, head))
+        heads.extend((head, tail))
+        costs.extend((weight, -weight))
+        caps.extend((capacity, (0.0, 0.0)))
+
+    for u, v, w in arcs:
+        add_arc(u, v, w, (math.inf, 0.0))
+    excess = [(1.0, 1.0)] * n + [(0.0, 0.0)]
+    for i in range(n):
+        if integral:
+            down = math.floor(t[i])
+            f = t[i] - down
+            breakpoints = (
+                (down, (_snap(2.0 - 2.0 * f), 0.0)),
+                (down + 1, (_snap(2.0 * f), 0.0)),
+            )
+        else:
+            breakpoints = ((t[i], (2.0, 0.0)),)
+        for b, capacity in (*breakpoints, (0.0, (0.0, 2.0))):
+            if b >= highest[i] or not _pair_positive(capacity):
+                continue
+            if b <= lowest[i]:
+                excess[i] = _pair_sub(excess[i], capacity)
+            else:
+                add_arc(i, n, float(b), capacity)
+    excess[n] = _pair_sub((0.0, 0.0), _pair_sum(excess[:n]))
+
+    nodes = range(n + 1)
+    for _augmentation in range(_MAX_AUGMENTATIONS):
+        source = next((i for i in nodes if _pair_positive(excess[i])), None)
+        if source is None:
+            break
+        found = _shortest_paths(n + 1, _residual_arcs(tails, heads, costs, caps), source)
+        if found is None:
+            return None
+        dist, pred = found
+        sink = min(
+            (i for i in nodes if _pair_positive(_pair_sub((0.0, 0.0), excess[i]))),
+            key=lambda i: (dist[i], i),
+            default=None,
+        )
+        if sink is None:
+            break
+        path = []
+        node = sink
+        while node != source:
+            k = pred[node]
+            if k is None or len(path) > n:  # unreachable, or a cycle
+                return None
+            path.append(k)
+            node = tails[k]
+        amount = _pair_min(
+            [excess[source], _pair_sub((0.0, 0.0), excess[sink])] + [caps[k] for k in path]
+        )
+        for k in path:
+            caps[k] = _pair_sub(caps[k], amount)
+            caps[k ^ 1] = _pair_sum((caps[k ^ 1], amount))
+        excess[source] = _pair_sub(excess[source], amount)
+        excess[sink] = _pair_sum((excess[sink], amount))
+    else:
+        return None
+    found = _shortest_paths(n + 1, _residual_arcs(tails, heads, costs, caps), n)
+    if found is None:
+        return None
+    return [0.0 - d for d in found[0][:n]]
+
+
+def _shortest_paths(
+    n_nodes: int, arcs: List[Tuple[Optional[int], int, int, float]], source: int
+) -> Optional[Tuple[List[float], List[Optional[int]]]]:
+    """Bellman–Ford from ``source`` over ``(label, tail, head, cost)``
+    arcs: the distances, and per node the label of the last arc of a
+    shortest path to it; ``None`` for a negative cycle."""
+    dist = [math.inf] * n_nodes
+    dist[source] = 0.0
+    pred: List[Optional[int]] = [None] * n_nodes
+    for _iteration in range(n_nodes):
+        changed = False
+        for label, a, b, c in arcs:
+            d = dist[a] + c
+            if d < dist[b] - 1e-12:
+                dist[b] = d
+                pred[b] = label
+                changed = True
+        if not changed:
+            return dist, pred
+    return None
+
+
+def _residual_arcs(tails, heads, costs, caps) -> List[Tuple[int, int, int, float]]:
+    """``(k, tail, head, cost)`` of every arc ``k`` with residual capacity."""
+    return [
+        (k, tails[k], heads[k], costs[k]) for k in range(len(caps)) if _pair_positive(caps[k])
+    ]
+
+
+def _pair_positive(pair: Tuple[float, float]) -> bool:
+    return pair[0] > 0.0 or (pair[0] == 0.0 and pair[1] > 0.0)
+
+
+def _pair_min(pairs: Iterable[Tuple[float, float]]) -> Tuple[float, float]:
+    """The lexicographically least pair; first entries within
+    ``_FLOW_TOL`` of each other tie."""
+    best = None
+    for pair in pairs:
+        if best is None or pair[0] < best[0] - _FLOW_TOL or (
+            pair[0] <= best[0] + _FLOW_TOL and pair[1] < best[1]
+        ):
+            best = pair
+    return best
+
+
+def _snap(value: float) -> float:
+    return 0.0 if -_FLOW_TOL < value < _FLOW_TOL else value
+
+
+def _pair_sub(a: Tuple[float, float], b: Tuple[float, float]) -> Tuple[float, float]:
+    return (_snap(a[0] - b[0]), _snap(a[1] - b[1]))
+
+
+def _pair_sum(pairs) -> Tuple[float, float]:
+    return (_snap(sum(p[0] for p in pairs)), _snap(sum(p[1] for p in pairs)))
+
+
 # ----------------------------------------------------------------------
 # The solver
 # ----------------------------------------------------------------------
@@ -352,11 +564,11 @@ class PerSampleSolver:
         are refined by exhaustive minimum-support search.
     concentrate:
         Whether to concentrate the tuning values (phase 2 of each
-        per-sample problem).
+        per-sample problem) to their canonical optimum, component by
+        component: in closed form or as a min-cost flow, never an LP.
     lp_backend:
-        LP backend (one of :data:`LP_BACKEND_CHOICES`) for the
-        concentration LPs of three or more buffers and for the MILP
-        backend's relaxations.
+        LP backend (one of :data:`LP_BACKEND_CHOICES`) of the MILP
+        backend's relaxations.  The graph backend solves no LP.
     """
 
     def __init__(
@@ -760,64 +972,49 @@ class PerSampleSolver:
         """Concentrated values of a support ``ffs`` (ascending) with scope
         ``rows``, or ``None`` to fall back to the Bellman–Ford witness.
 
-        One or two buffers get the canonical optimum of
-        :func:`closed_form_concentration`.  Three or more solve
-        :func:`concentration_lp` with :func:`repro.milp.backends.solve_lp`
-        on the backend :meth:`_concentrate_backend` picks; in discrete
-        mode the vertex is rounded half up, one offset for every
-        coordinate, which keeps every integer-weight row and integer
-        bound satisfied (banker's rounding of two ``.5`` coordinates can
-        break a row between them).  Every point is checked with
-        :func:`~repro.core.difference.check_assignment` on the rows.  Each
-        fallback is counted in :mod:`repro.obs` under
-        ``solver.concentrate.fallback.*``: the closed form finds no point,
-        the LP has no solution, or either point fails the check.
-        ``solver.concentrate.lp_solves`` counts the LPs.
+        The values are the support's canonical optimum, component by
+        component (:func:`coupled_components`; a support of one or two
+        buffers is one component): one or two buffers in closed form
+        (:func:`closed_form_concentration`), more as a min-cost flow
+        (:func:`flow_concentration`).  Every component's point is checked
+        with :func:`~repro.core.difference.check_assignment` on its rows.
+        Each fallback is counted in :mod:`repro.obs` under
+        ``solver.concentrate.fallback.*``: a solver finds no point
+        (``closed_form_empty``, ``flow_empty``) or its point fails the
+        check (``closed_form_check``, ``flow_check``).
+        ``solver.concentrate.flow_solves`` counts the flows.
         """
-        lower, upper = problem.lower[ffs], problem.upper[ffs]
+        n = len(ffs)
+        lower = problem.lower[ffs].tolist()
+        upper = problem.upper[ffs].tolist()
+        target = targets[ffs].tolist()
+        parts = coupled_components(rows, n) if n > 2 else [(list(range(n)), rows)]
         registry = get_registry()
-        if len(ffs) <= 2:
-            x = closed_form_concentration(lower, upper, rows, targets[ffs], self.integral)
-            if x is None:
-                registry.counter("solver.concentrate.fallback.closed_form_empty").inc()
-                return None
-            if not check_assignment(x, rows, lower, upper, tolerance=1e-6):
-                registry.counter("solver.concentrate.fallback.closed_form_check").inc()
-                return None
-            return x
-
-        from repro.milp.backends import solve_lp  # imports scipy.optimize: first use only
-
-        c, a_ub, b_ub, lp_lower, lp_upper = concentration_lp(problem, ffs, rows, targets)
-        registry.counter("solver.concentrate.lp_solves").inc()
-        result = solve_lp(
-            c, a_ub, b_ub, None, None, lp_lower, lp_upper,
-            backend=self._concentrate_backend(len(ffs)),
-        )
-        if not result.status.has_solution or result.x is None:
-            registry.counter("solver.concentrate.fallback.lp_no_solution").inc()
-            return None
-        x = result.x[0::2]
-        if self.integral:
-            x = np.floor(x + 0.5)
-        x = x.tolist()
-        if not check_assignment(x, rows, lower, upper, tolerance=1e-6):
-            registry.counter("solver.concentrate.fallback.lp_check").inc()
-            return None
+        x = [0.0] * n
+        for members, part_rows in parts:
+            lo = [lower[p] for p in members]
+            hi = [upper[p] for p in members]
+            t = [target[p] for p in members]
+            if len(members) <= 2:
+                point = closed_form_concentration(lo, hi, part_rows, t, self.integral)
+                if point is None:
+                    registry.counter("solver.concentrate.fallback.closed_form_empty").inc()
+                    return None
+                if not check_assignment(point, part_rows, lo, hi, tolerance=1e-6):
+                    registry.counter("solver.concentrate.fallback.closed_form_check").inc()
+                    return None
+            else:
+                registry.counter("solver.concentrate.flow_solves").inc()
+                point = flow_concentration(lo, hi, part_rows, t, self.integral)
+                if point is None:
+                    registry.counter("solver.concentrate.fallback.flow_empty").inc()
+                    return None
+                if not check_assignment(point, part_rows, lo, hi, tolerance=1e-6):
+                    registry.counter("solver.concentrate.fallback.flow_check").inc()
+                    return None
+            for p, value in zip(members, point, strict=True):
+                x[p] = value
         return x
-
-    def _concentrate_backend(self, n_support: int) -> str:
-        """LP backend for one concentration problem.
-
-        With ``lp_backend="auto"`` the tiny per-region problems (a few
-        variables, a handful of rows) run on the built-in dense simplex —
-        its per-call overhead is a fraction of scipy's ``linprog`` setup
-        cost, which dominates at this size.  Larger regions and explicit
-        backend choices are honoured unchanged.
-        """
-        if self.lp_backend == "auto" and n_support <= 12:
-            return "simplex"
-        return self.lp_backend
 
     # ------------------------------------------------------------------
     # Faithful MILP formulation (validation backend)

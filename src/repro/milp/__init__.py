@@ -16,9 +16,9 @@ self-contained replacement with the small API surface the flow needs:
 * :mod:`repro.milp.branch_bound` — best-first branch & bound on integer
   and binary variables with warm-start incumbents.
 
-``Model`` and branch & bound serve the ``solver="milp"`` validation path.
-The default graph solver hands its per-sample concentration LPs to
-:func:`repro.milp.backends.solve_lp` as arrays, without the modelling layer.
+``Model`` and branch & bound serve the ``solver="milp"`` validation path,
+the only user of the LP engines: the default graph solver concentrates
+its tuning values without an LP (:mod:`repro.core.sample_solver`).
 
 The solver targets the small and medium problems produced by the
 sampling-based flow (tens of variables); it is exact, deterministic and

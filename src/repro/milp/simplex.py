@@ -12,10 +12,10 @@ tuning ranges / big-M bounds); the solver shifts each variable by its lower
 bound, adds upper-bound rows and slack/artificial variables, and runs a
 standard two-phase tableau simplex with Bland's anti-cycling rule.
 
-Its main caller is the per-sample concentration LP of
-:mod:`repro.core.sample_solver`: a few dozen rows and columns, solved
-hundreds of times per flow, so per-call overhead rather than arithmetic
-sets the cost.  The tableau is therefore assembled by array indexing, and
+Its caller is branch & bound (:mod:`repro.milp.branch_bound`), whose
+relaxations of the per-sample ``solver="milp"`` models are a few dozen
+rows and columns, so per-call overhead rather than arithmetic sets the
+cost.  The tableau is therefore assembled by array indexing, and
 pricing, the ratio test and each Gauss–Jordan pivot are whole-array numpy
 operations.  Each tableau entry still receives the same multiply and
 subtract a row-by-row pivot would apply, so vertices and iteration counts

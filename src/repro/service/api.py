@@ -205,6 +205,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Connections persist (HTTP/1.1) and a response leaves in two writes,
+    # headers then body; with Nagle's algorithm on, the body would wait
+    # for the client's delayed ACK (~40 ms) on a reused connection.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     @property
@@ -228,8 +232,17 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._send(code, body, "application/json")
 
     def _read_body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body's end is unknown or it stays unread, so the
+            # connection cannot carry another request.
+            self.close_connection = True
+            if length < 0:
+                raise ServiceError(f"bad Content-Length {header!r}")
             raise ServiceError(f"request body too large ({length} bytes)")
         raw = self.rfile.read(length) if length else b""
         if not raw:

@@ -56,7 +56,6 @@ class TimingGraph:
         self.comb: CombinationalGraph = design.netlist.combinational_graph()
         self._forms: Dict[Tuple[float, int], CanonicalForm] = {}
         self.annotations: List[DelayAnnotation] = self._annotate()
-        self._topo_order: List[Hashable] = [self.comb.names[node] for node in self.comb.order]
 
     # ------------------------------------------------------------------
     def _annotate(self) -> List[DelayAnnotation]:
@@ -115,8 +114,10 @@ class TimingGraph:
 
     @property
     def topological_order(self) -> List[Hashable]:
-        """Topological order of the timing graph (node names)."""
-        return self._topo_order
+        """Topological order of the timing graph (node names), built on
+        each access from the netlist graph's order of node ids."""
+        names = self.comb.names
+        return [names[node] for node in self.comb.order]
 
     def launch_nodes(self) -> List[str]:
         """Timing start points: primary inputs and flip-flop launch nodes."""

@@ -1,10 +1,17 @@
 """Tests for the per-sample solver (graph and MILP backends)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import sample_solver
 from repro.core.sample_solver import ConstraintTopology, PerSampleSolver, SampleProblem
+from repro.milp.backends import HAVE_SCIPY
+from tests.core.concentration_lp import highs_objective
 
 
 def chain_topology(n_ffs=4):
@@ -82,49 +89,47 @@ class TestFingerprints:
         )
 
 
+@pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy's HiGHS")
 class TestConcentrationFastPath:
-    """The closed-form single-buffer path and the tiny-LP simplex routing
-    must agree with the scipy LP on the concentration objective."""
-
-    def _solve_both(self, topology, problem, targets=None):
-        fast = PerSampleSolver(topology, lp_backend="auto", integral=False)
-        reference = PerSampleSolver(topology, lp_backend="scipy", integral=False)
-        a = fast.solve(problem, targets=targets)
-        b = reference.solve(problem, targets=targets)
-        return a, b
+    """Every support's concentrated values (closed form for one or two
+    buffers, the min-cost flow for more) reach the least
+    ``sum |x - target|`` that scipy HiGHS finds on the support's LP."""
 
     @staticmethod
-    def _objective(solution, targets, n_ffs):
-        targets = np.zeros(n_ffs) if targets is None else targets
-        # Concentration objective over the adjusted buffers only: the
-        # non-adjusted ones sit at zero by construction.
-        return sum(abs(v - targets[ff]) for ff, v in solution.tunings.items()) + sum(
-            abs(targets[ff])
-            for ff in range(n_ffs)
-            if ff not in solution.tunings
-        )
+    def _solve_and_check(topology, problem, targets=None):
+        supports = []
+
+        class Recording(PerSampleSolver):
+            def _concentrated_values(self, problem, ffs, rows, targets):
+                values = super()._concentrated_values(problem, ffs, rows, targets)
+                supports.append((ffs, rows, targets, values))
+                return values
+
+        solution = Recording(topology, integral=False).solve(problem, targets=targets)
+        verify_solution(topology, problem, solution)
+        assert supports
+        for ffs, rows, support_targets, values in supports:
+            assert values is not None
+            objective = sum(
+                abs(x - t) for x, t in zip(values, support_targets[ffs].tolist(), strict=True)
+            )
+            assert objective == pytest.approx(
+                highs_objective(problem, ffs, rows, support_targets), abs=1e-6
+            )
+        return solution, [len(ffs) for ffs, *_ in supports]
 
     def test_single_support_matches_scipy(self):
         topology = chain_topology(2)
         problem = make_problem(topology, setup=[-3.0], hold=[10.0])
-        fast, reference = self._solve_both(topology, problem)
-        verify_solution(topology, problem, fast)
-        assert fast.n_adjusted == reference.n_adjusted
-        assert self._objective(fast, None, 2) == pytest.approx(
-            self._objective(reference, None, 2), abs=1e-6
-        )
+        _, sizes = self._solve_and_check(topology, problem)
+        assert sizes == [1]
 
     def test_single_support_with_target(self):
         topology = chain_topology(2)
         problem = make_problem(topology, setup=[-3.0], hold=[10.0])
-        targets = np.array([0.0, 5.0])
-        fast, reference = self._solve_both(topology, problem, targets)
-        verify_solution(topology, problem, fast)
-        assert self._objective(fast, targets, 2) == pytest.approx(
-            self._objective(reference, targets, 2), abs=1e-6
-        )
+        self._solve_and_check(topology, problem, np.array([0.0, 5.0]))
 
-    def test_multi_support_simplex_matches_scipy(self):
+    def test_multi_support_matches_scipy(self):
         topology = chain_topology(5)
         problem = make_problem(
             topology,
@@ -132,12 +137,9 @@ class TestConcentrationFastPath:
             hold=[10.0, 10.0, 10.0, 10.0],
             bound=6.0,
         )
-        fast, reference = self._solve_both(topology, problem)
-        verify_solution(topology, problem, fast)
-        assert fast.feasible and reference.feasible
-        assert self._objective(fast, None, 5) == pytest.approx(
-            self._objective(reference, None, 5), abs=1e-6
-        )
+        solution, sizes = self._solve_and_check(topology, problem)
+        assert solution.feasible
+        assert max(sizes) >= 3
 
     def test_integral_single_support_respects_grid(self):
         topology = chain_topology(2)
@@ -297,13 +299,13 @@ class TestClosedFormConcentration:
 
 class TestConcentrationCounters:
     """Every fallback of concentration to the Bellman–Ford witness is
-    counted in :mod:`repro.obs`, and so is every concentration LP."""
+    counted in :mod:`repro.obs`, and so is every min-cost flow."""
 
     FALLBACKS = (
         "solver.concentrate.fallback.closed_form_empty",
         "solver.concentrate.fallback.closed_form_check",
-        "solver.concentrate.fallback.lp_no_solution",
-        "solver.concentrate.fallback.lp_check",
+        "solver.concentrate.fallback.flow_empty",
+        "solver.concentrate.fallback.flow_check",
     )
 
     @staticmethod
@@ -337,35 +339,30 @@ class TestConcentrationCounters:
         PerSampleSolver(topology).solve(problem)
         assert self._delta(before)["solver.concentrate.fallback.closed_form_check"] == 1
 
-    def test_lp_fallbacks_are_counted(self, monkeypatch):
-        from repro.milp import backends
-        from repro.milp.simplex import LpResult
-        from repro.milp.status import SolveStatus
-
+    def test_flow_fallbacks_are_counted(self, monkeypatch):
         topology = chain_topology(5)
         problem = make_problem(topology, [-4.0, -6.0, -2.0, 8.0], [10.0] * 4, bound=6.0)
         solver = PerSampleSolver(topology)
         before = self._counts()
         reference = solver.solve(problem)
         assert len(reference.tunings) >= 3
-        assert self._delta(before).get("solver.concentrate.lp_solves", 0) >= 1
+        assert self._delta(before).get("solver.concentrate.flow_solves", 0) >= 1
 
         monkeypatch.setattr(sample_solver, "check_assignment", lambda *args, **kwargs: False)
         before = self._counts()
-        solver.solve(problem)
-        assert self._delta(before)["solver.concentrate.fallback.lp_check"] >= 1
+        fallback = solver.solve(problem)
+        assert self._delta(before)["solver.concentrate.fallback.flow_check"] >= 1
+        verify_solution(topology, problem, fallback)
 
-        monkeypatch.setattr(
-            backends, "solve_lp", lambda *args, **kwargs: LpResult(SolveStatus.INFEASIBLE)
-        )
+        monkeypatch.setattr(sample_solver, "flow_concentration", lambda *args: None)
         before = self._counts()
         solver.solve(problem)
-        assert self._delta(before)["solver.concentrate.fallback.lp_no_solution"] >= 1
+        assert self._delta(before)["solver.concentrate.fallback.flow_empty"] >= 1
 
     def test_a_flow_on_the_flow_tight_design_never_falls_back(self):
         """s13207 at 0.3 scale and target sigma 0 (the flow_tight
         workload's design, with fewer samples): concentration solves
-        LPs and never returns a witness."""
+        min-cost flows and never returns a witness."""
         from repro.circuit.suite import build_suite_circuit
         from repro.core import BufferInsertionFlow, FlowConfig
 
@@ -376,10 +373,30 @@ class TestConcentrationCounters:
         before = self._counts()
         BufferInsertionFlow(design, config).run()
         delta = self._delta(before)
-        assert delta.get("solver.concentrate.lp_solves", 0) > 0
+        assert delta.get("solver.concentrate.flow_solves", 0) > 0
         assert {name: delta.get(name, 0) for name in self.FALLBACKS} == dict.fromkeys(
             self.FALLBACKS, 0
         )
+
+
+class TestNoLpEngine:
+    def test_a_flow_imports_no_lp_engine(self):
+        """Concentration solves no LP, so a serial flow on the flow_tight
+        design (fewer samples) leaves the LP engines unimported."""
+        code = (
+            "import sys\n"
+            "from repro.circuit.suite import build_suite_circuit\n"
+            "from repro.core import BufferInsertionFlow, FlowConfig\n"
+            "design = build_suite_circuit('s13207', scale=0.3, seed=5)\n"
+            "config = FlowConfig(n_samples=200, n_eval_samples=50, seed=1,\n"
+            "                    target_sigma=0.0, executor='serial')\n"
+            "BufferInsertionFlow(design, config).run()\n"
+            "loaded = [m for m in ('repro.milp.backends', 'scipy.optimize') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestWitnessReuse:

@@ -1,9 +1,13 @@
 """Property-based tests for concentration and the reduced scope rows.
 
-* :func:`closed_form_concentration` in discrete mode equals a brute-force
-  oracle that enumerates every integer point of a small box;
+* :func:`closed_form_concentration` (one or two buffers) and
+  :func:`flow_concentration` (one to four here; three or more in the
+  solver) in discrete mode equal a brute-force oracle that enumerates
+  every integer point of a small box, and so do the support's values,
+  split into components;
 * in continuous mode the solver's concentration objective equals scipy
-  HiGHS on :func:`concentration_lp`, for every support size;
+  HiGHS on the concentration LP (``tests/core/concentration_lp.py``),
+  for every support size;
 * concentrated values do not depend on the order of the constraints;
 * :func:`tightest_rows` keeps exactly one row per ordered pair, the
   tightest, whatever the row order.
@@ -12,12 +16,11 @@
 module under the ``deep`` profile).
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.difference import tightest_rows
@@ -26,9 +29,10 @@ from repro.core.sample_solver import (
     PerSampleSolver,
     SampleProblem,
     closed_form_concentration,
-    concentration_lp,
+    flow_concentration,
 )
-from repro.milp.backends import HAVE_SCIPY, solve_lp
+from repro.milp.backends import HAVE_SCIPY
+from tests.core.concentration_lp import highs_objective
 from tests.property.test_property_sample_solver import support_checks
 
 #: Targets as the flow produces them: 0 in step 1, averages in step 2
@@ -66,27 +70,64 @@ def small_boxes(draw):
     return lower, upper, triples, targets
 
 
+@st.composite
+def flow_boxes(draw):
+    """One to four integer variables on a box of at most 13 values each
+    (one case in three with bounds and weights in quarters), rows
+    around a random integer point of the box (duplicate pairs,
+    reference rows and ``u == v`` rows; a negative slack, one row in
+    six, can empty the feasible set), and targets.  A reference row
+    ``-x_i <= -p_i + s`` lifts a coordinate's range above its targets
+    and 0, so breakpoints fall below it, and a node whose breakpoints
+    all fall below it starts as a demand node."""
+    n = draw(st.integers(1, 4))
+    scale = 4 if draw(st.integers(0, 2)) == 0 else 1
+    lower = np.array([draw(st.integers(-6 * scale, 0)) / scale for _ in range(n)])
+    upper = np.array([draw(st.integers(0, 6 * scale)) / scale for _ in range(n)])
+    point = [
+        draw(st.integers(math.ceil(low), math.floor(high)))
+        for low, high in zip(lower, upper, strict=True)
+    ] + [0]
+    pairs = st.tuples(st.integers(0, n), st.integers(0, n))
+    slack = st.integers(-scale, 4 * scale).map(lambda k: k / scale)
+    triples = [
+        (u, v, point[u] - point[v] + (draw(slack) if draw(st.integers(0, 5)) else -1.0))
+        for u, v in draw(st.lists(pairs, max_size=3 * n + 4))
+    ]
+    targets = np.array([draw(TARGETS) for _ in range(n)])
+    return lower, upper, triples, targets
+
+
 def lexicographic_oracle(lower, upper, rows, targets):
     """The least ``(sum |x - t|, sum |x|, x)`` over the integer points of
-    the box that satisfy every row (sums rounded to 1e-9), or ``None``."""
-    u, v, w = (array.tolist() for array in rows)
+    the box that satisfy every row (sums rounded to 1e-9), or ``None``.
+
+    numpy enumerates the box and keeps the feasible points within 1e-6
+    of the least ``sum |x - t|``; the exact key picks among those."""
+    n = len(lower)
     axes = [
-        range(math.ceil(low - 1e-9), math.floor(high + 1e-9) + 1)
+        np.arange(math.ceil(low - 1e-9), math.floor(high + 1e-9) + 1, dtype=float)
         for low, high in zip(lower.tolist(), upper.tolist(), strict=True)
     ]
-    best = None
-    for point in itertools.product(*axes):
-        x = (*point, 0)
-        if any(x[a] - x[b] > c + 1e-9 for a, b, c in zip(u, v, w, strict=True)):
-            continue
-        key = (
-            round(sum(abs(p - t) for p, t in zip(point, targets.tolist(), strict=True)), 9),
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    x = np.hstack([points, np.zeros((points.shape[0], 1))])
+    feasible = np.ones(points.shape[0], dtype=bool)
+    for u, v, w in zip(*(array.tolist() for array in rows), strict=True):
+        feasible &= x[:, u] - x[:, v] <= w + 1e-9
+    points = points[feasible]
+    if points.shape[0] == 0:
+        return None
+    spread = np.abs(points - targets).sum(axis=1)
+    t = targets.tolist()
+
+    def key(point):
+        return (
+            round(sum(abs(p - q) for p, q in zip(point, t, strict=True)), 9),
             round(sum(abs(p) for p in point), 9),
             *point,
         )
-        if best is None or key < best:
-            best = key
-    return None if best is None else [float(p) for p in best[2:]]
+
+    return min(points[spread <= spread.min() + 1e-6].tolist(), key=key)
 
 
 def values_solver(integral):
@@ -119,6 +160,45 @@ def feasible_supports(draw, integral):
     return problem, list(range(n)), triples, targets
 
 
+class TestFlowOracle:
+    @given(flow_boxes())
+    @example((np.array([-6.0]), np.array([6.0]), [(1, 0, -3.0)], np.array([5.0])))
+    @example(
+        (
+            np.full(3, -6.0),
+            np.full(3, 6.0),
+            [(3, 0, -4.0), (0, 1, 1.0), (1, 2, 0.0), (1, 1, 0.0), (0, 1, 3.0)],
+            np.array([1.5, 0.0, 0.0]),
+        )
+    )
+    def test_discrete_mode_matches_the_brute_force_oracle(self, case):
+        """The second example lifts ``x_0`` to at least 4, above all its
+        breakpoints (1, 2 and 0), so node 0 starts as a demand node; the
+        first only folds the breakpoint at 0."""
+        lower, upper, triples, targets = case
+        rows = _rows(triples)
+        expected = lexicographic_oracle(lower, upper, rows, targets)
+        assert flow_concentration(lower, upper, rows, targets, True) == expected
+        assert flow_concentration(
+            lower, upper, tightest_rows(rows, len(lower)), targets, True
+        ) == expected
+
+    @given(flow_boxes())
+    def test_support_values_match_the_oracle(self, case):
+        """The solver's values, split into components, are the oracle's.
+        A covering support's scope rows never join the reference to
+        itself, so such rows are left out."""
+        lower, upper, triples, targets = case
+        n = len(lower)
+        rows = tightest_rows(_rows([row for row in triples if row[:2] != (n, n)]), n)
+        expected = lexicographic_oracle(lower, upper, rows, targets)
+        problem = SampleProblem(np.zeros(0), np.zeros(0), lower, upper)
+        values = values_solver(integral=True)._concentrated_values(
+            problem, list(range(len(lower))), rows, targets
+        )
+        assert values == expected
+
+
 class TestClosedFormOracle:
     @given(small_boxes())
     def test_discrete_mode_matches_the_brute_force_oracle(self, case):
@@ -149,11 +229,10 @@ class TestContinuousObjectiveAgainstHighs:
         solver = values_solver(integral=False)
         values = solver._concentrated_values(problem, ffs, rows, targets)
         assert values is not None
-        c, a_ub, b_ub, lower, upper = concentration_lp(problem, ffs, rows, targets)
-        reference = solve_lp(c, a_ub, b_ub, None, None, lower, upper, backend="scipy")
-        assert reference.status.has_solution
         objective = sum(abs(x - t) for x, t in zip(values, targets.tolist(), strict=True))
-        assert objective == pytest.approx(reference.objective, abs=1e-9)
+        assert objective == pytest.approx(
+            highs_objective(problem, ffs, rows, targets), abs=1e-9
+        )
 
 
 def _permuted(topology, problem, region, order):

@@ -12,14 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.difference import check_assignment
-from repro.core.sample_solver import (
-    ConstraintTopology,
-    PerSampleSolver,
-    SampleProblem,
-    concentration_lp,
-)
+from repro.core.sample_solver import ConstraintTopology, PerSampleSolver, SampleProblem
 from repro.milp.expr import LinExpr
 from repro.milp.model import Model
+from tests.core.concentration_lp import concentration_lp
 from tests.core.list_support_check import REFERENCE, ListSupportCheck
 from tests.milp.loop_simplex import assert_matches_loop
 
@@ -92,7 +88,7 @@ def support_checks(draw):
 @st.composite
 def concentration_cases(draw):
     """A support with scope rows and targets, shaped like the flow's
-    concentration LPs: ±1 rows around an integer point, with integer
+    concentration problems: ±1 rows around an integer point, with integer
     windows and weights (slack 0 makes many degenerate ties), zero or
     fractional targets, and the reference (position ``len(ffs)``) on
     either side of a row plus a ``u == v`` self-edge.  One case in four

@@ -8,8 +8,11 @@ format, not just the facade.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -256,3 +259,50 @@ class TestWireFormat:
     def test_client_rejects_non_http_url(self):
         with pytest.raises(ServiceClientError):
             ServiceClient("ftp://example.invalid")
+
+
+def _raw_exchange(server, request: bytes, timeout: float = 5.0):
+    """Send ``request`` bytes on a fresh socket; the status line and body
+    of the answer (read by its ``Content-Length``)."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.sendall(request)
+        reader = sock.makefile("rb")
+        status = reader.readline()
+        headers = {}
+        for line in iter(reader.readline, b"\r\n"):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        return status, reader.read(int(headers.get("content-length", "0")))
+
+
+class TestConnections:
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_400(self, server, length):
+        """A negative length used to read to EOF (no answer until the
+        client hung up) and a non-integer one answered 500."""
+        status, body = _raw_exchange(
+            server,
+            b"POST /api/v1/jobs HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {length}\r\n\r\n{{}}".encode("ascii"),
+        )
+        assert status.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"] == f"bad Content-Length {length!r}"
+
+    def test_kept_alive_requests_do_not_stall(self, server):
+        """Twenty requests over one persistent connection.  With Nagle's
+        algorithm on, each response body waited for the client's delayed
+        ACK, ~40 ms per request."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30.0)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 20 * 0.040 / 2
