@@ -23,8 +23,8 @@ from repro.circuit.bench import parse_bench
 from repro.circuit.design import CircuitDesign
 from repro.circuit.library import default_library
 from repro.circuit.netlist import Netlist
-from repro.core import BufferInsertionFlow, FlowConfig
-from repro.timing import ensure_constraint_graph, hold_aware_random_skews, apply_skews
+from repro.core import BufferInsertionFlow, FlowConfig, ensure_compiled_system
+from repro.timing import apply_skews, hold_aware_random_skews
 
 BENCH_TEXT = """
 # a small 3-stage pipeline in ISCAS89 .bench format
@@ -71,10 +71,12 @@ def bench_example() -> None:
     print(f"   parsed: {netlist.stats()}")
     design = CircuitDesign.from_netlist(netlist, library=library, rng=3)
 
-    # Add hold-aware useful skew, as the paper does for its benchmarks.
-    graph = ensure_constraint_graph(design)
-    skews = hold_aware_random_skews(graph, magnitude=1.5, rng=3)
-    apply_skews(graph, skews)
+    # Add hold-aware useful skew, as the paper does for its benchmarks:
+    # the skews read the design's constraint system, and apply_skews
+    # stores the re-skewed system on the design for the flow.
+    system = ensure_compiled_system(design)
+    skews = hold_aware_random_skews(system, magnitude=1.5, rng=3)
+    apply_skews(system, skews)
 
     config = FlowConfig(n_samples=400, n_eval_samples=800, seed=9, target_sigma=0.0)
     result = BufferInsertionFlow(design, config).run()

@@ -15,9 +15,9 @@ import math
 from typing import Dict, Optional
 
 from repro.circuit.design import CircuitDesign
+from repro.core.compiled import ensure_compiled_system
 from repro.core.config import BufferSpec
 from repro.core.results import Buffer, BufferPlan
-from repro.timing.constraints import ensure_constraint_graph
 
 
 def flip_flop_criticality(design: CircuitDesign, target_period: float) -> Dict[str, float]:
@@ -25,21 +25,24 @@ def flip_flop_criticality(design: CircuitDesign, target_period: float) -> Dict[s
 
     The score of an edge is the probability (under the canonical Gaussian
     model) that its setup constraint fails at the target period; a
-    flip-flop accumulates the scores of its incident edges (the design's
-    cached constraint graph).
+    flip-flop accumulates the scores of its incident edges, in edge order
+    (the design's compiled setup quantities and skew differences).
     """
-    graph = ensure_constraint_graph(design)
-    scores: Dict[str, float] = {ff: 0.0 for ff in graph.ff_names}
-    for edge in graph.edges:
-        quantity = edge.setup_quantity
-        slack_mean = target_period + edge.skew_difference - quantity.mean
-        sigma = quantity.std
+    system = ensure_compiled_system(design)
+    setup = system.setup_forms
+    slack_means = (target_period + system.skew_difference - setup.means).tolist()
+    sigmas = setup.stds().tolist()
+    names = system.ff_names
+    scores: Dict[str, float] = {ff: 0.0 for ff in names}
+    for launch, capture, slack_mean, sigma in zip(
+        system.edge_launch.tolist(), system.edge_capture.tolist(), slack_means, sigmas, strict=True
+    ):
         if sigma <= 0:
             probability = 1.0 if slack_mean < 0 else 0.0
         else:
             probability = 0.5 * (1.0 - math.erf(slack_mean / (sigma * math.sqrt(2.0))))
-        scores[edge.launch] += probability
-        scores[edge.capture] += probability
+        scores[names[launch]] += probability
+        scores[names[capture]] += probability
     return scores
 
 

@@ -133,17 +133,16 @@ def build_suite_circuit(
         # Clock skews are added as in the paper ("so that they have more critical
         # paths"), but hold-aware: the skew magnitude is a fraction of the nominal
         # stage delay, projected onto the feasible region of the hold constraints.
-        # The constraint graph built for this purpose is cached on the design so
+        # apply_skews caches the skewed constraint system on the design, so
         # downstream consumers (flow, yield analysis, benchmarks) reuse it.
         from repro.timing.constraints import extract_constraint_graph
         from repro.timing.skew import apply_skews, hold_aware_random_skews
 
-        constraint_graph = extract_constraint_graph(design)
+        system = extract_constraint_graph(design)
         nominal_stage_delay = 2.0 * spec.max_depth
         skew_magnitude = spec.clock_skew_fraction * nominal_stage_delay
-        skews = hold_aware_random_skews(constraint_graph, skew_magnitude, rng=generator)
-        apply_skews(constraint_graph, skews)
-        design.cached_constraint_graph = constraint_graph
+        skews = hold_aware_random_skews(system, skew_magnitude, rng=generator)
+        apply_skews(system, skews)
         return design
 
 

@@ -1,32 +1,32 @@
 """Compiled, array-native constraint system.
 
 The statistical layer of the flow is compiled **once per design** into a
-:class:`CompiledConstraintSystem`, the design's only array-native view of
-its setup and hold constraints: flat topology indices (flip-flop names,
-per-edge launch/capture indices) plus the stacked setup/hold coefficient
-matrices of every sequential edge
-(:class:`~repro.variation.arrayforms.ArrayForms`), stacked from the
-per-edge scalar forms of the
-:class:`~repro.timing.constraints.SequentialConstraintGraph` by
-:meth:`CompiledConstraintSystem.from_constraint_graph`.  Everything the
+:class:`CompiledConstraintSystem`, the design's one view of its setup
+and hold constraints: flat topology indices (flip-flop names, per-edge
+launch/capture indices), the static skew difference of every edge and
+the stacked setup/hold coefficient matrices of every sequential edge
+(:class:`~repro.variation.arrayforms.ArrayForms`).
+:func:`repro.timing.constraints.extract_constraint_graph` builds it
+straight from the propagation sweep's per-pair stacks.  Everything the
 hot path needs afterwards is a handful of matrix operations:
 
 * drawing a Monte-Carlo batch and evaluating **all edges x all samples**
   is one matmul per quantity (:meth:`CompiledConstraintSystem.sample`);
-* the nominal and SSTA minimum periods come from the same stacks
-  (:meth:`~CompiledConstraintSystem.nominal_min_period`,
-  :meth:`~CompiledConstraintSystem.statistical_period_form`);
+* the nominal minimum period comes from the same stacks
+  (:meth:`~CompiledConstraintSystem.nominal_min_period`), and so do the
+  hold guard bands of :func:`repro.timing.skew.hold_aware_random_skews`
+  and the scores of :func:`repro.baselines.criticality.flip_flop_criticality`;
 * the per-sample solver and the post-silicon configurator consume the
   index-level :class:`~repro.core.sample_solver.ConstraintTopology` view;
 * the execution engine keys its warm worker state by
   :meth:`CompiledConstraintSystem.fingerprint`, so repeated flow runs on
   the same design reuse worker pools instead of re-shipping state.
 
-:func:`ensure_compiled_system` caches the compiled system on the design
-(``CircuitDesign.cached_compiled_system``, next to the cached constraint
-graph), so the flow, the yield estimator and the period analysis all
-read one system.  :func:`repro.timing.skew.apply_skews`
-clears that slot, so the next call compiles the new skews.
+:func:`ensure_compiled_system` caches the system on the design
+(``CircuitDesign.cached_compiled_system``), so the flow, the yield
+estimator and the period analysis all read one system.
+:func:`repro.timing.skew.apply_skews` stores a system with new skews in
+that slot.
 """
 
 from __future__ import annotations
@@ -37,22 +37,18 @@ import numpy as np
 
 from repro.core.sample_solver import ConstraintTopology
 from repro.engine.cache import fingerprint_arrays
-from repro.timing.constraints import (
-    ConstraintSamples,
-    SequentialConstraintGraph,
-    ensure_constraint_graph,
-)
+from repro.timing.constraints import ConstraintSamples, extract_constraint_graph
 from repro.utils.rng import RngLike
 from repro.variation.arrayforms import ArrayForms
-from repro.variation.canonical import CanonicalForm
 from repro.variation.sampling import MonteCarloSampler, SampleBatch
 
 
 class CompiledConstraintSystem:
     """Frozen array-native view of a design's sequential constraints.
 
-    Built once per design via :meth:`from_constraint_graph` (or the
-    :func:`ensure_compiled_system` cache helper); holds no reference to
+    Built once per design by
+    :func:`~repro.timing.constraints.extract_constraint_graph` (through
+    the :func:`ensure_compiled_system` cache helper); holds no reference to
     the timing graph or the netlist's graph, so it is cheap to keep
     around and to ship to worker processes.
 
@@ -96,27 +92,6 @@ class CompiledConstraintSystem:
             raise ValueError("edge arrays and stacked forms must agree in length")
         self._topology: Optional[ConstraintTopology] = None
         self._fingerprint: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_constraint_graph(cls, graph: SequentialConstraintGraph) -> "CompiledConstraintSystem":
-        """Stack a :class:`SequentialConstraintGraph`'s per-edge forms and
-        skews (read once: later edits of the graph need a new compile)."""
-        edges = graph.edges
-        n_sources = graph.design.variation_model.n_shared_sources
-
-        def stack(forms) -> ArrayForms:
-            return ArrayForms.from_forms(forms, n_sources=n_sources)
-
-        return cls(
-            design=graph.design,
-            ff_names=graph.ff_names,
-            edge_launch=graph.edge_launch_idx,
-            edge_capture=graph.edge_capture_idx,
-            skew_difference=np.array([e.skew_difference for e in edges]),
-            setup_forms=stack(e.max_delay for e in edges).add(stack(e.setup for e in edges)),
-            hold_forms=stack(e.min_delay for e in edges).subtract(stack(e.hold for e in edges)),
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -182,17 +157,6 @@ class CompiledConstraintSystem:
             return 0.0
         return float(np.max(self.setup_forms.means - self.skew_difference))
 
-    def statistical_period_form(self) -> CanonicalForm:
-        """Canonical form of the minimum period (statistical max over all
-        edges of ``d_ij_max + s_j - (k_j - k_i)``)."""
-        if self.n_edges == 0:
-            raise ValueError("compiled constraint system has no edges")
-        shifted = self.setup_forms.add_constants(-self.skew_difference)
-        result = shifted.take([0])
-        for k in range(1, shifted.n_forms):
-            result = result.clark_max(shifted.take([k]))
-        return result.form(0)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompiledConstraintSystem({getattr(self.design, 'name', '?')!r}, "
@@ -201,15 +165,13 @@ class CompiledConstraintSystem:
 
 
 def ensure_compiled_system(design) -> CompiledConstraintSystem:
-    """Return the design's cached compiled system, compiling on demand.
+    """Return the design's cached compiled system, extracting it on demand.
 
-    Compilation reuses the (also cached) constraint graph, so the
-    expensive statistical propagation runs at most once per design no
-    matter how many flows, estimators or analyses consume it.  The cache
-    is ``design.cached_compiled_system``; ``apply_skews`` empties it.
+    The statistical propagation behind the extraction runs at most once
+    per design, no matter how many flows, estimators or analyses consume
+    the system.  The cache is ``design.cached_compiled_system``; the
+    suite builder fills it, and ``apply_skews`` replaces it.
     """
     if design.cached_compiled_system is None:
-        design.cached_compiled_system = CompiledConstraintSystem.from_constraint_graph(
-            ensure_constraint_graph(design)
-        )
+        design.cached_compiled_system = extract_constraint_graph(design)
     return design.cached_compiled_system

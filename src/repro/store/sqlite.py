@@ -24,6 +24,13 @@ read, so a record round-tripped through SQLite is value-identical to
 one round-tripped through JSONL — reports over either driver are
 byte-identical.
 
+A new store file is created atomically across processes: it is built
+complete (WAL mode, schema, version row) under a unique temporary name
+in the same directory and hard-linked into place (so the directory's
+filesystem must support hard links).  No process ever opens a half-made
+store, and two processes creating one store at once both end up on the
+file that was linked first.
+
 Each operation (and each transaction) borrows a configured connection
 from one process-wide pool, so the pragmas and the schema script run
 once per connection rather than once per operation.  The pool is keyed
@@ -50,6 +57,7 @@ import atexit
 import contextlib
 import json
 import os
+import secrets
 import sqlite3
 import threading
 from collections import OrderedDict
@@ -122,7 +130,9 @@ class _ConnectionPool:
         self._lock = threading.Lock()
         self._idle: "OrderedDict[_FileKey, Tuple[str, List[sqlite3.Connection]]]" = OrderedDict()
         self._inherited: List[object] = []
-        #: Held by a new connection while it switches its file to WAL.
+        #: Held by a new connection while it switches its file to WAL
+        #: (a no-op for the stores this driver creates, which are WAL
+        #: from the start).
         self.wal_switch = threading.Lock()
 
     def take(self, key: _FileKey) -> Optional[sqlite3.Connection]:
@@ -224,10 +234,12 @@ class SqliteBackend(StoreBackend):
 
     # ------------------------------------------------------------------
     def _connect(self) -> sqlite3.Connection:
-        """Open a configured connection, creating the schema if needed."""
+        """Open a configured connection, creating the store if needed."""
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         try:
+            if not os.path.exists(self.path):
+                self._create()
             # Autocommit mode: transactions are opened explicitly with
             # BEGIN IMMEDIATE so their scope is exactly what the code
             # says, not what the driver's implicit-BEGIN heuristics do.
@@ -239,11 +251,11 @@ class SqliteBackend(StoreBackend):
                 isolation_level=None,
                 check_same_thread=False,
             )
-            # Switching a new file to WAL upgrades a read lock to a write
-            # lock, which SQLite refuses at once, ignoring busy_timeout,
-            # while another connection holds the write lock: two
-            # connections switching one new file at the same moment fail
-            # with "database is locked".  Switch one at a time.
+            # Switching a file to WAL upgrades a read lock to a write lock,
+            # which SQLite refuses at once, ignoring busy_timeout, while
+            # another connection holds the write lock.  Files made by
+            # _create are WAL already; another file switches one
+            # connection at a time within this process.
             with _POOL.wal_switch:
                 connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=FULL")
@@ -253,6 +265,52 @@ class SqliteBackend(StoreBackend):
             return connection
         except sqlite3.DatabaseError as error:
             raise self._invalid(error) from error
+
+    def _create(self) -> None:
+        """Create the store file atomically.
+
+        Two processes that set up one new file in place can fail with
+        "database is locked" on the switch to WAL.  So the file is built
+        complete, in WAL mode with the schema and version row, under a
+        unique temporary name in the same directory, then linked into
+        place.  When a peer links first, this process opens the peer's
+        file.  The temporary name is always removed.
+
+        A ``-wal`` or ``-shm`` file left by a store removed from this path
+        would be replayed into a new file that is in WAL mode already.
+        Then the file is created in place, where SQLite discards a WAL
+        next to an empty database.
+        """
+        if any(os.path.exists(self.path + suffix) for suffix in ("-wal", "-shm")):
+            return
+        temporary = f"{self.path}.{os.getpid()}-{secrets.token_hex(4)}.new"
+        # Exclusive creation, with the permissions SQLite gives new files.
+        os.close(os.open(temporary, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644))
+        try:
+            connection = sqlite3.connect(temporary, isolation_level=None)
+            try:
+                # No other connection opens the temporary file, so the build
+                # is one transaction without per-commit syncs; the finished
+                # file is synced once, before it is linked.
+                connection.execute("PRAGMA synchronous=OFF")
+                connection.execute("PRAGMA journal_mode=WAL")
+                connection.executescript("BEGIN;" + _SCHEMA)
+                self._check_schema_version(connection)  # inserts and commits
+            finally:
+                # The last connection checkpoints the WAL into the file
+                # and deletes the -wal and -shm files.
+                connection.close()
+            descriptor = os.open(temporary, os.O_RDWR)
+            try:
+                os.fsync(descriptor)
+            finally:
+                os.close(descriptor)
+            try:
+                os.link(temporary, self.path)
+            except FileExistsError:
+                pass  # a peer created the store first: open its file
+        finally:
+            os.unlink(temporary)
 
     def _invalid(self, error: sqlite3.DatabaseError) -> StoreError:
         return self.error(f"store {self.path!r} is not a valid sqlite store: {error}")

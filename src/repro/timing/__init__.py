@@ -7,24 +7,19 @@
   nominal max/min arrival times and per-flip-flop-pair canonical forms of
   the maximum and minimum combinational delay (the ``d`` and ``d-bar`` of
   the paper's constraints (1)–(2)).
-* :mod:`repro.timing.constraints` — the sequential constraint graph: one
-  :class:`SequentialEdge` of scalar canonical forms per connected
-  flip-flop pair with everything needed to write the setup and hold
-  constraints, plus the per-sample bound arithmetic of
-  :class:`~repro.timing.constraints.ConstraintSamples`.  Stacking and
-  sampling live in the compiled system (:mod:`repro.core.compiled`).
+* :mod:`repro.timing.constraints` — extraction of the design's compiled
+  constraint system (:func:`extract_constraint_graph`: the stacked setup
+  and hold quantities of every connected flip-flop pair, built from the
+  sweep's arrays), plus the per-sample bound arithmetic of
+  :class:`~repro.timing.constraints.ConstraintSamples`.  The system
+  itself, its sampling and its cache live in :mod:`repro.core.compiled`.
 * :mod:`repro.timing.skew` — hold-aware static skews and their
-  application to a constraint graph.
+  application to a compiled constraint system.
 * :mod:`repro.timing.period` — the Monte-Carlo distribution of the
   un-tuned minimum clock period.
 """
 
-from repro.timing.constraints import (
-    SequentialConstraintGraph,
-    SequentialEdge,
-    ensure_constraint_graph,
-    extract_constraint_graph,
-)
+from repro.timing.constraints import extract_constraint_graph
 from repro.timing.skew import apply_skews, hold_aware_random_skews
 from repro.timing.graph import DelayAnnotation, TimingGraph
 from repro.timing.period import PeriodAnalysis, sample_min_periods
@@ -33,10 +28,7 @@ from repro.timing.propagate import ff_pair_delay_forms, nominal_arrival_times
 __all__ = [
     "TimingGraph",
     "DelayAnnotation",
-    "SequentialEdge",
-    "SequentialConstraintGraph",
     "extract_constraint_graph",
-    "ensure_constraint_graph",
     "hold_aware_random_skews",
     "apply_skews",
     "ff_pair_delay_forms",

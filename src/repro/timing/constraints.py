@@ -1,4 +1,4 @@
-"""Sequential constraint graph.
+"""Sequential constraints: extraction and per-sample bounds.
 
 For two flip-flops ``i`` (launch) and ``j`` (capture) connected by
 combinational logic, the paper's timing constraints with clock tuning
@@ -17,20 +17,20 @@ All delay quantities (``d_ij_max``, ``d_ij_min``, ``s_j``, ``h_j``) are
 statistical; a Monte-Carlo sample fixes them to numbers, which turns every
 edge into two plain difference constraints.
 
-:func:`extract_constraint_graph` produces a
-:class:`SequentialConstraintGraph`: one :class:`SequentialEdge` of scalar
-canonical forms per connected flip-flop pair, the flip-flop names and the
-per-edge flip-flop indices.  The skew tools (:mod:`repro.timing.skew`)
-edit its edges.  It neither stacks nor samples: the design's one
-array-native system, :class:`~repro.core.compiled.CompiledConstraintSystem`,
-is compiled from it and evaluates whole sample batches into the
-:class:`ConstraintSamples` defined here.
+:func:`extract_constraint_graph` builds the design's one constraint
+system, a :class:`~repro.core.compiled.CompiledConstraintSystem`: the
+propagation sweep's per-pair delay stacks become the stacked setup
+quantities ``d_ij_max + s_j`` and hold quantities ``d_ij_min - h_j`` of
+every connected flip-flop pair, next to the pairs' flip-flop indices and
+the static skew differences ``k_j - k_i``.  The compiled system
+evaluates whole sample batches into the :class:`ConstraintSamples`
+defined here, which hold the per-sample bound arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -38,63 +38,10 @@ from repro.circuit.design import CircuitDesign
 from repro.obs.trace import span as trace_span
 from repro.timing.graph import TimingGraph
 from repro.timing.propagate import all_ff_pair_delay_forms
-from repro.variation.canonical import CanonicalForm
+from repro.variation.arrayforms import ArrayForms
 
-
-@dataclass
-class SequentialEdge:
-    """One connected flip-flop pair with all timing quantities attached.
-
-    Attributes
-    ----------
-    launch, capture:
-        Flip-flop names (``i`` and ``j`` in the paper's notation).
-    max_delay, min_delay:
-        Canonical forms of the maximum / minimum combinational delay from
-        launch to capture, *including* the launch flip-flop's clock-to-Q.
-    setup, hold:
-        Canonical forms of the capture flip-flop's setup and hold time.
-    skew_launch, skew_capture:
-        Static design clock skews of the two flip-flops.
-    """
-
-    launch: str
-    capture: str
-    max_delay: CanonicalForm
-    min_delay: CanonicalForm
-    setup: CanonicalForm
-    hold: CanonicalForm
-    skew_launch: float = 0.0
-    skew_capture: float = 0.0
-
-    @property
-    def skew_difference(self) -> float:
-        """``k_j - k_i``: capture skew minus launch skew."""
-        return self.skew_capture - self.skew_launch
-
-    @property
-    def setup_quantity(self) -> CanonicalForm:
-        """Canonical form of ``d_ij_max + s_j`` (everything the setup bound
-        subtracts from ``T``)."""
-        return self.max_delay + self.setup
-
-    @property
-    def hold_quantity(self) -> CanonicalForm:
-        """Canonical form of ``d_ij_min - h_j``."""
-        return self.min_delay - self.hold
-
-    def nominal_setup_bound(self, period: float) -> float:
-        """Nominal value of the setup bound ``x_i - x_j <= b`` at period ``T``."""
-        return period - self.setup_quantity.mean + self.skew_difference
-
-    def nominal_hold_bound(self) -> float:
-        """Nominal value of the hold bound ``x_j - x_i <= b``."""
-        return self.hold_quantity.mean - self.skew_difference
-
-    def nominal_required_period(self) -> float:
-        """Smallest period for which the nominal setup constraint holds at
-        ``x_i = x_j = 0``."""
-        return self.setup_quantity.mean - self.skew_difference
+if TYPE_CHECKING:  # repro.core sits above repro.timing
+    from repro.core.compiled import CompiledConstraintSystem
 
 
 @dataclass
@@ -163,88 +110,36 @@ class ConstraintSamples:
         return np.all(self.hold_bounds() >= 0.0, axis=0)
 
 
-class SequentialConstraintGraph:
-    """All sequential edges of a design, with flip-flop names and indices."""
-
-    def __init__(self, design: CircuitDesign, edges: Sequence[SequentialEdge]) -> None:
-        self.design = design
-        self.edges: List[SequentialEdge] = list(edges)
-        self.ff_names: List[str] = list(design.netlist.flip_flops)
-        self.ff_index: Dict[str, int] = {ff: i for i, ff in enumerate(self.ff_names)}
-        self.edge_launch_idx = np.array(
-            [self.ff_index[e.launch] for e in self.edges], dtype=int
-        )
-        self.edge_capture_idx = np.array(
-            [self.ff_index[e.capture] for e in self.edges], dtype=int
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def n_edges(self) -> int:
-        """Number of sequential (flip-flop pair) edges."""
-        return len(self.edges)
-
-    @property
-    def n_flip_flops(self) -> int:
-        """Number of flip-flops in the design."""
-        return len(self.ff_names)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SequentialConstraintGraph({self.design.name!r}, "
-            f"ffs={self.n_flip_flops}, edges={self.n_edges})"
-        )
-
-
-def ensure_constraint_graph(
-    design: CircuitDesign,
-    timing_graph: Optional[TimingGraph] = None,
-) -> SequentialConstraintGraph:
-    """Return the design's cached constraint graph, extracting it on demand.
-
-    The statistical propagation behind :func:`extract_constraint_graph` is
-    the most expensive preprocessing step, so designs built by
-    :mod:`repro.circuit.suite` carry a cached graph; this helper makes the
-    cache transparent to callers.
-    """
-    cached = getattr(design, "cached_constraint_graph", None)
-    if isinstance(cached, SequentialConstraintGraph):
-        return cached
-    graph = extract_constraint_graph(design, timing_graph)
-    design.cached_constraint_graph = graph
-    return graph
-
-
 def extract_constraint_graph(
     design: CircuitDesign,
     timing_graph: Optional[TimingGraph] = None,
-) -> SequentialConstraintGraph:
-    """Build the sequential constraint graph of a design.
+) -> "CompiledConstraintSystem":
+    """Build the design's compiled constraint system.
 
-    Runs statistical propagation from every flip-flop and assembles one
-    :class:`SequentialEdge` per connected flip-flop pair.
+    Runs statistical propagation from every flip-flop once.  Every
+    connected pair's setup quantity is its max delay plus the capture
+    flip-flop's setup form, its hold quantity its min delay minus the
+    capture's hold form (independent terms in quadrature), and its skew
+    difference ``k_j - k_i`` comes from ``design.clock_skew``.  Edges
+    keep the sweep's launch-major order.
     """
+    # repro.core sits above repro.timing, so import at call time.
+    from repro.core.compiled import CompiledConstraintSystem
+
     with trace_span("timing.extract", design=design.name):
         timing_graph = timing_graph or TimingGraph(design)
-        pair_forms = all_ff_pair_delay_forms(timing_graph)
-
-        setup_forms: Dict[str, CanonicalForm] = {}
-        hold_forms: Dict[str, CanonicalForm] = {}
-        edges: List[SequentialEdge] = []
-        for (launch, capture), (max_form, min_form) in pair_forms.items():
-            if capture not in setup_forms:
-                setup_forms[capture] = timing_graph.setup_form(capture)
-                hold_forms[capture] = timing_graph.hold_form(capture)
-            edges.append(
-                SequentialEdge(
-                    launch=launch,
-                    capture=capture,
-                    max_delay=max_form,
-                    min_delay=min_form,
-                    setup=setup_forms[capture],
-                    hold=hold_forms[capture],
-                    skew_launch=design.clock_skew.skew(launch),
-                    skew_capture=design.clock_skew.skew(capture),
-                )
-            )
-        return SequentialConstraintGraph(design, edges)
+        pairs = all_ff_pair_delay_forms(timing_graph)
+        ff_names = list(design.netlist.flip_flops)
+        n_sources = design.variation_model.n_shared_sources
+        setup = ArrayForms.from_forms(map(timing_graph.setup_form, ff_names), n_sources)
+        hold = ArrayForms.from_forms(map(timing_graph.hold_form, ff_names), n_sources)
+        skews = np.array([design.clock_skew.skew(ff) for ff in ff_names])
+        return CompiledConstraintSystem(
+            design=design,
+            ff_names=ff_names,
+            edge_launch=pairs.launch,
+            edge_capture=pairs.capture,
+            skew_difference=skews[pairs.capture] - skews[pairs.launch],
+            setup_forms=pairs.max_forms.add(ArrayForms(setup.coeffs[pairs.capture])),
+            hold_forms=pairs.min_forms.subtract(ArrayForms(hold.coeffs[pairs.capture])),
+        )

@@ -7,10 +7,8 @@ periods ``mu_T``, ``mu_T + sigma_T`` and ``mu_T + 2 sigma_T`` then
 correspond to original yields of roughly 50 %, 84.13 % and 97.72 %.
 
 This module provides the sample-based version of that analysis.  The
-nominal and statistical (canonical SSTA) minimum periods are methods of
-the design's compiled constraint system
-(:meth:`~repro.core.compiled.CompiledConstraintSystem.nominal_min_period`
-and :meth:`~repro.core.compiled.CompiledConstraintSystem.statistical_period_form`).
+nominal minimum period is a method of the design's compiled constraint
+system (:meth:`~repro.core.compiled.CompiledConstraintSystem.nominal_min_period`).
 """
 
 from __future__ import annotations

@@ -17,26 +17,29 @@ folding each node's drivers in pin order:
 * :func:`ff_pair_delay_forms` — the scalar per-launch reference path
   (object-at-a-time :class:`~repro.variation.canonical.CanonicalForm`
   propagation restricted to one fan-out cone), kept as the equivalence
-  oracle for the array sweep.
+  oracle for the array sweep (``method="scalar"``).
 
-Both statistical paths produce for every connected flip-flop pair the
+Both statistical paths give for every connected flip-flop pair the
 canonical form of the maximum and minimum combinational delay (including
-the launching flip-flop's clock-to-Q).  These forms are the statistical
-``d_ij`` / ``d-bar_ij`` of the paper's constraints (1)–(2) and are later
-evaluated per Monte-Carlo sample by :mod:`repro.timing.constraints`.
-The array sweep applies the same Clark formulas elementwise and agrees
-with the scalar path to well below ``1e-12``.
+the launching flip-flop's clock-to-Q), returned as arrays
+(:class:`PairDelayForms`): the pairs' flip-flop indices and one stacked
+coefficient matrix per delay.  These forms are the statistical ``d_ij``
+/ ``d-bar_ij`` of the paper's constraints (1)–(2);
+:func:`repro.timing.constraints.extract_constraint_graph` turns the
+stacks into the design's compiled constraint system.  The array sweep
+applies the same Clark formulas elementwise and agrees with the scalar
+path to well below ``1e-12``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.trace import span as trace_span
 from repro.timing.graph import TimingGraph
-from repro.variation.arrayforms import clark_max_coeffs
+from repro.variation.arrayforms import ArrayForms, clark_max_coeffs
 from repro.variation.canonical import CanonicalForm
 
 
@@ -137,11 +140,29 @@ def ff_pair_delay_forms(
 # ----------------------------------------------------------------------
 # Array-native whole-graph sweep
 # ----------------------------------------------------------------------
+class PairDelayForms(NamedTuple):
+    """Every connected flip-flop pair's delay forms, launch-major.
+
+    Pairs are ordered by launch (in the order of the launch list), then
+    by capture in topological discovery order.  Flip-flop indices refer
+    to the design's ``netlist.flip_flops`` order.
+    """
+
+    #: Launch flip-flop index of every pair (``i`` of the paper).
+    launch: np.ndarray
+    #: Capture flip-flop index of every pair (``j``).
+    capture: np.ndarray
+    #: Stacked maximum delay forms ``d_ij``.
+    max_forms: ArrayForms
+    #: Stacked minimum delay forms ``d-bar_ij``.
+    min_forms: ArrayForms
+
+
 def all_ff_pair_delay_forms(
     timing_graph: TimingGraph,
     launch_ffs: Optional[List[str]] = None,
     method: str = "array",
-) -> Dict[Tuple[str, str], Tuple[CanonicalForm, CanonicalForm]]:
+) -> PairDelayForms:
     """Canonical max/min delay forms for every connected flip-flop pair.
 
     Parameters
@@ -153,24 +174,32 @@ def all_ff_pair_delay_forms(
         ``"array"`` (default) runs the level-ordered whole-graph sweep
         with vectorised Clark max across launch flip-flops; ``"scalar"``
         runs the per-launch reference propagation.
-
-    Returns
-    -------
-    dict
-        ``(launch_ff, capture_ff) -> (max_delay_form, min_delay_form)``.
     """
     design = timing_graph.design
     launch_ffs = launch_ffs if launch_ffs is not None else list(design.netlist.flip_flops)
     if method not in ("array", "scalar"):
         raise ValueError(f"unknown propagation method {method!r}")
+    ff_index = {ff: i for i, ff in enumerate(design.netlist.flip_flops)}
     with trace_span("timing.propagate", design=design.name, method=method):
         if method == "array":
-            return _all_pairs_array(timing_graph, launch_ffs)
-        pairs: Dict[Tuple[str, str], Tuple[CanonicalForm, CanonicalForm]] = {}
+            return _all_pairs_array(timing_graph, launch_ffs, ff_index)
+        launches: List[int] = []
+        captures: List[int] = []
+        max_forms: List[CanonicalForm] = []
+        min_forms: List[CanonicalForm] = []
         for launch in launch_ffs:
-            for capture, forms in ff_pair_delay_forms(timing_graph, launch).items():
-                pairs[(launch, capture)] = forms
-        return pairs
+            for capture, (max_form, min_form) in ff_pair_delay_forms(timing_graph, launch).items():
+                launches.append(ff_index[launch])
+                captures.append(ff_index[capture])
+                max_forms.append(max_form)
+                min_forms.append(min_form)
+        n_sources = design.variation_model.n_shared_sources
+        return PairDelayForms(
+            np.array(launches, dtype=np.intp),
+            np.array(captures, dtype=np.intp),
+            ArrayForms.from_forms(max_forms, n_sources=n_sources),
+            ArrayForms.from_forms(min_forms, n_sources=n_sources),
+        )
 
 
 def _form_row(form: CanonicalForm, width: int, negate: bool = False) -> np.ndarray:
@@ -265,10 +294,11 @@ def _fold_plan(
 
 
 def _all_pairs_array(
-    timing_graph: TimingGraph,
-    launch_ffs: List[str],
-) -> Dict[Tuple[str, str], Tuple[CanonicalForm, CanonicalForm]]:
+    timing_graph: TimingGraph, launch_ffs: List[str], ff_index: Dict[str, int]
+) -> PairDelayForms:
     """Level-ordered array sweep carrying all launch flip-flops at once.
+
+    ``ff_index`` maps flip-flop names to the indices the pairs carry.
 
     Every reached node owns a run of rows in one flat ``(n_rows, 2,
     width)`` coefficient table, one row per launch flip-flop whose cone
@@ -389,23 +419,20 @@ def _all_pairs_array(
             rows[..., -1] = np.hypot(rows[..., -1], delay[..., -1])
 
     # Emit pairs launch-major, captures in topological discovery order
-    # (the scalar path's order).
+    # (the scalar path's order); the min plane is negated back.
     captured = np.array(captures, dtype=np.intp)
     capture_rows = _row_ranges(start[captured], count[captured])
     position = np.repeat(np.arange(len(captures)), count[captured])
     order = np.lexsort((position, row_launch[capture_rows]))
     emitted = capture_rows[order]
-    forms = table[emitted]
-    min_rows = -forms[:, 1, :-1]
-    capture_names = [names[node][1] for node in captures]
-    pairs: Dict[Tuple[str, str], Tuple[CanonicalForm, CanonicalForm]] = {}
-    for k, (launch, capture) in enumerate(
-        zip(row_launch[emitted].tolist(), position[order].tolist(), strict=True)
-    ):
-        max_row = forms[k, 0]
-        min_row = min_rows[k]
-        pairs[(launch_ffs[launch], capture_names[capture])] = (
-            CanonicalForm(max_row[0], max_row[1:-1], max_row[-1]),
-            CanonicalForm(min_row[0], min_row[1:], forms[k, 1, -1]),
-        )
-    return pairs
+    max_coeffs = table[emitted, 0]
+    min_coeffs = table[emitted, 1]
+    np.negative(min_coeffs[:, :-1], out=min_coeffs[:, :-1])
+    launch_ff = np.array([ff_index[ff] for ff in launch_ffs], dtype=np.intp)
+    capture_ff = np.array([ff_index[names[node][1]] for node in captures], dtype=np.intp)
+    return PairDelayForms(
+        launch_ff[row_launch[emitted]],
+        capture_ff[position[order]],
+        ArrayForms(max_coeffs),
+        ArrayForms(min_coeffs),
+    )

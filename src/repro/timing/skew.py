@@ -15,7 +15,8 @@ the feasible region of the difference constraints
     k_j - k_i <= hold_margin_ij      for every sequential edge (i, j)
 
 where ``hold_margin_ij`` is the nominal hold quantity minus a guard band of
-``n_sigma`` standard deviations.  The projection is an iterative
+``n_sigma`` standard deviations, both read from the compiled system's
+stacked hold quantities.  The projection is an iterative
 Gauss-Seidel repair with a global shrink fallback, which always terminates
 because the all-zero skew assignment is feasible whenever the un-skewed
 design meets hold.
@@ -23,17 +24,20 @@ design meets hold.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.circuit.clockskew import ClockSkewMap
-from repro.timing.constraints import SequentialConstraintGraph
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative
 
+if TYPE_CHECKING:  # repro.core sits above repro.timing
+    from repro.core.compiled import CompiledConstraintSystem
+
 
 def hold_aware_random_skews(
-    constraint_graph: SequentialConstraintGraph,
+    system: "CompiledConstraintSystem",
     magnitude: float,
     rng: RngLike = None,
     n_sigma: float = 3.0,
@@ -45,9 +49,9 @@ def hold_aware_random_skews(
 
     Parameters
     ----------
-    constraint_graph:
-        Sequential constraint graph of the design (skews stored in it are
-        ignored; only the statistical hold quantities are used).
+    system:
+        Compiled constraint system of the design (its skews are ignored;
+        only the statistical hold quantities are used).
     magnitude:
         Half-width of the initial uniform skew distribution (time units).
     n_sigma:
@@ -66,22 +70,20 @@ def hold_aware_random_skews(
     check_non_negative(n_sigma, "n_sigma")
     generator = ensure_rng(rng)
 
-    ff_names = constraint_graph.ff_names
+    ff_names = system.ff_names
     n_ffs = len(ff_names)
     skews = generator.uniform(-magnitude, magnitude, size=n_ffs)
-    if magnitude == 0.0 or constraint_graph.n_edges == 0:
+    if magnitude == 0.0 or system.n_edges == 0:
         return ClockSkewMap({ff: float(s) for ff, s in zip(ff_names, skews, strict=True)})
 
-    launch_idx = constraint_graph.edge_launch_idx
-    capture_idx = constraint_graph.edge_capture_idx
-    holds = [edge.hold_quantity for edge in constraint_graph.edges]
-    limits = np.array([hold.mean - n_sigma * hold.std - extra_margin for hold in holds])
+    holds = system.hold_forms
+    limits = holds.means - n_sigma * holds.stds() - extra_margin
     # Edges that violate hold even with zero skew cannot be repaired by skew
     # assignment; they keep a zero allowance so the repair does not chase them.
     limits = np.maximum(limits, 0.0)
 
     skews = _project_onto_constraints(
-        skews, launch_idx, capture_idx, limits, max_iterations, shrink_factor
+        skews, system.edge_launch, system.edge_capture, limits, max_iterations, shrink_factor
     )
     return ClockSkewMap({ff: float(s) for ff, s in zip(ff_names, skews, strict=True)})
 
@@ -142,18 +144,29 @@ def _project_onto_constraints(
 
 
 def apply_skews(
-    constraint_graph: SequentialConstraintGraph, skew_map: ClockSkewMap
-) -> None:
-    """Update the skew fields of every edge of ``constraint_graph`` in place.
+    system: "CompiledConstraintSystem", skew_map: ClockSkewMap
+) -> "CompiledConstraintSystem":
+    """The system with the skews of ``skew_map``, stored on its design.
 
-    Also sets the design's clock skew map and clears its compiled
-    constraint system, so the next
-    :func:`~repro.core.compiled.ensure_compiled_system` compiles the new
-    skews instead of returning a system built from the old ones.
+    Returns a system with the same topology and stacks and the new skew
+    differences ``k_j - k_i``, sets it as the design's compiled system
+    (so the next :func:`~repro.core.compiled.ensure_compiled_system`
+    returns it) and ``skew_map`` as the design's clock skew map.
     """
-    for edge in constraint_graph.edges:
-        edge.skew_launch = skew_map.skew(edge.launch)
-        edge.skew_capture = skew_map.skew(edge.capture)
-    design = constraint_graph.design
+    # repro.core sits above repro.timing, so import at call time.
+    from repro.core.compiled import CompiledConstraintSystem
+
+    skews = np.array([skew_map.skew(ff) for ff in system.ff_names])
+    skewed = CompiledConstraintSystem(
+        design=system.design,
+        ff_names=system.ff_names,
+        edge_launch=system.edge_launch,
+        edge_capture=system.edge_capture,
+        skew_difference=skews[system.edge_capture] - skews[system.edge_launch],
+        setup_forms=system.setup_forms,
+        hold_forms=system.hold_forms,
+    )
+    design = system.design
     design.clock_skew = skew_map
-    design.cached_compiled_system = None
+    design.cached_compiled_system = skewed
+    return skewed

@@ -11,8 +11,8 @@ oxide thickness and threshold voltage.  This subpackage provides:
   of Visweswariah et al. (paper reference [3]) including Clark's
   max-approximation, which the statistical timing engine propagates;
 * :mod:`repro.variation.arrayforms` — stacks of canonical forms as one
-  coefficient matrix with vectorised arithmetic and row-wise Clark
-  max/min (the compiled hot path);
+  coefficient matrix with vectorised arithmetic and the row-wise Clark
+  max kernel (the compiled hot path);
 * :mod:`repro.variation.model` — assembly of a per-circuit variation model
   that assigns every gate a sensitivity vector over the shared sources;
 * :mod:`repro.variation.sampling` — vectorised Monte-Carlo sampling of the
@@ -20,7 +20,7 @@ oxide thickness and threshold voltage.  This subpackage provides:
   (``MonteCarloSampler.evaluate_array``, the one evaluation kernel).
 """
 
-from repro.variation.arrayforms import ArrayForms, clark_max_many
+from repro.variation.arrayforms import ArrayForms
 from repro.variation.canonical import CanonicalForm
 from repro.variation.model import GateDelayModel, VariationModel
 from repro.variation.sampling import MonteCarloSampler, SampleBatch
@@ -33,7 +33,6 @@ from repro.variation.sources import (
 __all__ = [
     "ArrayForms",
     "CanonicalForm",
-    "clark_max_many",
     "GateDelayModel",
     "VariationModel",
     "MonteCarloSampler",

@@ -8,17 +8,19 @@ forms stored as one ``(n_forms, n_sources + 2)`` coefficient matrix
 * columns ``1 .. n_sources`` — the shared-source sensitivities,
 * column ``n_sources + 1`` — the independent sigmas ``a_r`` (>= 0).
 
-Every operation of the scalar class exists in vectorised row-wise form:
-addition/subtraction (independent terms combine in quadrature), scaling
-and Clark's statistical max/min.  Monte-Carlo evaluation of all forms
-against a sample batch, ``means + sensitivities @ samples`` plus the
-independent noise, is one matrix multiplication in
-:meth:`repro.variation.sampling.MonteCarloSampler.evaluate_array`.  The
-statistical timing engine (:mod:`repro.timing.propagate`) sweeps whole
-levels of the timing graph through these kernels instead of looping over
-Python objects, and the compiled constraint system
-(:mod:`repro.core.compiled`) keeps the stacked edge quantities around for
-batch evaluation.
+A stack supports what the compiled constraint system needs: row-wise
+addition and subtraction (independent terms combine in quadrature) and
+the moments of every row.  :meth:`ArrayForms.variances` computes each
+row's shared variance with the same dot product as
+:attr:`CanonicalForm.variance`, so :meth:`ArrayForms.stds` equals
+:attr:`CanonicalForm.std` bit for bit (the skew guard bands, and so the
+pinned design digests, depend on it).  Clark's statistical max is the
+row-wise kernel :func:`clark_max_coeffs`, through which the statistical
+timing engine (:mod:`repro.timing.propagate`) sweeps whole levels of the
+timing graph; a minimum is a max of negated rows.  Monte-Carlo
+evaluation of all forms against a sample batch, ``means + sensitivities
+@ samples`` plus the independent noise, is one matrix multiplication in
+:meth:`repro.variation.sampling.MonteCarloSampler.evaluate_array`.
 
 ``CanonicalForm`` remains the scalar view: :meth:`ArrayForms.form`
 materialises one row, :meth:`ArrayForms.from_forms` stacks scalar forms.
@@ -30,7 +32,7 @@ same Clark formulas elementwise); the test suite pins the agreement at
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -81,14 +83,6 @@ class ArrayForms:
     def zeros(cls, n_forms: int, n_sources: int) -> "ArrayForms":
         """``n_forms`` zero forms over ``n_sources`` shared sources."""
         return cls(np.zeros((n_forms, n_sources + 2)))
-
-    @classmethod
-    def constants(cls, values: Sequence[float], n_sources: int) -> "ArrayForms":
-        """Deterministic values expressed as canonical forms."""
-        values = np.asarray(values, dtype=float)
-        coeffs = np.zeros((values.shape[0], n_sources + 2))
-        coeffs[:, 0] = values
-        return cls(coeffs)
 
     @classmethod
     def from_forms(
@@ -148,9 +142,15 @@ class ArrayForms:
         return self.coeffs[:, -1]
 
     def variances(self) -> np.ndarray:
-        """Total variance (shared + independent) of every form."""
+        """Total variance (shared + independent) of every form.
+
+        The shared part is each row's own dot product, as in
+        :attr:`CanonicalForm.variance` (``einsum`` sums in another order
+        and differs in the last bits).
+        """
         sens = self.sensitivities
-        return np.einsum("ij,ij->i", sens, sens) + self.independent**2
+        shared = np.matmul(sens[:, None, :], sens[:, :, None])[:, 0, 0]
+        return shared + self.independent**2
 
     def stds(self) -> np.ndarray:
         """Total standard deviation of every form."""
@@ -160,18 +160,6 @@ class ArrayForms:
         """The scalar view of one row."""
         row = self.coeffs[index]
         return CanonicalForm(float(row[0]), row[1:-1].copy(), float(row[-1]))
-
-    def forms(self) -> List[CanonicalForm]:
-        """All rows as scalar forms."""
-        return [self.form(i) for i in range(self.n_forms)]
-
-    def take(self, indices) -> "ArrayForms":
-        """A new stack restricted to the given row indices."""
-        return ArrayForms(self.coeffs[np.asarray(indices, dtype=int).ravel()])
-
-    def copy(self) -> "ArrayForms":
-        """An independent copy of the stack."""
-        return ArrayForms(self.coeffs.copy())
 
     # ------------------------------------------------------------------
     # Arithmetic (row-wise; independent terms combine in quadrature)
@@ -209,58 +197,6 @@ class ArrayForms:
         out = self.coeffs[:, :-1] - rhs[:, :-1]
         indep = np.hypot(self.independent, rhs[:, -1])
         return ArrayForms(np.concatenate([out, indep[:, None]], axis=1))
-
-    def add_constants(self, values) -> "ArrayForms":
-        """Add deterministic per-row offsets to the means."""
-        out = self.coeffs.copy()
-        out[:, 0] += np.asarray(values, dtype=float)
-        return ArrayForms(out)
-
-    def scale(self, factors) -> "ArrayForms":
-        """Row-wise scaling (a scalar broadcasts to every row)."""
-        factors = np.asarray(factors, dtype=float)
-        if factors.ndim == 0:
-            out = self.coeffs * factors
-        else:
-            out = self.coeffs * factors[:, None]
-        out[:, -1] = np.abs(out[:, -1])
-        return ArrayForms(out)
-
-    def negate(self) -> "ArrayForms":
-        """Row-wise negation (independent sigma stays positive)."""
-        out = -self.coeffs
-        out[:, -1] = self.coeffs[:, -1]
-        return ArrayForms(out)
-
-    def covariances(self, other: "ArrayForms") -> np.ndarray:
-        """Row-wise covariance with another stack of the same shape."""
-        rhs = self._coerce(other)
-        return np.einsum("ij,ij->i", self.sensitivities, rhs[:, 1:-1])
-
-    # ------------------------------------------------------------------
-    # Clark's statistical max / min, row-wise
-    # ------------------------------------------------------------------
-    def clark_max(self, other: "ArrayForms") -> "ArrayForms":
-        """Row-wise statistical maximum (Clark's moment matching).
-
-        Evaluates exactly the formulas of
-        :meth:`repro.variation.canonical.CanonicalForm.max` elementwise,
-        including the degenerate branch (perfectly correlated operands
-        with equal spread collapse to whichever mean is larger).
-        """
-        a, b = self.coeffs, self._coerce(other)
-        if b.shape != a.shape:
-            try:
-                b = np.broadcast_to(b, a.shape)
-            except ValueError:
-                raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}") from None
-        return ArrayForms(clark_max_coeffs(a, b))
-
-    def clark_min(self, other: "ArrayForms") -> "ArrayForms":
-        """Row-wise statistical minimum via ``min(a, b) = -max(-a, -b)``."""
-        return self.negate().clark_max(
-            other.negate() if isinstance(other, ArrayForms) else (-other)  # type: ignore[operator]
-        ).negate()
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -307,12 +243,3 @@ def clark_max_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out[deg_b] = b[deg_b]
     return out
 
-
-def clark_max_many(stacks: Sequence[ArrayForms]) -> ArrayForms:
-    """Left-fold Clark max over aligned stacks (at least one required)."""
-    if not stacks:
-        raise ValueError("clark_max_many requires at least one stack")
-    result = stacks[0]
-    for stack in stacks[1:]:
-        result = result.clark_max(stack)
-    return result

@@ -51,11 +51,6 @@ class SampleBatch:
         """Number of Monte-Carlo samples (chips)."""
         return int(self.shared.shape[1])
 
-    def subset(self, indices: Sequence[int]) -> "SampleBatch":
-        """Return a batch restricted to the given sample indices."""
-        indices = np.asarray(indices, dtype=int)
-        return SampleBatch(self.shared[:, indices], seed=self.seed)
-
 
 class MonteCarloSampler:
     """Draw chip samples and evaluate canonical forms against them.

@@ -1,5 +1,7 @@
 """Tests for the baseline buffer-placement strategies."""
 
+import math
+
 import pytest
 
 from repro.baselines import (
@@ -10,6 +12,8 @@ from repro.baselines import (
 )
 from repro.core.compiled import ensure_compiled_system
 from repro.core.config import BufferSpec
+from repro.timing.graph import TimingGraph
+from repro.timing.propagate import all_ff_pair_delay_forms
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +45,35 @@ class TestCriticality:
         tight = flip_flop_criticality(small_design, nominal * 0.95)
         loose = flip_flop_criticality(small_design, nominal * 1.15)
         assert sum(tight.values()) > sum(loose.values())
+
+    def test_scores_match_per_edge_oracle(self, small_design, period):
+        """Scores against per-edge scalar forms: each pair's max delay plus
+        the capture's setup form, scored with ``math.erf`` in edge order."""
+        graph = TimingGraph(small_design)
+        pairs = all_ff_pair_delay_forms(graph)
+        names = list(small_design.netlist.flip_flops)
+        skew = small_design.clock_skew.skew
+        oracle = {ff: 0.0 for ff in names}
+        for k in range(len(pairs.launch)):
+            launch, capture = names[pairs.launch[k]], names[pairs.capture[k]]
+            quantity = pairs.max_forms.form(k) + graph.setup_form(capture)
+            slack = period + (skew(capture) - skew(launch)) - quantity.mean
+            sigma = quantity.std
+            if sigma <= 0:
+                probability = 1.0 if slack < 0 else 0.0
+            else:
+                probability = 0.5 * (1.0 - math.erf(slack / (sigma * math.sqrt(2.0))))
+            oracle[launch] += probability
+            oracle[capture] += probability
+        scores = flip_flop_criticality(small_design, period)
+        assert list(scores) == names
+        assert max(abs(scores[ff] - oracle[ff]) for ff in names) <= 1e-12
+        assert sum(oracle.values()) > 0.0
+
+        def ranking(table):
+            return sorted(table, key=lambda ff: table[ff], reverse=True)
+
+        assert ranking(scores) == ranking(oracle)
 
     def test_plan_picks_top_k(self, small_design, period):
         scores = flip_flop_criticality(small_design, period)

@@ -1,5 +1,6 @@
 """Tests for the Table-I benchmark suite builder."""
 
+import numpy as np
 import pytest
 
 from repro.circuit.suite import (
@@ -8,7 +9,7 @@ from repro.circuit.suite import (
     list_suite_circuits,
     suggested_scale,
 )
-from repro.timing.constraints import SequentialConstraintGraph
+from repro.core.compiled import CompiledConstraintSystem
 
 
 class TestSpecs:
@@ -54,7 +55,7 @@ class TestBuildSuiteCircuit:
         assert small_design.clock_skew.max_abs_skew() > 0.0
 
     def test_constraint_graph_cached(self, small_design):
-        assert isinstance(small_design.cached_constraint_graph, SequentialConstraintGraph)
+        assert isinstance(small_design.cached_compiled_system, CompiledConstraintSystem)
 
     def test_deterministic_given_seed(self):
         a = build_suite_circuit("s9234", scale=0.05, seed=4)
@@ -62,9 +63,9 @@ class TestBuildSuiteCircuit:
         assert a.netlist.stats() == b.netlist.stats()
         assert a.clock_skew.skews == b.clock_skew.skews
 
-    def test_hold_constraints_mostly_satisfied_nominal(self, small_design, small_constraint_graph):
+    def test_hold_constraints_mostly_satisfied_nominal(self, small_system):
         # The hold-aware skew assignment must keep nominal hold slack
         # non-negative on (almost) every edge.
-        bounds = [e.nominal_hold_bound() for e in small_constraint_graph.edges]
-        violated = sum(1 for b in bounds if b < 0)
+        bounds = small_system.hold_forms.means - small_system.skew_difference
+        violated = int(np.sum(bounds < 0))
         assert violated / len(bounds) < 0.02

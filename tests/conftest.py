@@ -1,7 +1,7 @@
 """Shared fixtures for the test suite.
 
-The heavier objects (a small generated design, its constraint graph, a
-sample batch) are session-scoped so the many test modules that need a
+The heavier objects (a small generated design, its compiled constraint
+system, a sample batch) are session-scoped so the many test modules that need a
 realistic circuit do not rebuild it over and over.
 """
 
@@ -16,7 +16,6 @@ from repro.circuit.generators import GeneratorConfig, generate_sequential_circui
 from repro.circuit.library import default_library
 from repro.circuit.suite import build_suite_circuit
 from repro.core.compiled import ensure_compiled_system
-from repro.timing.constraints import ensure_constraint_graph
 from repro.variation.sampling import MonteCarloSampler
 
 # Keep hypothesis fast and deterministic across the whole suite.
@@ -78,9 +77,9 @@ def small_design():
 
 
 @pytest.fixture(scope="session")
-def small_constraint_graph(small_design):
-    """Constraint graph of the small design (cached)."""
-    return ensure_constraint_graph(small_design)
+def small_system(small_design):
+    """Compiled constraint system of the small design (cached)."""
+    return ensure_compiled_system(small_design)
 
 
 @pytest.fixture(scope="session")

@@ -1,53 +1,77 @@
 """Tests for the compiled, array-native constraint system.
 
-The per-edge scalar forms of the constraint graph are the oracle: the
-compiled system's periods and samples must agree with them.
+Per-edge scalar forms are the oracle: the propagation sweep's pair forms
+combined with the capture flip-flops' setup and hold forms through
+:class:`CanonicalForm` arithmetic.  The compiled system's stacks,
+periods and samples must agree with them.
 """
-
-from functools import reduce
 
 import numpy as np
 import pytest
 
+import repro.timing.constraints as constraints
+import repro.timing.propagate as propagate
 from repro.circuit.suite import build_suite_circuit
 from repro.core.compiled import CompiledConstraintSystem, ensure_compiled_system
-from repro.timing.constraints import ensure_constraint_graph
+from repro.timing.constraints import extract_constraint_graph
+from repro.timing.graph import TimingGraph
 from repro.timing.skew import apply_skews, hold_aware_random_skews
-from repro.variation.canonical import CanonicalForm
 from repro.variation.sampling import MonteCarloSampler
 
 
 @pytest.fixture(scope="module")
-def compiled(small_constraint_graph):
-    return CompiledConstraintSystem.from_constraint_graph(small_constraint_graph)
+def compiled(small_system):
+    return small_system
+
+
+@pytest.fixture(scope="module")
+def edge_oracle(small_design):
+    """Per-edge scalar ``(launch, capture, setup, hold, skew difference)``
+    of the small design, in the sweep's pair order."""
+    graph = TimingGraph(small_design)
+    pairs = propagate.all_ff_pair_delay_forms(graph)
+    names = list(small_design.netlist.flip_flops)
+    skew = small_design.clock_skew.skew
+    edges = []
+    for k in range(len(pairs.launch)):
+        launch, capture = names[pairs.launch[k]], names[pairs.capture[k]]
+        edges.append(
+            (
+                launch,
+                capture,
+                pairs.max_forms.form(k) + graph.setup_form(capture),
+                pairs.min_forms.form(k) - graph.hold_form(capture),
+                skew(capture) - skew(launch),
+            )
+        )
+    return edges
 
 
 class TestCompilation:
-    def test_shapes_match_graph(self, small_constraint_graph, compiled):
-        graph = small_constraint_graph
-        assert compiled.n_edges == graph.n_edges
-        assert compiled.n_ffs == graph.n_flip_flops
-        assert compiled.ff_names == graph.ff_names
-        assert np.array_equal(compiled.edge_launch, graph.edge_launch_idx)
-        assert np.array_equal(compiled.edge_capture, graph.edge_capture_idx)
-        assert compiled.setup_forms.n_forms == graph.n_edges
-        assert compiled.hold_forms.n_forms == graph.n_edges
+    def test_shapes_match_graph(self, small_design, compiled, edge_oracle):
+        assert compiled.n_edges == len(edge_oracle) > 0
+        assert compiled.n_ffs == small_design.netlist.n_flip_flops
+        assert compiled.ff_names == list(small_design.netlist.flip_flops)
+        names = compiled.ff_names
+        assert [names[i] for i in compiled.edge_launch] == [e[0] for e in edge_oracle]
+        assert [names[j] for j in compiled.edge_capture] == [e[1] for e in edge_oracle]
+        assert compiled.setup_forms.n_forms == compiled.n_edges
+        assert compiled.hold_forms.n_forms == compiled.n_edges
 
-    def test_stacked_forms_match_edge_quantities(self, small_constraint_graph, compiled):
-        for k, edge in enumerate(small_constraint_graph.edges[:25]):
-            setup = edge.setup_quantity
-            hold = edge.hold_quantity
-            assert abs(compiled.setup_forms.means[k] - setup.mean) < 1e-12
-            assert np.max(np.abs(compiled.setup_forms.sensitivities[k] - setup.sensitivities)) < 1e-12
-            assert abs(compiled.setup_forms.independent[k] - setup.independent) < 1e-9
-            assert abs(compiled.hold_forms.means[k] - hold.mean) < 1e-12
-            assert np.max(np.abs(compiled.hold_forms.sensitivities[k] - hold.sensitivities)) < 1e-12
-            assert abs(compiled.hold_forms.independent[k] - hold.independent) < 1e-9
+    def test_stacked_forms_match_edge_quantities(self, compiled, edge_oracle):
+        """Means and sensitivities are the same additions bit for bit; the
+        independent terms differ at most in the last bits (``np.hypot``
+        against ``math.hypot``)."""
+        for k, (_, _, setup, hold, _) in enumerate(edge_oracle):
+            for stack, form in ((compiled.setup_forms, setup), (compiled.hold_forms, hold)):
+                assert stack.means[k] == form.mean
+                assert np.array_equal(stack.sensitivities[k], form.sensitivities)
+                assert abs(stack.independent[k] - form.independent) <= 1e-12
 
-    def test_topology_view(self, small_constraint_graph, compiled):
+    def test_topology_view(self, compiled):
         topology = compiled.topology
-        assert topology.ff_names == small_constraint_graph.ff_names
-        assert np.array_equal(topology.edge_launch, small_constraint_graph.edge_launch_idx)
+        assert topology.ff_names == compiled.ff_names
+        assert np.array_equal(topology.edge_launch, compiled.edge_launch)
         # Cached: the same object comes back.
         assert compiled.topology is topology
 
@@ -65,13 +89,14 @@ class TestCompilation:
 
 
 def _reskewed_design(compile_first):
-    """A fresh small suite design whose skews are replaced after extraction,
-    with or without a compile of the old skews in between."""
+    """A fresh small suite design whose skews are replaced after the build,
+    with or without the old system's fingerprint taken in between."""
     design = build_suite_circuit("s9234", scale=0.05, seed=1)
-    graph = ensure_constraint_graph(design)
-    before = ensure_compiled_system(design).fingerprint() if compile_first else None
-    apply_skews(graph, hold_aware_random_skews(graph, 3.0, rng=5))
-    return design, graph, before
+    system = ensure_compiled_system(design)
+    before = system.fingerprint() if compile_first else None
+    skews = hold_aware_random_skews(system, 3.0, rng=5)
+    apply_skews(system, skews)
+    return design, skews, before
 
 
 class TestEnsureCache:
@@ -83,13 +108,35 @@ class TestEnsureCache:
         assert isinstance(first, CompiledConstraintSystem)
 
     def test_apply_skews_after_a_compile_compiles_the_new_skews(self):
-        design, graph, before = _reskewed_design(compile_first=True)
+        design, skews, before = _reskewed_design(compile_first=True)
         compiled = ensure_compiled_system(design)
-        assert np.array_equal(
-            compiled.skew_difference, [e.skew_difference for e in graph.edges]
-        )
+        names = compiled.ff_names
+        expected = [
+            skews.skew(names[j]) - skews.skew(names[i])
+            for i, j in zip(compiled.edge_launch, compiled.edge_capture, strict=True)
+        ]
+        assert np.array_equal(compiled.skew_difference, expected)
         # Warm worker state is keyed by the fingerprint, so it must move too.
         assert compiled.fingerprint() != before
+
+    def test_build_and_flow_sweep_once(self, monkeypatch):
+        """A suite build, a cache read and a flow run the Clark sweep once."""
+        calls = []
+        sweep = propagate.all_ff_pair_delay_forms
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(propagate, "all_ff_pair_delay_forms", counted)
+        monkeypatch.setattr(constraints, "all_ff_pair_delay_forms", counted)
+        from repro.core import BufferInsertionFlow, FlowConfig
+
+        design = build_suite_circuit("s9234", scale=0.05, seed=1)
+        ensure_compiled_system(design)
+        config = FlowConfig(n_samples=60, n_eval_samples=60, seed=2, executor="serial")
+        BufferInsertionFlow(design, config).run()
+        assert len(calls) == 1
 
     def test_flow_reads_skews_applied_after_a_compile(self):
         from repro.core import BufferInsertionFlow, FlowConfig
@@ -104,7 +151,7 @@ class TestEnsureCache:
 
 
 class TestSampling:
-    def test_sample_bit_identical_to_graph_path(self, small_design, small_constraint_graph, compiled):
+    def test_sample_bit_identical_to_graph_path(self, small_design, compiled):
         """One matmul per quantity equals evaluating every stacked row as a
         scalar form through a twin sampler's stream, bit for bit."""
         sampler_a = MonteCarloSampler(small_design.variation_model, rng=42)
@@ -116,9 +163,7 @@ class TestSampling:
         hold = sampler_b.evaluate([compiled.hold_forms.form(k) for k in rows], batch)
         assert np.array_equal(via_compiled.setup_values, setup)
         assert np.array_equal(via_compiled.hold_values, hold)
-        assert np.array_equal(
-            via_compiled.skew_difference, [e.skew_difference for e in small_constraint_graph.edges]
-        )
+        assert np.array_equal(via_compiled.skew_difference, compiled.skew_difference)
 
     def test_sample_shapes(self, small_design, compiled):
         sampler = MonteCarloSampler(small_design.variation_model, rng=5)
@@ -144,24 +189,14 @@ class TestConfiguratorIntegration:
 
 
 class TestPeriodQuantities:
-    def test_nominal_min_period_matches_graph(self, small_constraint_graph, compiled):
-        oracle = max(e.nominal_required_period() for e in small_constraint_graph.edges)
+    def test_nominal_min_period_matches_graph(self, compiled, edge_oracle):
+        oracle = max(setup.mean - skew for _, _, setup, _, skew in edge_oracle)
         assert compiled.nominal_min_period() == oracle
-
-    def test_statistical_period_form_matches_graph(self, small_constraint_graph, compiled):
-        """The array Clark fold agrees with the scalar Clark fold."""
-        oracle = reduce(
-            CanonicalForm.max,
-            (e.setup_quantity - e.skew_difference for e in small_constraint_graph.edges),
-        )
-        via_compiled = compiled.statistical_period_form()
-        assert via_compiled.mean == pytest.approx(oracle.mean, abs=1e-9)
-        assert via_compiled.std == pytest.approx(oracle.std, abs=1e-9)
 
 
 class TestFingerprint:
-    def test_stable_and_cached(self, small_constraint_graph, compiled):
-        again = CompiledConstraintSystem.from_constraint_graph(small_constraint_graph)
+    def test_stable_and_cached(self, small_design, compiled):
+        again = extract_constraint_graph(small_design)
         assert compiled.fingerprint() == again.fingerprint()
         assert compiled.fingerprint() is compiled.fingerprint()  # cached string
 

@@ -48,13 +48,10 @@ def verify_solution(topology, problem, solution):
 
 
 class TestTopology:
-    def test_from_constraint_graph(self, small_constraint_graph):
-        from repro.core.compiled import CompiledConstraintSystem
-
-        compiled = CompiledConstraintSystem.from_constraint_graph(small_constraint_graph)
-        topology = compiled.topology
-        assert topology.n_ffs == small_constraint_graph.n_flip_flops
-        assert topology.n_edges == small_constraint_graph.n_edges
+    def test_from_compiled_system(self, small_design, small_system):
+        topology = small_system.topology
+        assert topology.n_ffs == small_design.netlist.n_flip_flops
+        assert topology.n_edges == small_system.n_edges > 0
 
     def test_neighbors(self):
         topology = chain_topology(4)

@@ -25,6 +25,7 @@ from repro.store import (
     dump_record,
     open_store,
 )
+from repro.store.sqlite import SQLITE_SCHEMA_VERSION
 
 
 def record(fingerprint: str, value: float = 1.0, completed: float = 100.0) -> dict:
@@ -312,3 +313,60 @@ class TestSqliteSpecifics:
         a.append(record("aa"))
         b.append(record("bb"))
         assert set(a.load()) == set(b.load()) == {"aa", "bb"}
+
+
+class TestSqliteCreation:
+    """A new store file is built under a temporary name and linked into
+    place, so two processes opening one new store never race on the
+    switch to WAL."""
+
+    def test_file_linked_into_place_is_wal_with_the_schema(self, tmp_path, monkeypatch):
+        linked = []
+        real_link = os.link
+
+        def inspecting_link(src, dst):
+            with open(src, "rb") as handle:
+                header = handle.read(100)
+            reader = sqlite3.connect(f"file:{src}?mode=ro&immutable=1", uri=True)
+            try:
+                tables = {
+                    name
+                    for (name,) in reader.execute(
+                        "SELECT name FROM sqlite_master WHERE type = 'table'"
+                    )
+                }
+                version = reader.execute(
+                    "SELECT value FROM store_meta WHERE key = 'schema_version'"
+                ).fetchone()
+            finally:
+                reader.close()
+            # Header bytes 18-19 are 2 in WAL mode; the build's own WAL
+            # was checkpointed into the file and removed.
+            linked.append((header[18:20], version, os.path.exists(src + "-wal")))
+            assert {"store_meta", "records", "history"} <= tables
+            return real_link(src, dst)
+
+        monkeypatch.setattr(os, "link", inspecting_link)
+        path = str(tmp_path / "s.sqlite")
+        SqliteBackend(path).append(record("aa"))
+        assert linked == [(b"\x02\x02", (str(SQLITE_SCHEMA_VERSION),), False)]
+        assert sorted(os.listdir(tmp_path)) == ["s.sqlite", "s.sqlite-shm", "s.sqlite-wal"]
+
+    def test_a_peer_that_links_first_wins(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "s.sqlite")
+        real_link = os.link
+        peers = []
+
+        def peer_links_first(src, dst):
+            # A peer creates the same store between this build and its link.
+            monkeypatch.setattr(os, "link", real_link)
+            SqliteBackend(dst).append(record("peer"))
+            peers.append(dst)
+            return real_link(src, dst)
+
+        monkeypatch.setattr(os, "link", peer_links_first)
+        store = SqliteBackend(path)
+        store.append(record("mine"))  # no error: it opens the peer's file
+        assert peers == [path]
+        assert set(store.load()) == {"peer", "mine"}
+        assert sorted(os.listdir(tmp_path)) == ["s.sqlite", "s.sqlite-shm", "s.sqlite-wal"]

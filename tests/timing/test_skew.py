@@ -3,77 +3,84 @@
 import numpy as np
 import pytest
 
-from repro.timing.constraints import SequentialEdge
+from repro.circuit.suite import build_suite_circuit
+from repro.core.compiled import ensure_compiled_system
 from repro.timing.skew import apply_skews, hold_aware_random_skews
+from repro.variation.arrayforms import ArrayForms
 
 
 class TestHoldAwareSkews:
-    def test_respects_hold_limits(self, small_constraint_graph):
-        skews = hold_aware_random_skews(small_constraint_graph, magnitude=3.0, rng=1)
-        for edge in small_constraint_graph.edges:
-            limit = max(edge.hold_quantity.mean - 3.0 * edge.hold_quantity.std, 0.0)
-            diff = skews.skew(edge.capture) - skews.skew(edge.launch)
+    def test_respects_hold_limits(self, small_system):
+        skews = hold_aware_random_skews(small_system, magnitude=3.0, rng=1)
+        names = small_system.ff_names
+        hold = small_system.hold_forms
+        for k in range(small_system.n_edges):
+            form = hold.form(k)
+            limit = max(form.mean - 3.0 * form.std, 0.0)
+            launch, capture = small_system.edge_launch[k], small_system.edge_capture[k]
+            diff = skews.skew(names[capture]) - skews.skew(names[launch])
             assert diff <= limit + 1e-6
 
-    def test_magnitude_bounds_initial_draw(self, small_constraint_graph):
-        skews = hold_aware_random_skews(small_constraint_graph, magnitude=1.0, rng=2)
-        values = np.array([skews.skew(ff) for ff in small_constraint_graph.ff_names])
+    def test_magnitude_bounds_initial_draw(self, small_system):
+        skews = hold_aware_random_skews(small_system, magnitude=1.0, rng=2)
+        values = np.array([skews.skew(ff) for ff in small_system.ff_names])
         assert np.max(np.abs(values)) <= 1.0 + 1e-9
 
-    def test_zero_magnitude_gives_zero_skews(self, small_constraint_graph):
-        skews = hold_aware_random_skews(small_constraint_graph, magnitude=0.0, rng=0)
+    def test_zero_magnitude_gives_zero_skews(self, small_system):
+        skews = hold_aware_random_skews(small_system, magnitude=0.0, rng=0)
         assert skews.max_abs_skew() == 0.0
 
-    def test_skews_are_not_all_zero(self, small_constraint_graph):
-        skews = hold_aware_random_skews(small_constraint_graph, magnitude=3.0, rng=1)
-        values = np.array([skews.skew(ff) for ff in small_constraint_graph.ff_names])
+    def test_skews_are_not_all_zero(self, small_system):
+        skews = hold_aware_random_skews(small_system, magnitude=3.0, rng=1)
+        values = np.array([skews.skew(ff) for ff in small_system.ff_names])
         assert np.std(values) > 0.1
 
-    def test_deterministic(self, small_constraint_graph):
-        a = hold_aware_random_skews(small_constraint_graph, magnitude=2.0, rng=5)
-        b = hold_aware_random_skews(small_constraint_graph, magnitude=2.0, rng=5)
+    def test_deterministic(self, small_system):
+        a = hold_aware_random_skews(small_system, magnitude=2.0, rng=5)
+        b = hold_aware_random_skews(small_system, magnitude=2.0, rng=5)
         assert a.skews == b.skews
 
-    def test_builds_each_hold_quantity_once(self, small_constraint_graph, monkeypatch):
+    def test_builds_each_hold_quantity_once(self, monkeypatch):
+        """A suite build stacks every edge's hold quantity in one
+        subtraction, and the skew assignment reads that stack."""
         calls = []
-        hold_quantity = SequentialEdge.hold_quantity.fget
+        subtract = ArrayForms.subtract
 
-        def counted(edge):
-            calls.append(edge)
-            return hold_quantity(edge)
+        def counted(stack, other):
+            calls.append(stack.n_forms)
+            return subtract(stack, other)
 
-        monkeypatch.setattr(SequentialEdge, "hold_quantity", property(counted))
-        hold_aware_random_skews(small_constraint_graph, magnitude=3.0, rng=1)
-        assert len(calls) == small_constraint_graph.n_edges > 0
+        monkeypatch.setattr(ArrayForms, "subtract", counted)
+        design = build_suite_circuit("s9234", scale=0.05, seed=1)
+        system = ensure_compiled_system(design)
+        hold_aware_random_skews(system, magnitude=3.0, rng=1)
+        assert calls == [system.n_edges]
+        assert system.n_edges > 0
 
-    def test_negative_magnitude_rejected(self, small_constraint_graph):
+    def test_negative_magnitude_rejected(self, small_system):
         with pytest.raises(ValueError):
-            hold_aware_random_skews(small_constraint_graph, magnitude=-1.0)
+            hold_aware_random_skews(small_system, magnitude=-1.0)
 
 
 class TestApplySkews:
-    def test_apply_updates_edges_and_design(self, small_design, small_constraint_graph):
-        original = {
-            k: (e.skew_launch, e.skew_capture)
-            for k, e in enumerate(small_constraint_graph.edges)
-        }
-        skews = hold_aware_random_skews(small_constraint_graph, magnitude=2.0, rng=9)
-        apply_skews(small_constraint_graph, skews)
+    def test_apply_updates_edges_and_design(self, small_design, small_system):
+        original_map = small_design.clock_skew
+        original_system = small_design.cached_compiled_system
+        original_difference = small_system.skew_difference.copy()
+        skews = hold_aware_random_skews(small_system, magnitude=2.0, rng=9)
         try:
-            for edge in small_constraint_graph.edges:
-                assert edge.skew_launch == skews.skew(edge.launch)
-                assert edge.skew_capture == skews.skew(edge.capture)
+            skewed = apply_skews(small_system, skews)
+            names = skewed.ff_names
+            for k in range(skewed.n_edges):
+                launch = names[skewed.edge_launch[k]]
+                capture = names[skewed.edge_capture[k]]
+                assert skewed.skew_difference[k] == skews.skew(capture) - skews.skew(launch)
+            assert skewed.setup_forms is small_system.setup_forms
+            assert skewed.hold_forms is small_system.hold_forms
+            assert np.array_equal(small_system.skew_difference, original_difference)
             assert small_design.clock_skew is skews
+            assert ensure_compiled_system(small_design) is skewed
         finally:
-            # Restore the session-scoped fixture's original skews.
-            from repro.circuit.clockskew import ClockSkewMap
-
-            for k, edge in enumerate(small_constraint_graph.edges):
-                edge.skew_launch, edge.skew_capture = original[k]
-            restored_map = {
-                e.launch: e.skew_launch for e in small_constraint_graph.edges
-            }
-            restored_map.update(
-                {e.capture: e.skew_capture for e in small_constraint_graph.edges}
-            )
-            small_design.clock_skew = ClockSkewMap(restored_map)
+            # Restore the session-scoped fixture's design.
+            small_design.clock_skew = original_map
+            small_design.cached_compiled_system = original_system

@@ -3,7 +3,7 @@
 The array path must agree with the scalar :class:`CanonicalForm` path to
 ``1e-12`` on every operation, including the Clark max edge cases: zero
 variance operands, perfectly correlated forms (rho -> 1) and equal-mean
-ties.
+ties.  The Clark tests call the kernel :func:`clark_max_coeffs` directly.
 """
 
 import os
@@ -18,7 +18,7 @@ import pytest
 import repro
 from repro.timing.graph import TimingGraph
 from repro.timing.propagate import _ABSENT_MEAN, all_ff_pair_delay_forms
-from repro.variation.arrayforms import ArrayForms, clark_max_coeffs, clark_max_many
+from repro.variation.arrayforms import ArrayForms, clark_max_coeffs
 from repro.variation.canonical import CanonicalForm
 from repro.variation.sampling import MonteCarloSampler, SampleBatch
 
@@ -27,6 +27,22 @@ TOL = 1e-12
 
 def make(mean, sens, indep=0.0):
     return CanonicalForm(mean, np.array(sens, dtype=float), indep)
+
+
+def negated(coeffs):
+    """Coefficient rows of the negated forms (independent sigma kept)."""
+    out = -coeffs
+    out[:, -1] = coeffs[:, -1]
+    return out
+
+
+def clark_max(a: ArrayForms, b: ArrayForms) -> ArrayForms:
+    return ArrayForms(clark_max_coeffs(a.coeffs, b.coeffs))
+
+
+def clark_min(a: ArrayForms, b: ArrayForms) -> ArrayForms:
+    """``min(a, b) = -max(-a, -b)``, as the sweep's negated-min plane does."""
+    return ArrayForms(negated(clark_max_coeffs(negated(a.coeffs), negated(b.coeffs))))
 
 
 def assert_forms_close(a: CanonicalForm, b: CanonicalForm, tol: float = TOL):
@@ -66,8 +82,8 @@ class TestConstruction:
             ArrayForms.from_forms([make(0.0, [1.0]), make(0.0, [1.0, 2.0])])
 
     def test_constants_and_zeros(self):
-        const = ArrayForms.constants([1.0, -2.0], n_sources=3)
-        assert np.allclose(const.means, [1.0, -2.0])
+        const = ArrayForms.from_forms([CanonicalForm.constant(v, 3) for v in (1.0, -2.0)])
+        assert np.array_equal(const.means, [1.0, -2.0])
         assert np.all(const.sensitivities == 0.0)
         assert np.all(const.independent == 0.0)
         assert ArrayForms.zeros(5, 2).coeffs.shape == (5, 4)
@@ -100,22 +116,17 @@ class TestArithmetic:
         for i, form in enumerate(random_forms):
             assert_forms_close(out.form(i), form + random_forms[0])
 
-    def test_scale_matches_scalar(self, random_forms):
-        stacked = ArrayForms.from_forms(random_forms)
-        out = stacked.scale(-2.5)
-        for i, form in enumerate(random_forms):
-            assert_forms_close(out.form(i), form * -2.5)
-
-    def test_negate_matches_scalar(self, random_forms):
-        out = ArrayForms.from_forms(random_forms).negate()
-        for i, form in enumerate(random_forms):
-            assert_forms_close(out.form(i), -form)
-
     def test_variances_match_scalar(self, random_forms):
+        # Exact, not within TOL: the hold guard bands of the suite's skews
+        # read stds(), so the pinned design digests
+        # (tests/circuit/test_design_identity.py) depend on stds() being
+        # CanonicalForm.std bit for bit.
         stacked = ArrayForms.from_forms(random_forms)
+        variances = stacked.variances()
+        stds = stacked.stds()
         for i, form in enumerate(random_forms):
-            assert abs(stacked.variances()[i] - form.variance) <= TOL
-            assert abs(stacked.stds()[i] - form.std) <= TOL
+            assert variances[i] == form.variance
+            assert stds[i] == form.std
 
     def test_incompatible_sources_rejected(self):
         a = ArrayForms.zeros(2, 3)
@@ -130,7 +141,7 @@ class TestClark:
         half = len(random_forms) // 2
         a = ArrayForms.from_forms(random_forms[:half])
         b = ArrayForms.from_forms(random_forms[half : 2 * half])
-        out = a.clark_max(b)
+        out = clark_max(a, b)
         for i in range(half):
             assert_forms_close(out.form(i), random_forms[i].max(random_forms[half + i]))
 
@@ -138,23 +149,9 @@ class TestClark:
         half = len(random_forms) // 2
         a = ArrayForms.from_forms(random_forms[:half])
         b = ArrayForms.from_forms(random_forms[half : 2 * half])
-        out = a.clark_min(b)
+        out = clark_min(a, b)
         for i in range(half):
             assert_forms_close(out.form(i), random_forms[i].min(random_forms[half + i]))
-
-    def test_clark_max_many_folds_left(self, random_forms):
-        third = len(random_forms) // 3
-        stacks = [
-            ArrayForms.from_forms(random_forms[k * third : (k + 1) * third]) for k in range(3)
-        ]
-        out = clark_max_many(stacks)
-        for i in range(third):
-            expected = random_forms[i].max(random_forms[third + i]).max(random_forms[2 * third + i])
-            assert_forms_close(out.form(i), expected)
-
-    def test_clark_max_many_requires_input(self):
-        with pytest.raises(ValueError):
-            clark_max_many([])
 
     # ------------------------------------------------------------------
     # Edge cases: scalar and array paths must agree to 1e-12
@@ -186,22 +183,22 @@ class TestClark:
         scalar_min = a.min(b)
         stack_a = ArrayForms.from_forms([a])
         stack_b = ArrayForms.from_forms([b])
-        assert_forms_close(stack_a.clark_max(stack_b).form(0), scalar_max)
-        assert_forms_close(stack_a.clark_min(stack_b).form(0), scalar_min)
+        assert_forms_close(clark_max(stack_a, stack_b).form(0), scalar_max)
+        assert_forms_close(clark_min(stack_a, stack_b).form(0), scalar_min)
 
     def test_degenerate_tie_picks_larger_mean(self):
         # Identical spread, different means: Clark degenerates and both
         # paths must return the larger-mean operand verbatim.
         a = make(4.0, [0.6, 0.8])
         b = make(2.0, [0.6, 0.8])
-        out = ArrayForms.from_forms([a]).clark_max(ArrayForms.from_forms([b])).form(0)
+        out = clark_max(ArrayForms.from_forms([a]), ArrayForms.from_forms([b])).form(0)
         assert_forms_close(out, a, tol=0.0)
         scalar = a.max(b)
         assert_forms_close(out, scalar, tol=0.0)
 
     def test_kernel_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ArrayForms.zeros(2, 3).clark_max(ArrayForms.zeros(3, 3))
+            clark_max_coeffs(ArrayForms.zeros(2, 3).coeffs, ArrayForms.zeros(3, 3).coeffs)
 
     def test_kernel_raw_arrays(self):
         a = make(1.0, [0.5, 0.1], 0.2)
@@ -225,7 +222,7 @@ class TestAbsentSentinel:
     @pytest.fixture(scope="class")
     def arrival_rows(self, tiny_design):
         pairs = all_ff_pair_delay_forms(TimingGraph(tiny_design))
-        return ArrayForms.from_forms([f for mx, mn in pairs.values() for f in (mx, -mn)]).coeffs
+        return np.concatenate([pairs.max_forms.coeffs, negated(pairs.min_forms.coeffs)])
 
     @staticmethod
     def sentinel_like(rows):
@@ -316,16 +313,17 @@ _NO_SCIPY_SWEEP = textwrap.dedent(
     graph = TimingGraph(design)
     scalar = all_ff_pair_delay_forms(graph, method="scalar")
     swept = all_ff_pair_delay_forms(graph, method="array")
-    assert scalar and set(swept) == set(scalar)
+    assert len(scalar.launch) > 0
+    assert np.array_equal(swept.launch, scalar.launch)
+    assert np.array_equal(swept.capture, scalar.capture)
     worst = 0.0
-    for pair, oracle in scalar.items():
-        for got, want in zip(swept[pair], oracle, strict=True):
-            worst = max(
-                worst,
-                abs(got.mean - want.mean),
-                abs(got.variance - want.variance),
-                float(np.max(np.abs(got.sensitivities - want.sensitivities))),
-            )
+    for got, want in ((swept.max_forms, scalar.max_forms), (swept.min_forms, scalar.min_forms)):
+        worst = max(
+            worst,
+            float(np.max(np.abs(got.means - want.means))),
+            float(np.max(np.abs(got.variances() - want.variances()))),
+            float(np.max(np.abs(got.sensitivities - want.sensitivities))),
+        )
     print(repr(worst))
     """
 )

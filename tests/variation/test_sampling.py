@@ -24,12 +24,6 @@ class TestSampleBatch:
         assert batch.n_samples == 50
         assert batch.n_sources == model.n_shared_sources
 
-    def test_subset(self, model):
-        batch = MonteCarloSampler(model, rng=0).sample(20)
-        sub = batch.subset([0, 5, 7])
-        assert sub.n_samples == 3
-        assert np.allclose(sub.shared[:, 1], batch.shared[:, 5])
-
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             SampleBatch(np.zeros(5))
