@@ -10,8 +10,9 @@ folding each node's drivers in pin order:
 * :func:`all_ff_pair_delay_forms` — **array-native** statistical
   propagation: one level-ordered sweep of the whole timing graph over a
   flat coefficient table holding, for every reached node, one arrival
-  row per launching flip-flop whose fan-out cone contains it, so each
-  fold round of a level is one Clark kernel call
+  row per launching flip-flop whose fan-out cone contains it; a row's
+  first arrival is a copy, and each later fold round of a level is one
+  Clark kernel call
   (:func:`~repro.variation.arrayforms.clark_max_coeffs`) across all of
   the level's nodes and launch flip-flops;
 * :func:`ff_pair_delay_forms` — the scalar per-launch reference path
@@ -212,25 +213,16 @@ def _form_row(form: CanonicalForm, width: int, negate: bool = False) -> np.ndarr
     return row
 
 
-#: Mean of the sentinel row that stands for a launch flip-flop a
-#: predecessor has not reached (its sensitivities and independent term
-#: are zero).  Against a real row Clark's tightness saturates (``t`` is
-#: exactly 1 or 0 and ``phi`` exactly 0), so the merge returns the real
-#: row's mean and sensitivities bit for bit and the sweep needs no
-#: masking.  The independent term is *not* kept bit for bit: the kernel
-#: recomputes it from the second moment, which moves it in the last bits
-#: (``tests/variation/test_arrayforms.py`` pins it within 1e-12
-#: relative).  Against another sentinel the kernel's degenerate branch
-#: returns the sentinel unchanged.  Real arrival means are orders of
-#: magnitude smaller, so no confusion is possible.
-_ABSENT_MEAN = -1e30
-
-
 def _row_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The row ranges ``starts[k] .. starts[k] + counts[k] - 1``, concatenated."""
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
     return np.repeat(starts - ends + counts, counts) + np.arange(total)
+
+
+#: The merges of a batch: per fold round, its batch rows and the table
+#: rows they merge with.
+_Merges = List[Tuple[np.ndarray, np.ndarray]]
 
 
 def _fold_plan(
@@ -240,57 +232,50 @@ def _fold_plan(
     count: np.ndarray,
     row_launch: np.ndarray,
     n_launch: int,
-) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
-    """Rows and fold gathers of a batch of nodes that feed none of each other.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, _Merges]:
+    """Rows, first arrivals and merges of a batch of nodes that feed none
+    of each other.
 
-    Sorts ``nodes`` in place, most predecessors first, so that fold round
-    ``r`` covers a prefix of the batch's rows.  A node's rows are the
-    union of its predecessors' launch positions, ascending; rows are
-    numbered from 0 within the batch, node by node.
+    A node's rows are the union of its predecessors' launch positions,
+    ascending; rows are numbered from 0 within the batch, node by node.
+    Fold round ``r`` pairs every node with its r-th predecessor.  Where
+    that predecessor is the first in pin order to reach a launch, the row
+    is a first arrival and copies the predecessor's row, as the scalar
+    path starts from its first predecessor in the cone; where an earlier
+    predecessor reached it, the round merges the two rows.
 
     Returns
     -------
     tuple
-        ``(node_rows, launches, gathers)``: the row count of every node
-        (in the sorted order), the launch position of every row, and per
-        fold round the table row of the r-th predecessor for every row of
-        the round's prefix (0, the sentinel row, where it lacks the
-        launch).
+        ``(node_rows, launches, first, merges)``: the row count of every
+        node, the launch position of every row, the table row every row
+        copies, and per fold round with merges its batch rows and the
+        table rows they merge with.
     """
-    nodes.sort(key=lambda node: -len(pred_lists[node]))
     # (node, predecessor) pairs round by round: every node's first
     # predecessor, then every second one, and so on.
-    pair_node: List[int] = []
-    pair_pred: List[int] = []
-    active: List[int] = []  # nodes taking part in each round
-    for r in range(len(pred_lists[nodes[0]])):
-        n_active = 0
-        for node in nodes:
-            if len(pred_lists[node]) <= r:
-                break
-            pair_pred.append(pred_lists[node][r])
-            n_active += 1
-        pair_node.extend(range(n_active))
-        active.append(n_active)
+    n_preds = np.array([len(pred_lists[node]) for node in nodes], dtype=np.intp)
+    pair_round = _row_ranges(np.zeros_like(n_preds), n_preds)
+    order = np.argsort(pair_round, kind="stable")
+    pair_node = np.repeat(np.arange(len(nodes)), n_preds)[order]
+    preds = np.array([pred for node in nodes for pred in pred_lists[node]], dtype=np.intp)[order]
 
-    preds = np.array(pair_pred, dtype=np.intp)
     pair_rows = count[preds]
     src = _row_ranges(start[preds], pair_rows)
-    keys = np.repeat(np.array(pair_node, dtype=np.intp), pair_rows) * n_launch + row_launch[src]
-    batch_keys = np.unique(keys)  # by node, then launch position
+    keys = np.repeat(pair_node, pair_rows) * n_launch + row_launch[src]
+    # Rows by node, then launch position; the first of a row's pairs in
+    # round order is its first arrival, every later one a merge.
+    batch_keys, first, dest = np.unique(keys, return_index=True, return_inverse=True)
     node_rows = np.bincount(batch_keys // n_launch, minlength=len(nodes))
-    row_end = np.cumsum(node_rows)
 
-    dest = np.searchsorted(batch_keys, keys)
-    src_end = np.cumsum(pair_rows)[np.cumsum(active) - 1]
-    gathers: List[np.ndarray] = []
-    lo = 0
-    for n_active, hi in zip(active, src_end, strict=True):
-        gather = np.zeros(row_end[n_active - 1], dtype=np.intp)
-        gather[dest[lo:hi]] = src[lo:hi]
-        gathers.append(gather)
-        lo = hi
-    return node_rows, batch_keys % n_launch, gathers
+    row_round = np.repeat(pair_round[order], pair_rows)
+    row_round[first] = 0  # copied, like all of round 0
+    merges: _Merges = []
+    for r in range(1, int(n_preds.max())):
+        merged = row_round == r
+        if merged.any():
+            merges.append((dest[merged], src[merged]))
+    return node_rows, batch_keys % n_launch, src[first], merges
 
 
 def _all_pairs_array(
@@ -305,27 +290,23 @@ def _all_pairs_array(
     contains the node, in launch order.  Plane 0 of a row is the
     max-arrival form and plane 1 the **negated** min-arrival form, so
     both statistical reductions are Clark max (``min(a, b) = -max(-a,
-    -b)``, the identity the scalar path uses).  Row 0 is the sentinel
-    row (see :data:`_ABSENT_MEAN`) and launch ``i`` owns row ``1 + i``.
+    -b)``, the identity the scalar path uses).  Launch ``i`` owns row
+    ``i``.
 
     Nodes are processed **level by level** (longest predecessor distance
     from a launch), so the nodes of one level feed none of each other;
     the capture nodes, which feed nothing, come last as one batch.  An
     index pass (:func:`_fold_plan`) first gives every reached node its
-    launch set, the union of its predecessors' sets, and its rows.  Each
-    fold round of a batch is then one gather of the r-th predecessor's
-    rows (the sentinel row where that predecessor lacks a launch), one
-    Clark kernel call and one write back, and a level's node delays are
+    launch set, the union of its predecessors' sets, and its rows.  A
+    batch then copies every row's first arrival in one gather; each fold
+    round that merges is one gather of the r-th predecessor's rows, one
+    Clark kernel call and one write back; and a level's node delays are
     added in one vectorised step.
 
     Every (node, launch) row meets the same Clark operands in the same
-    order as a fold over the node's predecessors in pin order: a row no
-    predecessor has reached yet folds the sentinel with the sentinel,
-    which the kernel returns unchanged.  A merge of a real row with the
-    sentinel keeps the real row's mean and sensitivities but moves its
-    independent term in the last bits; the sweep keeps these merges
-    because the pinned design digests
-    (``tests/circuit/test_design_identity.py``) depend on them.
+    order as the scalar path's fold over the node's predecessors in pin
+    order: first arrivals are copies, and only a launch that a second
+    predecessor also reaches goes through the kernel.
 
     The table keeps every reached node's rows until the captured rows
     are emitted, so memory peaks at the end of the sweep: the whole
@@ -378,17 +359,15 @@ def _all_pairs_array(
     # Index pass: every batch appends its nodes' rows to the table.
     start = np.zeros(len(names), dtype=np.intp)
     count = np.zeros(len(names), dtype=np.intp)
-    start[launch_nodes] = 1 + np.arange(n_launch)
+    start[launch_nodes] = np.arange(n_launch)
     count[launch_nodes] = 1
-    row_launch = np.arange(-1, n_launch)  # launch position of every row
-    plans: List[Tuple[int, List[np.ndarray], Optional[np.ndarray]]] = []
-    n_rows = 1 + n_launch
-    # A copy of the captures: _fold_plan sorts its batch in place, and the
-    # emission below needs the discovery order.
-    for batch in [*schedule, list(captures)]:
+    row_launch = np.arange(n_launch)  # launch position of every row
+    plans: List[Tuple[int, np.ndarray, _Merges, Optional[np.ndarray]]] = []
+    n_rows = n_launch
+    for batch in [*schedule, captures]:
         if not batch:
             continue  # a level of captures only, or nothing captured
-        node_rows, launches, gathers = _fold_plan(
+        node_rows, launches, first, merges = _fold_plan(
             batch, pred_lists, start, count, row_launch, n_launch
         )
         nodes = np.array(batch, dtype=np.intp)
@@ -398,21 +377,18 @@ def _all_pairs_array(
         row_delay = None  # capture nodes have no delay of their own
         if not isinstance(names[batch[0]], tuple):
             row_delay = np.repeat(node_delay[nodes], node_rows)
-        plans.append((n_rows, gathers, row_delay))
+        plans.append((n_rows, first, merges, row_delay))
         n_rows += len(launches)
 
     # Numeric pass, batch by batch, in place in the table.
     table = np.empty((n_rows, 2, width))
-    table[0] = 0.0
-    table[0, :, 0] = _ABSENT_MEAN
-    table[1 : 1 + n_launch] = delays[node_delay[launch_nodes]]
-    for base, gathers, row_delay in plans:
-        rows = table[base : base + len(gathers[0])]
-        rows[...] = table[gathers[0]]
-        for gather in gathers[1:]:
-            m = len(gather)
-            merged = clark_max_coeffs(rows[:m].reshape(-1, width), table[gather].reshape(-1, width))
-            rows[:m] = merged.reshape(m, 2, width)
+    table[:n_launch] = delays[node_delay[launch_nodes]]
+    for base, first, merges, row_delay in plans:
+        rows = table[base : base + len(first)]
+        rows[...] = table[first]
+        for dest, src in merges:
+            merged = clark_max_coeffs(rows[dest].reshape(-1, width), table[src].reshape(-1, width))
+            rows[dest] = merged.reshape(-1, 2, width)
         if row_delay is not None:
             delay = delays[row_delay]
             rows[..., :-1] += delay[..., :-1]

@@ -17,7 +17,10 @@ row's shared variance with the same dot product as
 pinned design digests, depend on it).  Clark's statistical max is the
 row-wise kernel :func:`clark_max_coeffs`, through which the statistical
 timing engine (:mod:`repro.timing.propagate`) sweeps whole levels of the
-timing graph; a minimum is a max of negated rows.  Monte-Carlo
+timing graph; a minimum is a max of negated rows.  Its Gaussian CDF takes
+``erf`` from :func:`math.erf`, elementwise, as the scalar path does: one
+source on every install, so the designs a build derives do not depend on
+which optional packages are installed.  Monte-Carlo
 evaluation of all forms against a sample batch, ``means + sensitivities
 @ samples`` plus the independent noise, is one matrix multiplication in
 :meth:`repro.variation.sampling.MonteCarloSampler.evaluate_array`.
@@ -45,13 +48,12 @@ _CLARK_DEGENERATE_TOL = 1e-12
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 
-try:  # pragma: no cover - exercised indirectly on every import
-    from scipy.special import erf as _erf
-except Exception:  # pragma: no cover - scipy genuinely absent
-    _erf_obj = np.frompyfunc(math.erf, 1, 1)
+_erf_object = np.frompyfunc(math.erf, 1, 1)
 
-    def _erf(x: np.ndarray) -> np.ndarray:
-        return _erf_obj(x).astype(float)
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """:func:`math.erf` of every element (see the module docstring)."""
+    return _erf_object(x).astype(float)
 
 
 class ArrayForms:

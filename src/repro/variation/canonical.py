@@ -29,7 +29,7 @@ import numpy as np
 
 Number = Union[int, float]
 
-#: Standard-normal pdf / cdf helpers (avoid a scipy dependency in the hot path).
+#: Standard-normal pdf / cdf helpers, on :mod:`math` alone.
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -104,7 +104,7 @@ class CanonicalForm:
         """Gaussian quantile of the form (e.g. ``q=0.9987`` for +3 sigma)."""
         if not 0.0 < q < 1.0:
             raise ValueError("quantile must lie in (0, 1)")
-        # Inverse CDF via binary search on Phi: adequate precision, no scipy.
+        # Inverse CDF via binary search on Phi: adequate precision, math only.
         lo, hi = -10.0, 10.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)

@@ -3,11 +3,11 @@
 Each digest covers everything a design build decides: the netlist rows
 (name, kind, cell, fan-ins in pin order), the placement and the compiled
 constraint system's fingerprint (which covers the statistical delay
-forms the Clark sweep produced).  The suite digests were computed
-before the netlist's graph moved from networkx to integer ids, and the
-digests of perfbench's own designs before the sweep moved to flat row
-tables; any change to the generator's draws, the placement order or the
-sweep's fold order moves them.
+forms the Clark sweep produced).  They were last re-pinned when the
+sweep's ``erf`` became :func:`math.erf` on every install and its first
+arrivals became copies; any change to the generator's draws, the
+placement order or the sweep's fold order moves them.  A numpy-only
+install builds the same designs (``tests/integration/test_numpy_only.py``).
 """
 
 import hashlib
@@ -22,22 +22,22 @@ SCALE = 0.05
 SEED = 1
 
 DIGESTS = {
-    "s9234": "521a95719d3eb8f3a61c45d506637d23250ce577a1d103c1f79da16e95b837ef",
-    "s13207": "d453ce77c5facb288510a92227fc2a500680026a74cd3b32b6663b709e3a9d0e",
-    "s15850": "ba209d4cc77fa0174b75082f90d41fba678977baa9bd0a8e762f6391a327686c",
-    "s38584": "6350985094c3b218ed34d7cce43c8f522c58f41503b3c75116f1ff2191eb08f9",
-    "mem_ctrl": "4b82b13d05cce55b8f79b3b1b657e4d92449c7377b026da4e9ae0500821b3bde",
-    "usb_funct": "93993dfa135c0e219e613f53da35eb8523832210b0202e2f7caa5d9aeaa6286a",
-    "ac97_ctrl": "c1d589d6850e5a88d0cac97dd15893e3efb2176ec98c4c71e9ffc9bf03ec2431",
-    "pci_bridge32": "4aef1c57b42271e9c29cf22fa63ac69ab2c7cbdbac17dc24af6843d181f1f318",
+    "s9234": "4788cca82de07502c6bd4a9d070cf7e1e639fd77c13962ab211869c569ad1fe2",
+    "s13207": "37b016d4bb0f1cf54e799beb17cb487eb0dfa7432c7c609fcbd9b1a10cbebf48",
+    "s15850": "4c69ce752affc1fb7cff4886bbacef413356553d9b2a0aa7288574ee2a4a6a30",
+    "s38584": "87ee10ce58e18f4ef2ac6c879f7b2896f4ad39041fcf22599b5fa60763624ec1",
+    "mem_ctrl": "38c7f5be8f24db967a7c617a8c87dbeb2769dfb50b1d0f770a3b601f55de0d35",
+    "usb_funct": "03cec186807b064bf0ace7cd4cb560df34168d6eeb9b6ed87632b708b159775d",
+    "ac97_ctrl": "c55613af1d2c5b654145ced7f94c59086e7e6ca321d8a730d713b3d7ed1b6591",
+    "pci_bridge32": "bef942cef991badf72d1bd94251dc7d734360ddbf2f715c261bb4e2dd7a2cdb8",
 }
 
 #: The designs of perfbench's workloads, ``(circuit, scale, design seed)``:
-#: flow_tight, flow_large (full size, about 2 s to build) and campaign_gang.
+#: flow_tight, flow_large (full size, about 1.5 s to build) and campaign_gang.
 BENCHMARK_DIGESTS = {
-    ("s13207", 0.3, 5): "1d48198008093512ecad2bc84a7c55deaba4e0eb3f81129c565b58331c3fb358",
-    ("s38584", 1.0, 2): "be7859ce3f11ca46a41c01791ebd0384e341393c4598b28291349c07f04e2b72",
-    ("s9234", 0.2, 1): "6acf37178618cdc585ab954f1e0ca60b19efe94889b8e0371b7b27cdb8cf4122",
+    ("s13207", 0.3, 5): "c718daf55c2515a912241a4d3e2f222e22312f741830f42b302d273935dde72e",
+    ("s38584", 1.0, 2): "a362f6f70506576bbf096cf3b737df61e8c5e371112d4e3c72d6776ec66d6193",
+    ("s9234", 0.2, 1): "0afdde839fb151f26b9fd04b128900d23f5f51eb06c2398352c562bd75f70dbe",
 }
 
 

@@ -1,13 +1,19 @@
-"""Pinned plans of perfbench's flow_tight flows.
+"""Pinned plans of perfbench's flow workloads.
 
 Each entry pins what one flow decides: the plan fingerprint (sha256 of
 the sorted-key JSON of ``plan.as_dict()``, the fingerprint perfbench
-checks), the tuned yield and the buffer count.  The design is
-flow_tight's (s13207 at scale 0.3, design seed 5, target sigma 0, 800
-training and 200 evaluation samples, serial); the flow seeds are the
-four of bench seed 1, then the four of bench seed 97.  A failing entry
-means the design, the training samples, the solver or the evaluation
-moved: a deliberate rebase edits this table.
+checks), the tuned yield and the buffer count.  Every flow is serial,
+and the flow seeds are those of bench seed 1, then those of bench seed
+97, in perfbench's order:
+
+* flow_tight: s13207 at scale 0.3, design seed 5, target sigma 0, 800
+  training and 200 evaluation samples, four flows per bench seed;
+* flow_large: full-size s38584, design seed 2, target sigma 2, 200
+  training and 1,000 evaluation samples, six flows per bench seed (one
+  build of about 1.5 s, then under a second per flow).
+
+A failing entry means the design, the training samples, the solver or
+the evaluation moved: a deliberate rebase edits these tables.
 """
 
 import hashlib
@@ -19,16 +25,31 @@ from repro.circuit.suite import build_suite_circuit
 from repro.core.config import FlowConfig
 from repro.core.flow import BufferInsertionFlow
 
-#: flow seed -> (plan fingerprint, improved yield, buffers)
+#: flow seed -> (plan fingerprint, improved yield, buffers), per workload
 FLOW_TIGHT = {
-    848236284: ("2b47180b3c2de991093711c2a545ce24b64fee922b37a04e8db965bdc3277df0", 0.975, 14),
-    1866630472: ("6a569069b0e0f0ccd83f6bb7fcf706354e3af0ac9078f37d4ea974a09f31b15d", 0.96, 13),
-    810634315: ("f5e148f99e37e18a91c2dc1cda0fb3c71113a0164a90c04576e63d4db1b71edb", 0.96, 16),
-    805806388: ("b42ce65253bd29b3c9a347480e5720596a23870b8e389d5384221c4eb997219d", 0.965, 14),
-    386181551: ("0c71022c02290c9ff2d8e429636b94cf89cceaeebb51888da885e798793a70ec", 0.97, 14),
-    1030648133: ("26265d75f477ef31e4b9b166aa4dd98cbb59d77c11195081b1dfab4c7323f768", 0.975, 13),
-    458727784: ("2351558067c2f346c8e48e8facfd7b3938969b1a1df5f159689f7514e3252fca", 0.98, 13),
-    984015825: ("2cdd5614910892b66fc8f69248d9d93ef254fa4d04a0a94c13efcbcce133e76a", 0.98, 14),
+    848236284: ("a1c66080dc178ca1f4b2f3b3ca018b0c8bb5ac93b19a3dd9b63a687752086cc1", 0.975, 14),
+    1866630472: ("f3c7f46142fad3dff11722cf434343b22420dbdab44017e5bc0a6385b9c612b3", 0.96, 13),
+    810634315: ("51c641af4265e62f9d7f40a9c97ddd111aafc0c61f3ee94badf40fab00d8bce2", 0.96, 16),
+    805806388: ("4947436a4736358705509b7c9039d821bc55c17df202fd794cea316713a042a1", 0.965, 14),
+    386181551: ("2525d8accbc0d2237da181a7860a10ba2237eac49d7f1ef4b69c5413f50c1d90", 0.97, 14),
+    1030648133: ("5f34ca149cffb2ae05621a800b5d423a1614a406e3cb610e4e54d5d9a94f9474", 0.975, 13),
+    458727784: ("43d0960fe27cc94196ab2b7de4d1be6b815a7fe6e2b51d63e1f043a913232d91", 0.98, 13),
+    984015825: ("07ae39e5ca3ba181ce87796b66e9ea317fd982aa665fd6c93fe00d2763da8fbb", 0.98, 14),
+}
+
+FLOW_LARGE = {
+    848236284: ("f0ba607ba12a2bb98b174e695b401fd66db7dacf9993f1c86e5d8bba70cb901f", 0.913, 9),
+    1866630472: ("55a5ce2a3771c9bdecade92a46af2df9bde15e3b4cf74d0c5eaac1d3a0679f00", 0.928, 5),
+    810634315: ("ecc7ff4f31fb024394bf9cb92b7b22d42421495471539861b6e771095d9b1d40", 0.925, 36),
+    805806388: ("891cc5de0cda3d14a05723a9eb0208915e0df7d523683aabd801aac28aca4a90", 0.924, 7),
+    188831472: ("141f4caba2f55326911d4096d4ec8d0810687074324060d46641d049dd407f64", 0.92, 9),
+    1371691778: ("4646321362480bb10e52840c15febe41ae5478aaaf9e474e9d2bbe61b0c8ae17", 0.935, 22),
+    386181551: ("5b3a688619e0498e0b38b167966270c529268ffa2cbfc9b35c0ff0a6d6e0998f", 0.932, 9),
+    1030648133: ("d33956dff98e2a7c216ebdb579491c2daa6882ab9a91a7497b899bd5db9f617a", 0.921, 8),
+    458727784: ("05d2071a3531ab842ef3aeaecdc10b5098151b1f0a2489d8d81c131f547ad914", 0.945, 5),
+    984015825: ("d08251e0474adf88b01cadd122d47860aef0ffae191e92b474f3353ca1ff7dd1", 0.927, 9),
+    713813602: ("ebca12b3ed2461da2409309e43c617600bf11acd5e90c56106364d94592fc71c", 0.93, 3),
+    60897377: ("68bf7b4bf0a931311a6519160b1d6acd286298a47ca6fb2bfc9d1495c05bf4b1", 0.924, 25),
 }
 
 
@@ -38,18 +59,40 @@ def plan_fingerprint(plan) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def assert_plan_is_pinned(design, table, flow_seed, *, sigma, n_samples, n_eval_samples):
+    config = FlowConfig(
+        n_samples=n_samples,
+        n_eval_samples=n_eval_samples,
+        seed=flow_seed,
+        target_sigma=sigma,
+        executor="serial",
+    )
+    result = BufferInsertionFlow(design, config).run()
+    fingerprint, improved_yield, n_buffers = table[flow_seed]
+    assert plan_fingerprint(result.plan) == fingerprint
+    assert result.improved_yield == improved_yield
+    assert result.plan.n_buffers == n_buffers
+
+
 @pytest.fixture(scope="module")
 def flow_tight_design():
     return build_suite_circuit("s13207", scale=0.3, seed=5)
 
 
+@pytest.fixture(scope="module")
+def flow_large_design():
+    return build_suite_circuit("s38584", scale=1.0, seed=2)
+
+
 @pytest.mark.parametrize("flow_seed", list(FLOW_TIGHT))
 def test_flow_tight_plan_is_unchanged(flow_tight_design, flow_seed):
-    config = FlowConfig(
-        n_samples=800, n_eval_samples=200, seed=flow_seed, target_sigma=0.0, executor="serial"
+    assert_plan_is_pinned(
+        flow_tight_design, FLOW_TIGHT, flow_seed, sigma=0.0, n_samples=800, n_eval_samples=200
     )
-    result = BufferInsertionFlow(flow_tight_design, config).run()
-    fingerprint, improved_yield, n_buffers = FLOW_TIGHT[flow_seed]
-    assert plan_fingerprint(result.plan) == fingerprint
-    assert result.improved_yield == improved_yield
-    assert result.plan.n_buffers == n_buffers
+
+
+@pytest.mark.parametrize("flow_seed", list(FLOW_LARGE))
+def test_flow_large_plan_is_unchanged(flow_large_design, flow_seed):
+    assert_plan_is_pinned(
+        flow_large_design, FLOW_LARGE, flow_seed, sigma=2.0, n_samples=200, n_eval_samples=1000
+    )

@@ -16,8 +16,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.timing.graph import TimingGraph
-from repro.timing.propagate import _ABSENT_MEAN, all_ff_pair_delay_forms
 from repro.variation.arrayforms import ArrayForms, clark_max_coeffs
 from repro.variation.canonical import CanonicalForm
 from repro.variation.sampling import MonteCarloSampler, SampleBatch
@@ -212,41 +210,6 @@ class TestClark:
         assert abs(out[0, -1] - expected.independent) <= TOL
 
 
-class TestAbsentSentinel:
-    """The propagation sweep merges an arrival row with the sentinel row
-    (mean ``_ABSENT_MEAN``, zero spread) wherever a predecessor lacks a
-    launch flip-flop.  On the sweep's own rows the merge keeps the mean
-    and sensitivities bit for bit, but recomputes the independent term
-    from the second moment, which moves it in the last bits."""
-
-    @pytest.fixture(scope="class")
-    def arrival_rows(self, tiny_design):
-        pairs = all_ff_pair_delay_forms(TimingGraph(tiny_design))
-        return np.concatenate([pairs.max_forms.coeffs, negated(pairs.min_forms.coeffs)])
-
-    @staticmethod
-    def sentinel_like(rows):
-        sentinel = np.zeros_like(rows)
-        sentinel[:, 0] = _ABSENT_MEAN
-        return sentinel
-
-    @pytest.mark.parametrize("real_first", [True, False])
-    def test_merge_keeps_real_row(self, arrival_rows, real_first):
-        sentinel = self.sentinel_like(arrival_rows)
-        if real_first:
-            out = clark_max_coeffs(arrival_rows, sentinel)
-        else:
-            out = clark_max_coeffs(sentinel, arrival_rows)
-        assert np.array_equal(out[:, :-1], arrival_rows[:, :-1])
-        independent = arrival_rows[:, -1]
-        assert np.all(independent > 0.0)
-        assert np.max(np.abs(out[:, -1] - independent) / independent) <= TOL
-
-    def test_sentinel_with_sentinel_is_sentinel(self, arrival_rows):
-        sentinel = self.sentinel_like(arrival_rows)
-        assert np.array_equal(clark_max_coeffs(sentinel, sentinel), sentinel)
-
-
 def four_source_sampler(seed=None):
     """A sampler over a 4-source model (the width of ``random_forms``)."""
     return MonteCarloSampler(SimpleNamespace(n_shared_sources=4), rng=seed)
@@ -301,9 +264,7 @@ _NO_SCIPY_SWEEP = textwrap.dedent(
     from repro.circuit.library import default_library
     from repro.timing.graph import TimingGraph
     from repro.timing.propagate import all_ff_pair_delay_forms
-    from repro.variation import arrayforms
 
-    assert not isinstance(arrayforms._erf, np.ufunc), "scipy's erf was imported"
     library = default_library()
     config = GeneratorConfig(n_flip_flops=12, n_gates=150, max_depth=6, min_depth=2)
     netlist = generate_sequential_circuit(config, library=library, rng=7, name="tiny")
