@@ -119,9 +119,6 @@ class FlowConfig:
     concentrate:
         Whether to run the value-concentration objectives (disabling them
         is an ablation knob; the paper always concentrates).
-    exact_region_size:
-        Regions with at most this many candidate buffers are additionally
-        refined by exhaustive minimum-support search in the graph backend.
     lp_backend:
         LP backend (``"auto"``/``"scipy"``/``"simplex"``) of the
         ``"milp"`` solver's relaxations; the default graph solver
@@ -161,7 +158,6 @@ class FlowConfig:
     correlation_threshold: float = 0.8
     distance_factor: float = 10.0
     concentrate: bool = True
-    exact_region_size: int = 10
     lp_backend: str = "auto"
     executor: str = "serial"
     jobs: Optional[int] = None
@@ -186,7 +182,6 @@ class FlowConfig:
         check_probability(self.skip_step2_threshold, "skip_step2_threshold")
         check_probability(self.correlation_threshold, "correlation_threshold")
         check_non_negative(self.distance_factor, "distance_factor")
-        check_positive(self.exact_region_size, "exact_region_size")
         if self.lp_backend not in LP_BACKEND_CHOICES:
             raise ValueError(
                 f"lp_backend must be one of {LP_BACKEND_CHOICES}, got {self.lp_backend!r}"

@@ -227,7 +227,6 @@ class BufferInsertionFlow:
             backend=cfg.solver,
             pool_hops=cfg.pool_hops,
             max_pool_expansions=cfg.max_pool_expansions,
-            exact_region_size=cfg.exact_region_size,
             concentrate=cfg.concentrate,
             lp_backend=cfg.lp_backend,
             integral=spec.discrete,

@@ -15,13 +15,13 @@ Two interchangeable backends implement this:
   violated constraints are grouped into connected *regions*, a greedy
   vertex-cover seed is expanded until the region becomes feasible
   (Bellman–Ford feasibility via :mod:`repro.core.difference`), redundant
-  buffers are pruned back out, small regions are refined by exhaustive
-  minimum-support search, and the tuning values are finally concentrated
-  around the target.  Concentration is exact: the support splits into
-  the components its rows couple, and each gets the canonical optimum,
-  in closed form for one or two buffers and as a min-cost flow for more
-  (no LP is solved).  All arithmetic is done in discrete step units so
-  the returned tuning values respect the buffer's step grid exactly.
+  buffers are pruned back out, and the tuning values are finally
+  concentrated around the target.  Concentration is exact: the support
+  splits into the components its rows couple, and each gets the
+  canonical optimum, in closed form for one or two buffers and as a
+  min-cost flow for more (no LP is solved).  All arithmetic is done in
+  discrete step units so the returned tuning values respect the
+  buffer's step grid exactly.
 * ``"milp"`` — the faithful big-M integer program of the paper, built with
   :mod:`repro.milp` and warm-started from the graph solution.  Exact but
   markedly slower; used for validation and small designs.  It is the
@@ -34,7 +34,6 @@ the test suite.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -559,9 +558,6 @@ class PerSampleSolver:
     max_pool_expansions:
         How many times the pool may be widened when a region stays
         infeasible.
-    exact_region_size:
-        Graph backend: regions whose candidate pool is at most this large
-        are refined by exhaustive minimum-support search.
     concentrate:
         Whether to concentrate the tuning values (phase 2 of each
         per-sample problem) to their canonical optimum, component by
@@ -577,7 +573,6 @@ class PerSampleSolver:
         backend: str = "graph",
         pool_hops: int = 1,
         max_pool_expansions: int = 3,
-        exact_region_size: int = 10,
         concentrate: bool = True,
         lp_backend: str = "auto",
         integral: bool = True,
@@ -590,7 +585,6 @@ class PerSampleSolver:
         self.backend = backend
         self.pool_hops = int(pool_hops)
         self.max_pool_expansions = int(max_pool_expansions)
-        self.exact_region_size = int(exact_region_size)
         self.concentrate = bool(concentrate)
         self.lp_backend = lp_backend
         self.integral = bool(integral)
@@ -605,8 +599,7 @@ class PerSampleSolver:
         """
         settings = (
             f"{self.backend}|{self.pool_hops}|{self.max_pool_expansions}"
-            f"|{self.exact_region_size}|{int(self.concentrate)}"
-            f"|{self.lp_backend}|{int(self.integral)}"
+            f"|{int(self.concentrate)}|{self.lp_backend}|{int(self.integral)}"
         )
         digest = hashlib.blake2b(digest_size=16)
         digest.update(self.topology.fingerprint().encode())
@@ -699,7 +692,7 @@ class PerSampleSolver:
         return list(groups.values())
 
     # ------------------------------------------------------------------
-    # Region solving (graph backend with optional MILP refinement)
+    # Region solving: cover, expand, prune, concentrate
     # ------------------------------------------------------------------
     def _solve_region(
         self,
@@ -708,11 +701,7 @@ class PerSampleSolver:
         candidates: np.ndarray,
         targets: np.ndarray,
     ) -> Optional[Dict[int, float]]:
-        region_ffs: Set[int] = set()
-        for k in region_edges:
-            region_ffs.add(int(self.topology.edge_launch[k]))
-            region_ffs.add(int(self.topology.edge_capture[k]))
-
+        region_ffs = self._region_ffs(region_edges)
         pool = self._build_pool(region_ffs, candidates, self.pool_hops)
         if not pool:
             return None
@@ -732,10 +721,12 @@ class PerSampleSolver:
             return None
 
         support = self._prune_support(problem, region_edges, support, witnesses)
-        if len(pool) <= self.exact_region_size or self.backend == "milp":
-            support = self._refine_support(problem, region_edges, pool, support, witnesses)
-
         return self._concentrate(problem, region_edges, support, targets, witnesses)
+
+    def _region_ffs(self, region_edges: Iterable[int]) -> Set[int]:
+        """Flip-flops at either end of the region's edges."""
+        launch, capture = self.topology.edge_launch, self.topology.edge_capture
+        return {int(ff) for k in region_edges for ff in (launch[k], capture[k])}
 
     def _build_pool(self, region_ffs: Set[int], candidates: np.ndarray, hops: int) -> Set[int]:
         """Candidate buffers reachable within ``hops`` from the region."""
@@ -903,33 +894,6 @@ class PerSampleSolver:
                 pruned = trial
         return pruned
 
-    def _refine_support(
-        self,
-        problem: SampleProblem,
-        region_edges: List[int],
-        pool: Set[int],
-        support: Set[int],
-        witnesses: Dict[FrozenSet[int], Optional[ScopeWitness]],
-        max_subsets: int = 3000,
-    ) -> Set[int]:
-        """Exhaustive minimum-support search for small pools.
-
-        Tries all subsets of the pool with size smaller than the current
-        support (smallest first); returns the first feasible one found.
-        """
-        pool_list = sorted(pool)
-        best = set(support)
-        checked = 0
-        for size in range(1, len(best)):
-            for subset in itertools.combinations(pool_list, size):
-                checked += 1
-                if checked > max_subsets:
-                    return best
-                candidate = set(subset)
-                if self._is_feasible(problem, region_edges, candidate, witnesses):
-                    return candidate
-        return best
-
     # ------------------------------------------------------------------
     def _concentrate(
         self,
@@ -1028,10 +992,12 @@ class PerSampleSolver:
     ) -> SampleSolution:
         """Solve one sample with the paper's big-M integer program.
 
-        The model is built over the candidate pool of every violated
-        region (instead of every flip-flop of the circuit) which preserves
-        optimality for the minimum-buffer objective whenever the pool is
-        large enough, and keeps the branch & bound tractable.
+        The models are built over the candidate pools of the violated
+        regions (:meth:`_milp_models`) instead of every flip-flop of the
+        circuit, which preserves optimality for the minimum-buffer
+        objective whenever the pools are large enough, and keeps the
+        branch & bound tractable.  Each model is warm-started from the
+        graph search (:meth:`solve`).
         """
         from repro.milp.expr import LinExpr
         from repro.milp.model import Model, VarType
@@ -1046,22 +1012,14 @@ class PerSampleSolver:
         if violated.size == 0:
             return SampleSolution(feasible=True)
 
-        # Warm start from the graph backend.
         warm = self.solve(problem, candidates, targets)
 
-        regions = self._violated_regions(violated)
         tunings: Dict[int, float] = {}
         unrescuable = 0
-        for region_edges in regions:
-            region_ffs: Set[int] = set()
-            for k in region_edges:
-                region_ffs.add(int(self.topology.edge_launch[k]))
-                region_ffs.add(int(self.topology.edge_capture[k]))
-            pool = self._build_pool(region_ffs, candidates, max(self.pool_hops, 2))
+        for n_regions, pool, scope in self._milp_models(violated, candidates):
             if not pool:
-                unrescuable += 1
+                unrescuable += n_regions
                 continue
-            scope = self._scope_edges(pool, region_edges)
 
             model = Model("sample_milp")
             vtype = VarType.INTEGER if self.integral else VarType.CONTINUOUS
@@ -1095,7 +1053,7 @@ class PerSampleSolver:
                     model.add_constr(-1.0 * x_vars[j] <= bs)
                     model.add_constr(1.0 * x_vars[j] <= bh)
             if not feasible_model:
-                unrescuable += 1
+                unrescuable += n_regions
                 continue
 
             model.set_objective(LinExpr.sum_of(list(c_vars.values())))
@@ -1108,7 +1066,7 @@ class PerSampleSolver:
                     warm_map[c_vars[ff]] = 1.0 if abs(value) > _TOL else 0.0
             count_solution = model.solve(backend=self.lp_backend, max_nodes=max_nodes, warm_start=warm_map)
             if not count_solution.is_feasible:
-                unrescuable += 1
+                unrescuable += n_regions
                 continue
             n_k = int(round(count_solution.objective))
 
@@ -1135,3 +1093,32 @@ class PerSampleSolver:
             n_adjusted=len(tunings),
             unrescuable_regions=unrescuable,
         )
+
+    def _milp_models(
+        self, violated: np.ndarray, candidates: np.ndarray
+    ) -> List[Tuple[int, Set[int], List[int]]]:
+        """The violated regions grouped into MILP models: per model, its
+        number of regions, its pool and its scope.
+
+        A region's pool is its candidate buffers within
+        ``max(pool_hops, 2)`` hops, and its scope is its own edges and
+        every edge incident to the pool; flip-flops outside the pool stay
+        at 0.  Regions whose scopes share an edge (their pools share a
+        flip-flop, or an edge joins them) form one model over the union of
+        their pools and scopes.  Solved apart, both models would repair a
+        violated edge in both scopes and count its buffers twice, and an
+        edge between the pools would see each end moved with the other
+        pinned at 0.
+        """
+        hops = max(self.pool_hops, 2)
+        models: List[Tuple[int, Set[int], Set[int]]] = []
+        for edges in self._violated_regions(violated):
+            pool = self._build_pool(self._region_ffs(edges), candidates, hops)
+            n_regions, scope = 1, set(self._scope_edges(pool, edges))
+            for other in [model for model in models if model[2] & scope]:
+                models.remove(other)
+                n_regions += other[0]
+                pool |= other[1]
+                scope |= other[2]
+            models.append((n_regions, pool, scope))
+        return [(n_regions, pool, sorted(scope)) for n_regions, pool, scope in models]

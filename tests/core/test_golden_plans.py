@@ -1,4 +1,4 @@
-"""Pinned plans of perfbench's flow workloads.
+"""Pinned plans of perfbench's flow workloads and of the MILP backend.
 
 Each entry pins what one flow decides: the plan fingerprint (sha256 of
 the sorted-key JSON of ``plan.as_dict()``, the fingerprint perfbench
@@ -10,7 +10,11 @@ and the flow seeds are those of bench seed 1, then those of bench seed
   training and 200 evaluation samples, four flows per bench seed;
 * flow_large: full-size s38584, design seed 2, target sigma 2, 200
   training and 1,000 evaluation samples, six flows per bench seed (one
-  build of about 1.5 s, then under a second per flow).
+  build of about 1.5 s, then under a second per flow);
+* the full bench suite's MILP scenario: s9234 at scale 0.05, design and
+  flow seed 3, target sigma 1, 40 training and 80 evaluation samples,
+  ``solver="milp"`` on the array simplex (``lp_backend="simplex"``, so
+  the pin holds with or without scipy; about a second).
 
 A failing entry means the design, the training samples, the solver or
 the evaluation moved: a deliberate rebase edits these tables.
@@ -27,14 +31,14 @@ from repro.core.flow import BufferInsertionFlow
 
 #: flow seed -> (plan fingerprint, improved yield, buffers), per workload
 FLOW_TIGHT = {
-    848236284: ("a1c66080dc178ca1f4b2f3b3ca018b0c8bb5ac93b19a3dd9b63a687752086cc1", 0.975, 14),
+    848236284: ("b1713bffaea583ba6966d6edd21382cc57f71b646af69c5f524dbc7fcc024977", 0.975, 14),
     1866630472: ("f3c7f46142fad3dff11722cf434343b22420dbdab44017e5bc0a6385b9c612b3", 0.96, 13),
-    810634315: ("51c641af4265e62f9d7f40a9c97ddd111aafc0c61f3ee94badf40fab00d8bce2", 0.96, 16),
-    805806388: ("4947436a4736358705509b7c9039d821bc55c17df202fd794cea316713a042a1", 0.965, 14),
+    810634315: ("2e0d4267841069f6010a22c3d369b4aa037098ff5358a0c39f96f27be06101b5", 0.96, 16),
+    805806388: ("92c8914c6b52728f5acd06c07bff3a1c20ffa0aeda2555dd496853aa8e4a94d2", 0.965, 14),
     386181551: ("2525d8accbc0d2237da181a7860a10ba2237eac49d7f1ef4b69c5413f50c1d90", 0.97, 14),
-    1030648133: ("5f34ca149cffb2ae05621a800b5d423a1614a406e3cb610e4e54d5d9a94f9474", 0.975, 13),
+    1030648133: ("86fef7a1ed2dab8d360ee274b04e34f271edcabb79fcbae9e34b8bd4c3d34f98", 0.975, 13),
     458727784: ("43d0960fe27cc94196ab2b7de4d1be6b815a7fe6e2b51d63e1f043a913232d91", 0.98, 13),
-    984015825: ("07ae39e5ca3ba181ce87796b66e9ea317fd982aa665fd6c93fe00d2763da8fbb", 0.98, 14),
+    984015825: ("afcec79777cba008c1627dcda51f9b80770987567400fa3bbea0ab8b1532017d", 0.98, 13),
 }
 
 FLOW_LARGE = {
@@ -52,6 +56,10 @@ FLOW_LARGE = {
     60897377: ("68bf7b4bf0a931311a6519160b1d6acd286298a47ca6fb2bfc9d1495c05bf4b1", 0.924, 25),
 }
 
+MILP = {
+    3: ("ee66a40b80282da791737ba93a8c03d9f9c1c7c7c86f5bd1ae443de7686d06d2", 0.9875, 1),
+}
+
 
 def plan_fingerprint(plan) -> str:
     """perfbench's plan fingerprint."""
@@ -59,13 +67,16 @@ def plan_fingerprint(plan) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def assert_plan_is_pinned(design, table, flow_seed, *, sigma, n_samples, n_eval_samples):
+def assert_plan_is_pinned(
+    design, table, flow_seed, *, sigma, n_samples, n_eval_samples, **settings
+):
     config = FlowConfig(
         n_samples=n_samples,
         n_eval_samples=n_eval_samples,
         seed=flow_seed,
         target_sigma=sigma,
         executor="serial",
+        **settings,
     )
     result = BufferInsertionFlow(design, config).run()
     fingerprint, improved_yield, n_buffers = table[flow_seed]
@@ -95,4 +106,18 @@ def test_flow_tight_plan_is_unchanged(flow_tight_design, flow_seed):
 def test_flow_large_plan_is_unchanged(flow_large_design, flow_seed):
     assert_plan_is_pinned(
         flow_large_design, FLOW_LARGE, flow_seed, sigma=2.0, n_samples=200, n_eval_samples=1000
+    )
+
+
+def test_milp_plan_is_unchanged():
+    design = build_suite_circuit("s9234", scale=0.05, seed=3)
+    assert_plan_is_pinned(
+        design,
+        MILP,
+        3,
+        sigma=1.0,
+        n_samples=40,
+        n_eval_samples=80,
+        solver="milp",
+        lp_backend="simplex",
     )

@@ -408,8 +408,8 @@ class TestWitnessReuse:
         monkeypatch.setattr(sample_solver, "solve_difference_system", counting)
         topology = chain_topology(4)
         # One violated edge, so one region; it needs two buffers, so the
-        # support search, the exhaustive refinement and the concentration
-        # LP all run.
+        # greedy cover, the expansion and pruning all run, and
+        # concentration reuses the final support's witness.
         problem = make_problem(topology, [1, -3, 1], [10, 10, 10])
         solution = PerSampleSolver(topology).solve(problem)
         assert solution.n_adjusted == 2
@@ -443,15 +443,20 @@ class TestCoverPreCheck:
         monkeypatch.setattr(PerSampleSolver, "_scope_edges", counting_scope)
         monkeypatch.setattr(sample_solver, "solve_difference_system", counting_solve)
         topology = chain_topology(4)
-        # The violated edge ff1 -> ff2 needs two buffers, so the exhaustive
-        # refinement tries every single buffer, {ff0} and {ff3} included.
-        problem = make_problem(topology, [1, -3, 1], [10, 10, 10])
+        # The violated edges ff0 -> ff1 and ff1 -> ff2 form one region that
+        # needs two buffers, {ff0, ff1}; pruning then proposes {ff0}, which
+        # leaves ff1 -> ff2 with no buffered endpoint.
+        problem = make_problem(topology, [-3, -3, 1], [10, 10, 10])
         solution = PerSampleSolver(topology).solve(problem)
         assert solution.n_adjusted == 2
-        assert {frozenset({0}), frozenset({3})} <= set(checked)
+        assert frozenset({0}) in checked
         assert built
         assert len(built) == len(solved)
-        assert all({1, 2} & set(support) for support in solved)
+        assert all({0, 1} & set(support) and {1, 2} & set(support) for support in solved)
+
+
+#: The LP engines installed here.
+LP_ENGINES = ("simplex", "scipy") if HAVE_SCIPY else ("simplex",)
 
 
 class TestMilpBackend:
@@ -461,17 +466,21 @@ class TestMilpBackend:
             [5, -3, 5],
             [1, -3, 1],
             [-2, 5, -1],
+            # Six flip-flops, two regions whose pools overlap: one model
+            # repairs both, so no repair is counted twice.
+            [-2, 5, 5, -2, 5],
         ],
     )
     def test_milp_matches_graph_on_chains(self, setup):
-        topology = chain_topology(4)
-        problem = make_problem(topology, setup, [10, 10, 10])
-        solver = PerSampleSolver(topology)
-        graph_solution = solver.solve(problem)
-        milp_solution = solver.solve_with_milp(problem)
-        assert milp_solution.feasible == graph_solution.feasible
-        assert milp_solution.n_adjusted <= graph_solution.n_adjusted
-        verify_solution(topology, problem, milp_solution)
+        topology = chain_topology(len(setup) + 1)
+        problem = make_problem(topology, setup, [10] * len(setup))
+        graph_solution = PerSampleSolver(topology).solve(problem)
+        for lp_backend in LP_ENGINES:
+            solver = PerSampleSolver(topology, lp_backend=lp_backend)
+            milp_solution = solver.solve_with_milp(problem)
+            assert milp_solution.feasible == graph_solution.feasible
+            assert milp_solution.n_adjusted <= graph_solution.n_adjusted
+            verify_solution(topology, problem, milp_solution)
 
     def test_milp_no_violation(self):
         topology = chain_topology(3)
@@ -488,9 +497,8 @@ class TestMilpBackend:
 
 class TestAgainstRealCircuit:
     def test_graph_solver_close_to_milp_optimum(self, small_design, small_samples):
-        """On real samples the greedy graph solver must find buffer counts
-        equal to the exact MILP optimum in the vast majority of cases and
-        never below it."""
+        """On the first 25 violated real samples the greedy graph solver
+        finds the exact MILP optimum's buffer count."""
         from repro.core.config import BufferSpec
         from repro.timing.period import sample_min_periods
 
@@ -508,7 +516,6 @@ class TestAgainstRealCircuit:
         solver = PerSampleSolver(topology)
 
         checked = 0
-        matches = 0
         for s in range(small_samples.n_samples):
             problem = SampleProblem(setup[:, s], hold[:, s], lower, upper)
             if problem.violated_edges().size == 0:
@@ -516,10 +523,7 @@ class TestAgainstRealCircuit:
             graph_solution = solver.solve(problem)
             milp_solution = solver.solve_with_milp(problem)
             checked += 1
-            assert milp_solution.n_adjusted <= graph_solution.n_adjusted
-            if milp_solution.n_adjusted == graph_solution.n_adjusted:
-                matches += 1
-            if checked >= 25:
+            assert milp_solution.n_adjusted == graph_solution.n_adjusted
+            if checked == 25:
                 break
-        assert checked > 5
-        assert matches / checked >= 0.8
+        assert checked == 25

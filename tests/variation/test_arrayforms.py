@@ -6,16 +6,11 @@ variance operands, perfectly correlated forms (rho -> 1) and equal-mean
 ties.  The Clark tests call the kernel :func:`clark_max_coeffs` directly.
 """
 
-import os
-import subprocess
-import sys
-import textwrap
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import repro
 from repro.variation.arrayforms import ArrayForms, clark_max_coeffs
 from repro.variation.canonical import CanonicalForm
 from repro.variation.sampling import MonteCarloSampler, SampleBatch
@@ -248,60 +243,3 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="forms do not match"):
             sampler.evaluate_array(three_sources, SampleBatch(np.zeros((4, 10))))
 
-
-# Sweeps the tiny design (the conftest fixture, rebuilt) with every scipy
-# import blocked and prints the worst deviation from the scalar oracle.
-_NO_SCIPY_SWEEP = textwrap.dedent(
-    """
-    import sys
-
-    sys.modules["scipy"] = None  # every scipy import now raises ImportError
-
-    import numpy as np
-
-    from repro.circuit.design import CircuitDesign
-    from repro.circuit.generators import GeneratorConfig, generate_sequential_circuit
-    from repro.circuit.library import default_library
-    from repro.timing.graph import TimingGraph
-    from repro.timing.propagate import all_ff_pair_delay_forms
-
-    library = default_library()
-    config = GeneratorConfig(n_flip_flops=12, n_gates=150, max_depth=6, min_depth=2)
-    netlist = generate_sequential_circuit(config, library=library, rng=7, name="tiny")
-    design = CircuitDesign.from_netlist(
-        netlist, library=library, clock_skew_magnitude=0.0, rng=7
-    )
-    graph = TimingGraph(design)
-    scalar = all_ff_pair_delay_forms(graph, method="scalar")
-    swept = all_ff_pair_delay_forms(graph, method="array")
-    assert len(scalar.launch) > 0
-    assert np.array_equal(swept.launch, scalar.launch)
-    assert np.array_equal(swept.capture, scalar.capture)
-    worst = 0.0
-    for got, want in ((swept.max_forms, scalar.max_forms), (swept.min_forms, scalar.min_forms)):
-        worst = max(
-            worst,
-            float(np.max(np.abs(got.means - want.means))),
-            float(np.max(np.abs(got.variances() - want.variances()))),
-            float(np.max(np.abs(got.sensitivities - want.sensitivities))),
-        )
-    print(repr(worst))
-    """
-)
-
-
-class TestErfFallback:
-    def test_sweep_without_scipy_matches_scalar_oracle(self):
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _NO_SCIPY_SWEEP],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=False,
-        )
-        assert done.returncode == 0, done.stderr
-        assert float(done.stdout) <= TOL
