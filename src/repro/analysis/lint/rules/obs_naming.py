@@ -36,6 +36,10 @@ _METRIC_ATTRS = ("counter", "gauge", "histogram")
 #: Function names that open spans when called bare (obs re-exports).
 _SPAN_NAMES = frozenset({"span", "trace_span"})
 
+#: Where an imported span function comes from (``repro.obs.span``,
+#: ``repro.obs.trace.span``).
+_OBS_PACKAGE = "repro.obs."
+
 
 class ObsNamingRule(Rule):
     name = "obs-naming"
@@ -57,7 +61,7 @@ class ObsNamingRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            kind = _registration_kind(node)
+            kind = _registration_kind(ctx, node)
             if kind is None:
                 continue
             if config.site_allowed(ctx.module, ctx.qualname(node), config.obs_allow):
@@ -154,11 +158,18 @@ def _name_argument(node: ast.Call) -> Optional[ast.expr]:
     return None
 
 
-def _registration_kind(node: ast.Call) -> Optional[str]:
+def _registration_kind(ctx: FileContext, node: ast.Call) -> Optional[str]:
     """``"counter"|"gauge"|"histogram"|"span"`` when the call registers an
-    obs name, else ``None``."""
+    obs name, else ``None``.
+
+    A bare ``span``/``trace_span`` imported from outside ``repro.obs`` is
+    some other helper and is not checked; one defined in the file (the
+    tracer's own module) is.
+    """
     func = node.func
     if isinstance(func, ast.Name) and func.id in _SPAN_NAMES:
+        if func.id in ctx.imports and not ctx.resolve(func).startswith(_OBS_PACKAGE):
+            return None
         return "span"
     if isinstance(func, ast.Attribute):
         if func.attr in _METRIC_ATTRS and _is_registry_receiver(func.value):

@@ -15,8 +15,10 @@ credible if it is measured and gated.  This subsystem provides:
 * :mod:`repro.bench.compare` — artifact diffing and the regression
   :func:`gate` that fails CI on configurable slowdown thresholds;
 * :mod:`repro.bench.trend` — cross-run per-scenario series accumulated
-  out of nightly artifacts into a :mod:`repro.store` backend (the same
-  idempotent-ingest machinery the campaign trend view uses).
+  out of nightly artifacts into a :mod:`repro.store` backend, built on
+  the series core :mod:`repro.store.series` that the campaign trend
+  view shares; the series are the plain dict ``bench trend --json``
+  prints.
 
 On the CLI this is ``repro bench run | compare | gate | trend``.
 """
@@ -53,10 +55,7 @@ from repro.bench.runner import (
 )
 from repro.bench.trend import (
     TREND_SCHEMA_VERSION,
-    BenchTrend,
     BenchTrendError,
-    BenchTrendPoint,
-    ScenarioTrend,
     build_bench_trend,
     format_bench_trend,
     ingest_artifacts,
@@ -81,9 +80,7 @@ __all__ = [
     "ArtifactError",
     "BenchArtifact",
     "BenchRunner",
-    "BenchTrend",
     "BenchTrendError",
-    "BenchTrendPoint",
     "CAMPAIGN_REPLICATES",
     "Comparison",
     "DEFAULT_MIN_SECONDS",
@@ -97,7 +94,6 @@ __all__ = [
     "Scenario",
     "ScenarioDelta",
     "ScenarioRecord",
-    "ScenarioTrend",
     "TREND_SCHEMA_VERSION",
     "build_bench_trend",
     "campaign_fingerprint",

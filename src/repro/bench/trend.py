@@ -1,13 +1,12 @@
 """Cross-run benchmark trends: nightly ``BENCH_*.json`` into series.
 
-The campaign layer already grows night-over-night series out of a
-store's append history (:mod:`repro.campaign.trend`).  This module is
-the bench-side twin, built on the *same* storage machinery one level
-down: a trend store is any :mod:`repro.store` backend (``jsonl:`` /
-``sqlite:`` URI) opened with a bench-point validator, and accumulation
-reuses the backends' idempotent :meth:`~repro.store.StoreBackend.ingest`
-— re-ingesting an artifact adds nothing, so a cron job can feed every
-downloaded nightly artifact without bookkeeping which ones are new.
+A trend store is any :mod:`repro.store` backend (``jsonl:`` /
+``sqlite:`` URI) opened with a bench-point validator.  The series
+machinery is :mod:`repro.store.series`, shared with
+:mod:`repro.campaign.trend`: ingestion is idempotent (re-ingesting an
+artifact adds nothing), and :func:`build_bench_trend` returns the plain
+dict that ``repro bench trend --json`` prints, which
+:func:`format_bench_trend` renders as text.
 
 Each ingested point is one scenario of one artifact: fingerprinted over
 ``(label, created_unix, scenario_id)`` — the identity of a measurement,
@@ -25,12 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.bench.artifact import BenchArtifact, ScenarioRecord, load_artifact
 from repro.bench.scenarios import Scenario
-from repro.store import StoreBackend, StoreError, open_store
+from repro.store import Record, StoreBackend, StoreError, open_store
+from repro.store.series import Entry, first_to_last, format_series, ingest, series_view
 
 #: Version of the bench trend-point record envelope.
 TREND_SCHEMA_VERSION = 1
@@ -106,151 +105,65 @@ def ingest_artifacts(store: StoreBackend, paths: List[str]) -> int:
     validated on load, so a truncated nightly download fails loudly
     instead of polluting the series.
     """
-    n_new = 0
-    for path in paths:
-        artifact = load_artifact(path)
-        for record in artifact.records:
-            if store.ingest(point_record(artifact, record)):
-                n_new += 1
-    return n_new
+    artifacts = map(load_artifact, paths)
+    points = (point_record(artifact, rec) for artifact in artifacts for rec in artifact.records)
+    return ingest(store, points)
 
 
-@dataclass
-class BenchTrendPoint:
-    """One measured run of one scenario (one artifact's record of it)."""
-
-    created_unix: float
-    label: str
-    best_seconds: float
-    plan_fingerprint: str
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "created_unix": self.created_unix,
-            "label": self.label,
-            "best_seconds": self.best_seconds,
-            "plan_fingerprint": self.plan_fingerprint,
-        }
+def _point(record: Record) -> Entry:
+    return {
+        "created_unix": float(record["created_unix"]),
+        "label": str(record["label"]),
+        "best_seconds": float(record["best_seconds"]),
+        "plan_fingerprint": str(record["plan_fingerprint"]),
+    }
 
 
-@dataclass
-class ScenarioTrend:
-    """The run-over-run series of one benchmark scenario."""
-
-    scenario_id: str
-    points: List[BenchTrendPoint] = field(default_factory=list)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
-
-    def best_seconds(self) -> List[float]:
-        return [point.best_seconds for point in self.points]
-
-    def plan_fingerprints(self) -> List[str]:
-        return [point.plan_fingerprint for point in self.points if point.plan_fingerprint]
-
-    @property
-    def plan_is_stable(self) -> bool:
-        """Whether every recorded run produced the same plan fingerprint."""
-        return len(set(self.plan_fingerprints())) <= 1
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "scenario_id": self.scenario_id,
-            "n_points": self.n_points,
-            "plan_is_stable": self.plan_is_stable,
-            "points": [point.as_dict() for point in self.points],
-        }
-
-
-@dataclass
-class BenchTrend:
-    """Per-scenario series over one trend store's accumulated points."""
-
-    store: str
-    scenarios: List[ScenarioTrend] = field(default_factory=list)
-
-    @property
-    def n_scenarios(self) -> int:
-        return len(self.scenarios)
-
-    @property
-    def n_points(self) -> int:
-        return sum(scenario.n_points for scenario in self.scenarios)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "store": self.store,
-            "n_scenarios": self.n_scenarios,
-            "n_points": self.n_points,
-            "scenarios": [scenario.as_dict() for scenario in self.scenarios],
-        }
+def _describe(record: Record, points: List[Entry]) -> Entry:
+    plans = {point["plan_fingerprint"] for point in points if point["plan_fingerprint"]}
+    return {"scenario_id": str(record["scenario_id"]), "plan_is_stable": len(plans) <= 1}
 
 
 def build_bench_trend(
     store: StoreBackend, scenario_id: Optional[str] = None
-) -> BenchTrend:
-    """Assemble per-scenario series from the trend store's history.
+) -> Dict[str, object]:
+    """Per-scenario series from the trend store's history, as ``--json`` prints them.
 
     Scenarios appear in their deterministic suite order (the same
     :meth:`~repro.bench.scenarios.Scenario.sort_key` every artifact
     uses); each scenario's points are ordered by artifact creation time,
-    ingest order breaking ties.  ``scenario_id`` restricts the view.
+    ingest order breaking ties.  A scenario's plan is stable when every
+    run that recorded a plan fingerprint recorded the same one.
+    ``scenario_id`` restricts the view.
     """
-    series: Dict[str, ScenarioTrend] = {}
-    order: Dict[str, Tuple] = {}
-    for record in store.history():
-        identifier = str(record["scenario_id"])
-        if scenario_id is not None and identifier != scenario_id:
-            continue
-        trend = series.get(identifier)
-        if trend is None:
-            trend = ScenarioTrend(scenario_id=identifier)
-            series[identifier] = trend
-            order[identifier] = Scenario.from_dict(dict(record["params"])).sort_key()
-        trend.points.append(
-            BenchTrendPoint(
-                created_unix=float(record["created_unix"]),
-                label=str(record["label"]),
-                best_seconds=float(record["best_seconds"]),
-                plan_fingerprint=str(record["plan_fingerprint"]),
-            )
-        )
-    for trend in series.values():
-        indexed = list(enumerate(trend.points))
-        indexed.sort(key=lambda pair: (pair[1].created_unix, pair[0]))
-        trend.points = [point for _, point in indexed]
-    scenarios = sorted(series.values(), key=lambda trend: order[trend.scenario_id])
-    return BenchTrend(store=store.uri, scenarios=scenarios)
+    return series_view(
+        store,
+        "scenarios",
+        (record for record in store.history() if scenario_id in (None, record["scenario_id"])),
+        key=lambda record: str(record["scenario_id"]),
+        order=lambda record: Scenario.from_dict(dict(record["params"])).sort_key(),
+        when=lambda record: float(record["created_unix"]),
+        point=_point,
+        describe=_describe,
+    )
 
 
-def format_bench_trend(trend: BenchTrend) -> str:
+def _line(scenario: Entry) -> str:
+    seconds = [point["best_seconds"] for point in scenario["points"]]
+    plan = "plan stable" if scenario["plan_is_stable"] else "plan DRIFTED"
+    return (
+        f"{scenario['scenario_id']}: {scenario['n_points']} run(s), "
+        f"best {first_to_last(seconds, 3)}, {plan}"
+    )
+
+
+def format_bench_trend(trend: Dict[str, object]) -> str:
     """Plain-text rendering: one line per scenario, series summarised."""
-    lines = [
-        f"store     : {trend.store}",
-        f"scenarios : {trend.n_scenarios} with {trend.n_points} recorded run(s)",
-    ]
-    for scenario in trend.scenarios:
-        seconds = scenario.best_seconds()
-        first, last = seconds[0], seconds[-1]
-        if first > 0:
-            delta = 100.0 * (last - first) / first
-            timing = f"best {first:.3f}s -> {last:.3f}s ({delta:+.1f}%)"
-        else:
-            timing = f"best {first:.3f}s -> {last:.3f}s"
-        plan = "plan stable" if scenario.plan_is_stable else "plan DRIFTED"
-        lines.append(
-            f"  {scenario.scenario_id}: {scenario.n_points} run(s), {timing}, {plan}"
-        )
-    return "\n".join(lines) + "\n"
+    return format_series(trend, "scenarios", _line)
 
 
 __all__ = [
-    "BenchTrend",
     "BenchTrendError",
-    "BenchTrendPoint",
-    "ScenarioTrend",
     "TREND_SCHEMA_VERSION",
     "build_bench_trend",
     "format_bench_trend",

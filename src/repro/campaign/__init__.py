@@ -30,8 +30,10 @@ interruption:
   between two stores with a threshold gate
   (:func:`gate_comparison`), the campaign sibling of ``bench gate``;
 * :mod:`repro.campaign.trend` — cross-run per-cell yield/runtime
-  series out of one store's append history (idempotent ingestion of
-  nightly artifacts; one SQL scan on the SQLite driver).
+  series out of one store's append history, built on the series core
+  :mod:`repro.store.series` that the bench trend view shares
+  (idempotent ingestion of nightly artifacts); the series are the
+  plain dict ``campaign trend --json`` prints.
 
 Distributed aggregation: n CI jobs each run ``--shard i/n`` into their
 own store file, and :meth:`CampaignStore.merge` unions the shard stores
@@ -96,9 +98,6 @@ from repro.campaign.store import (
     validate_record,
 )
 from repro.campaign.trend import (
-    CampaignTrend,
-    CellTrend,
-    TrendPoint,
     build_trend,
     format_trend,
     ingest_stores,
@@ -134,9 +133,7 @@ __all__ = [
     "CampaignStatus",
     "CampaignStore",
     "CampaignStoreError",
-    "CampaignTrend",
     "CellDelta",
-    "CellTrend",
     "GCPlan",
     "MergeSummary",
     "ProgressCallback",
@@ -144,7 +141,6 @@ __all__ = [
     "StoreBackend",
     "StoreError",
     "StoreURI",
-    "TrendPoint",
     "apply_gc",
     "build_report",
     "build_trend",

@@ -173,14 +173,6 @@ class CampaignStore:
         """Durably append one completed-cell record (validate, write, sync)."""
         self.backend.append(record)
 
-    def ingest(self, record: Dict[str, object]) -> bool:
-        """Fold one record into the store's history (idempotent).
-
-        The bulk accumulation path for trend stores: re-ingesting an
-        identical record is a no-op.  Returns ``True`` when new.
-        """
-        return self.backend.ingest(record)
-
     # ------------------------------------------------------------------
     @classmethod
     def merge(

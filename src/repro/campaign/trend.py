@@ -6,98 +6,29 @@ A single campaign store holds one record per cell fingerprint — but its
 deterministic content and a fresh wall-clock envelope.  This module
 turns that history into per-cell series — runtime trajectory night over
 night, yield (constant for a healthy deterministic cell — a moving
-yield is itself a red flag) — which is exactly the "bench/campaign
-trend aggregation across nightly artifacts" the ROADMAP carried since
-PR 5.
+yield is itself a red flag).
 
-Accumulation: :func:`ingest_stores` folds the records of N stores
-(e.g. each night's downloaded ``CAMPAIGN_smoke.jsonl`` artifact) into
-one long-lived trend store.  Ingestion is idempotent — re-ingesting a
-file adds nothing — and works on any driver, but the SQLite driver is
-the natural home: its ``history`` table keeps every ingested envelope
-as an indexed row, so the series query is one SQL scan
-(``SELECT ... FROM history ORDER BY fingerprint, id``) instead of
-bespoke JSONL tooling.
+The series machinery is :mod:`repro.store.series`, shared with
+:mod:`repro.bench.trend`.  :func:`ingest_stores` folds the records of N
+stores (e.g. each night's downloaded ``CAMPAIGN_smoke.jsonl``
+artifact) into one long-lived trend store.  Ingestion is idempotent —
+re-ingesting a file adds nothing — and works on any driver, but the
+SQLite driver is the natural home: its ``history`` table keeps every
+ingested envelope as an indexed row.  :func:`build_trend` returns the
+plain dict that ``repro campaign trend --json`` prints, which
+:func:`format_trend` renders as text.
 
 CLI surface: ``repro campaign trend --store URI [--ingest URI ...]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.campaign.spec import CampaignCell
 from repro.campaign.store import CampaignStore
-
-
-@dataclass
-class TrendPoint:
-    """One completed run of one cell (the record's wall-clock envelope)."""
-
-    completed_unix: Optional[float]
-    runtime_seconds: Optional[float]
-    improved_yield: Optional[float]
-    n_buffers: Optional[int]
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "completed_unix": self.completed_unix,
-            "runtime_seconds": self.runtime_seconds,
-            "improved_yield": self.improved_yield,
-            "n_buffers": self.n_buffers,
-        }
-
-
-@dataclass
-class CellTrend:
-    """The run-over-run series of one campaign cell."""
-
-    cell_id: str
-    fingerprint: str
-    points: List[TrendPoint] = field(default_factory=list)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
-
-    def runtimes(self) -> List[float]:
-        return [p.runtime_seconds for p in self.points if p.runtime_seconds is not None]
-
-    def yields(self) -> List[float]:
-        return [p.improved_yield for p in self.points if p.improved_yield is not None]
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "cell_id": self.cell_id,
-            "fingerprint": self.fingerprint,
-            "n_points": self.n_points,
-            "points": [point.as_dict() for point in self.points],
-        }
-
-
-@dataclass
-class CampaignTrend:
-    """Per-cell series over one store's full append history."""
-
-    store: str
-    cells: List[CellTrend] = field(default_factory=list)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
-
-    @property
-    def n_points(self) -> int:
-        return sum(cell.n_points for cell in self.cells)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "store": self.store,
-            "n_cells": self.n_cells,
-            "n_points": self.n_points,
-            "cells": [cell.as_dict() for cell in self.cells],
-        }
+from repro.store import Record
+from repro.store.series import Entry, first_to_last, format_series, ingest, series_view
 
 
 def _as_float(value: object) -> Optional[float]:
@@ -106,6 +37,10 @@ def _as_float(value: object) -> Optional[float]:
 
 def _as_int(value: object) -> Optional[int]:
     return int(value) if isinstance(value, int) else None
+
+
+def _cell(record: Record) -> CampaignCell:
+    return CampaignCell.from_dict(dict(record["cell"]))
 
 
 def ingest_stores(store: CampaignStore, input_uris: List[str]) -> int:
@@ -117,94 +52,69 @@ def ingest_stores(store: CampaignStore, input_uris: List[str]) -> int:
     deterministic-content drift is exactly what the trend view exists
     to make visible (``repro campaign compare`` is the gate for it).
     """
-    n_new = 0
-    for uri in input_uris:
-        source = CampaignStore.open(uri)
-        for record in source.history():
-            if store.ingest(record):
-                n_new += 1
-    return n_new
+    return ingest(
+        store.backend,
+        (record for uri in input_uris for record in CampaignStore.open(uri).history()),
+    )
 
 
-def build_trend(store: CampaignStore, cell_id: Optional[str] = None) -> CampaignTrend:
-    """Assemble per-cell series from the store's append history.
+def _point(record: Record) -> Entry:
+    result = dict(record.get("result") or {})
+    return {
+        "completed_unix": _as_float(record.get("completed_unix")),
+        "runtime_seconds": _as_float(record.get("runtime_seconds")),
+        "improved_yield": _as_float(result.get("improved_yield")),
+        "n_buffers": _as_int(result.get("n_buffers")),
+    }
+
+
+def _completed(record: Record) -> float:
+    completed = _as_float(record.get("completed_unix"))
+    return float("-inf") if completed is None else completed
+
+
+def build_trend(store: CampaignStore, cell_id: Optional[str] = None) -> Dict[str, object]:
+    """Per-cell series from the store's append history, as ``--json`` prints them.
 
     Cells appear in their deterministic expansion order; each cell's
     points are sorted by completion time (append order breaking ties).
     ``cell_id`` restricts the view to one cell.
     """
-    series: Dict[str, CellTrend] = {}
-    order: Dict[str, Tuple] = {}
-    for record in store.history():
-        fingerprint = str(record["fingerprint"])
-        trend = series.get(fingerprint)
-        if trend is None:
-            cell = CampaignCell.from_dict(dict(record["cell"]))
-            if cell_id is not None and cell.cell_id != cell_id:
-                continue
-            trend = CellTrend(cell_id=cell.cell_id, fingerprint=fingerprint)
-            series[fingerprint] = trend
-            order[fingerprint] = (cell.sort_key(), fingerprint)
-        result = dict(record.get("result") or {})
-        trend.points.append(
-            TrendPoint(
-                completed_unix=_as_float(record.get("completed_unix")),
-                runtime_seconds=_as_float(record.get("runtime_seconds")),
-                improved_yield=_as_float(result.get("improved_yield")),
-                n_buffers=_as_int(result.get("n_buffers")),
-            )
-        )
-    for trend in series.values():
-        indexed = list(enumerate(trend.points))
-        indexed.sort(
-            key=lambda pair: (
-                pair[1].completed_unix if pair[1].completed_unix is not None else float("-inf"),
-                pair[0],
-            )
-        )
-        trend.points = [point for _, point in indexed]
-    cells = sorted(series.values(), key=lambda trend: order[trend.fingerprint])
-    return CampaignTrend(store=store.uri, cells=cells)
+    return series_view(
+        store.backend,
+        "cells",
+        (
+            record
+            for record in store.history()
+            if cell_id is None or _cell(record).cell_id == cell_id
+        ),
+        key=lambda record: str(record["fingerprint"]),
+        order=lambda record: (_cell(record).sort_key(), str(record["fingerprint"])),
+        when=_completed,
+        point=_point,
+        describe=lambda record, points: {
+            "cell_id": _cell(record).cell_id,
+            "fingerprint": str(record["fingerprint"]),
+        },
+    )
 
 
-def format_trend(trend: CampaignTrend) -> str:
+def _line(cell: Entry) -> str:
+    points = cell["points"]
+    runtimes = [p["runtime_seconds"] for p in points if p["runtime_seconds"] is not None]
+    yields = [p["improved_yield"] for p in points if p["improved_yield"] is not None]
+    runtime = f"runtime {first_to_last(runtimes, 2)}" if runtimes else "runtime -"
+    if not yields:
+        value = "Y -"
+    else:
+        lo, hi = min(yields), max(yields)
+        value = f"Y {100 * lo:.2f}%" if lo == hi else f"Y {100 * lo:.2f}%..{100 * hi:.2f}% (UNSTABLE)"
+    return f"{cell['cell_id']}: {cell['n_points']} run(s), {value}, {runtime}"
+
+
+def format_trend(trend: Dict[str, object]) -> str:
     """Plain-text rendering: one line per cell, series summarised."""
-    lines = [
-        f"store     : {trend.store}",
-        f"cells     : {trend.n_cells} with {trend.n_points} recorded run(s)",
-    ]
-    for cell in trend.cells:
-        runtimes = cell.runtimes()
-        yields = cell.yields()
-        if runtimes:
-            first, last = runtimes[0], runtimes[-1]
-            if first > 0:
-                delta = 100.0 * (last - first) / first
-                runtime_text = f"runtime {first:.2f}s -> {last:.2f}s ({delta:+.1f}%)"
-            else:
-                runtime_text = f"runtime {first:.2f}s -> {last:.2f}s"
-        else:
-            runtime_text = "runtime -"
-        if yields:
-            lo, hi = min(yields), max(yields)
-            yield_text = (
-                f"Y {100 * lo:.2f}%"
-                if lo == hi
-                else f"Y {100 * lo:.2f}%..{100 * hi:.2f}% (UNSTABLE)"
-            )
-        else:
-            yield_text = "Y -"
-        lines.append(
-            f"  {cell.cell_id}: {cell.n_points} run(s), {yield_text}, {runtime_text}"
-        )
-    return "\n".join(lines) + "\n"
+    return format_series(trend, "cells", _line)
 
 
-__all__ = [
-    "CampaignTrend",
-    "CellTrend",
-    "TrendPoint",
-    "build_trend",
-    "format_trend",
-    "ingest_stores",
-]
+__all__ = ["build_trend", "format_trend", "ingest_stores"]

@@ -1031,7 +1031,7 @@ def _cmd_bench_trend(args: argparse.Namespace) -> int:
         )
     trend = build_bench_trend(store, scenario_id=args.scenario)
     if args.json:
-        print(json.dumps(trend.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(trend, indent=2, sort_keys=True))
         return 0
     print(format_bench_trend(trend), end="")
     return 0
@@ -1211,7 +1211,7 @@ def _cmd_campaign_trend(args: argparse.Namespace) -> int:
         )
     trend = build_trend(store, cell_id=args.cell)
     if args.json:
-        print(json.dumps(trend.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(trend, indent=2, sort_keys=True))
         return 0
     print(format_trend(trend), end="")
     return 0

@@ -28,8 +28,8 @@ over, at :meth:`SharedMatrixStore.release_all`, or at interpreter exit.
 
 Gates: sharing turns off when ``REPRO_NO_SHM`` is set (any non-empty
 value), when :mod:`multiprocessing.shared_memory` is unavailable, or
-for matrices smaller than ``REPRO_SHM_MIN_BYTES`` (default 64 KiB) —
-payloads then simply carry the sliced arrays as before.  The transport
+for matrices smaller than :data:`SHM_MIN_BYTES` (64 KiB) — payloads
+then simply carry the sliced arrays as before.  The transport
 never changes results: the worker-side columns are byte-for-byte the
 slices the parent would have pickled.
 """
@@ -50,20 +50,11 @@ except ImportError:  # pragma: no cover - exotic builds without _posixshmem
     _shared_memory = None
 
 #: Below this many bytes a matrix is cheaper to pickle than to publish.
-_DEFAULT_MIN_BYTES = 64 * 1024
+SHM_MIN_BYTES = 64 * 1024
 
 #: Fully released segments kept attached for fingerprint reuse before
 #: being unlinked (oldest first).
 _RETIRE_CAPACITY = 4
-
-
-def shm_min_bytes() -> int:
-    """Minimum matrix size (bytes) worth publishing to shared memory."""
-    raw = os.environ.get("REPRO_SHM_MIN_BYTES", "")
-    try:
-        return int(raw) if raw else _DEFAULT_MIN_BYTES
-    except ValueError:
-        return _DEFAULT_MIN_BYTES
 
 
 def shm_enabled() -> bool:
@@ -266,4 +257,4 @@ def use_shm_for(executor, *arrays: np.ndarray) -> bool:
     """
     if not shm_enabled() or not getattr(executor, "keyed_state", False):
         return False
-    return sum(int(a.nbytes) for a in arrays) >= shm_min_bytes()
+    return sum(int(a.nbytes) for a in arrays) >= SHM_MIN_BYTES

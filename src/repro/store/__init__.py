@@ -25,7 +25,10 @@ and opened through the stable facade :func:`open_store`::
     records = backend.load()        # {fingerprint: record}, first wins
 
 :mod:`repro.store.gc` adds retention policies (by age and count) over
-any backend, planned dry-run first and applied as one atomic rewrite.
+any backend, planned dry-run first and applied as one atomic rewrite;
+:mod:`repro.store.series` cuts a store's append history into
+night-over-night series, the core of ``bench trend`` and
+``campaign trend``.
 """
 
 from __future__ import annotations

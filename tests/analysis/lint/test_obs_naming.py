@@ -36,6 +36,23 @@ class TestGrammar:
         assert len(findings) == 1
         assert "span name" in findings[0].message
 
+    def test_span_imported_from_elsewhere_ignored(self, lint):
+        """A helper that happens to be named ``span`` is not a tracer."""
+        source = """
+        from geometry import span
+        span(interval, 3)
+        """
+        assert lint(source, "obs-naming", **OBS) == []
+
+    def test_aliased_obs_span_still_checked(self, lint):
+        source = """
+        from repro.obs.trace import span as trace_span
+        trace_span(name)
+        """
+        findings = lint(source, "obs-naming", **OBS)
+        assert len(findings) == 1
+        assert "span name must be a static string literal" in findings[0].message
+
     def test_keyword_name_argument_checked(self, lint):
         """`registry.counter(name=...)` gets the same scrutiny as the
         positional spelling — no silent false negative."""

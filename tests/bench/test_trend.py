@@ -66,7 +66,7 @@ class TestIngest:
         store = open_trend_store(f"{uri_prefix}{tmp_path / 'trend.bin'}")
         ingest_artifacts(store, [artifact(tmp_path, "n1", night=100.0, seconds=1.0)])
         trend = build_bench_trend(store)
-        assert (trend.n_scenarios, trend.n_points) == (2, 2)
+        assert (trend["n_scenarios"], trend["n_points"]) == (2, 2)
 
     def test_invalid_record_rejected_by_validator(self, tmp_path):
         store = open_trend_store(str(tmp_path / "trend.jsonl"))
@@ -99,16 +99,17 @@ class TestSeries:
             ],
         )
         trend = build_bench_trend(store)
-        for series in trend.scenarios:
-            assert [point.label for point in series.points] == ["night1", "night2"]
-            assert series.best_seconds() == sorted(series.best_seconds())
+        for series in trend["scenarios"]:
+            assert [point["label"] for point in series["points"]] == ["night1", "night2"]
+            seconds = [point["best_seconds"] for point in series["points"]]
+            assert seconds == sorted(seconds)
 
     def test_scenario_filter(self, tmp_path):
         store = open_trend_store(str(tmp_path / "trend.jsonl"))
         ingest_artifacts(store, [artifact(tmp_path, "n1", night=100.0, seconds=1.0)])
         wanted = scenario(1.0).scenario_id
         trend = build_bench_trend(store, scenario_id=wanted)
-        assert [series.scenario_id for series in trend.scenarios] == [wanted]
+        assert [series["scenario_id"] for series in trend["scenarios"]] == [wanted]
 
     def test_plan_drift_is_flagged(self, tmp_path):
         store = open_trend_store(str(tmp_path / "trend.jsonl"))
@@ -120,7 +121,7 @@ class TestSeries:
             ],
         )
         trend = build_bench_trend(store)
-        assert all(not series.plan_is_stable for series in trend.scenarios)
+        assert all(not series["plan_is_stable"] for series in trend["scenarios"])
         text = format_bench_trend(trend)
         assert "plan DRIFTED" in text
 

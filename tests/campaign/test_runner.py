@@ -206,6 +206,7 @@ class TestDispatchModes:
         """The three baseline sweeps of a cell share one evaluation batch,
         whose matrices are hashed once to key their shared memory."""
         from repro.engine import batch as batch_module
+        from repro.engine import shm as shm_module
         from repro.obs.trace import current_context
 
         hashes = Counter()
@@ -217,7 +218,7 @@ class TestDispatchModes:
             return original(*arrays)
 
         monkeypatch.setattr(batch_module, "fingerprint_arrays", recording)
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")  # force sharing
+        monkeypatch.setattr(shm_module, "SHM_MIN_BYTES", 1)  # force sharing
         spec = tiny_spec(baselines=("every_ff", "criticality", "random"))
         store = CampaignStore.open(str(tmp_path / "s.jsonl"))
         runner = CampaignRunner(spec, store, executor="processes", jobs=2)

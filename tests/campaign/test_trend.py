@@ -64,42 +64,42 @@ class TestBuild:
     def test_series_per_cell_in_expansion_order(self, store, cells):
         for completed in (2000.0, 1000.0):
             for cell in reversed(cells):
-                store.ingest(run_record(cell, completed=completed))
+                store.backend.ingest(run_record(cell, completed=completed))
         trend = build_trend(store)
-        assert [t.cell_id for t in trend.cells] == [c.cell_id for c in cells]
-        assert trend.n_points == 2 * len(cells)
+        assert [t["cell_id"] for t in trend["cells"]] == [c.cell_id for c in cells]
+        assert trend["n_points"] == 2 * len(cells)
         # Points are time-ordered even though ingested newest-first.
-        for cell_trend in trend.cells:
-            completions = [p.completed_unix for p in cell_trend.points]
+        for cell_trend in trend["cells"]:
+            completions = [p["completed_unix"] for p in cell_trend["points"]]
             assert completions == sorted(completions)
 
     def test_cell_filter(self, store, cells):
         for cell in cells:
-            store.ingest(run_record(cell))
+            store.backend.ingest(run_record(cell))
         trend = build_trend(store, cell_id=cells[0].cell_id)
-        assert [t.cell_id for t in trend.cells] == [cells[0].cell_id]
+        assert [t["cell_id"] for t in trend["cells"]] == [cells[0].cell_id]
 
     def test_empty_store(self, store):
         trend = build_trend(store)
-        assert (trend.n_cells, trend.n_points) == (0, 0)
+        assert (trend["n_cells"], trend["n_points"]) == (0, 0)
 
     def test_as_dict_round_trip(self, store, cells):
-        store.ingest(run_record(cells[0], runtime=0.25))
-        payload = build_trend(store).as_dict()
+        store.backend.ingest(run_record(cells[0], runtime=0.25))
+        payload = build_trend(store)
         assert payload["n_cells"] == 1
         assert payload["cells"][0]["points"][0]["runtime_seconds"] == 0.25
 
 
 class TestFormat:
     def test_stable_yield_renders_once(self, store, cells):
-        store.ingest(run_record(cells[0], completed=1.0, runtime=1.0))
-        store.ingest(run_record(cells[0], completed=2.0, runtime=0.5))
+        store.backend.ingest(run_record(cells[0], completed=1.0, runtime=1.0))
+        store.backend.ingest(run_record(cells[0], completed=2.0, runtime=0.5))
         text = format_trend(build_trend(store))
         assert "Y 100.00%" in text
         assert "UNSTABLE" not in text
         assert "runtime 1.00s -> 0.50s (-50.0%)" in text
 
     def test_moving_yield_is_flagged_unstable(self, store, cells):
-        store.ingest(run_record(cells[0], value=0.9, completed=1.0))
-        store.ingest(run_record(cells[0], value=0.8, completed=2.0))
+        store.backend.ingest(run_record(cells[0], value=0.9, completed=1.0))
+        store.backend.ingest(run_record(cells[0], value=0.8, completed=2.0))
         assert "UNSTABLE" in format_trend(build_trend(store))

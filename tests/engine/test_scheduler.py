@@ -356,12 +356,13 @@ class TestBoundFingerprints:
         self, solve_setup, eval_setup, small_samples, monkeypatch
     ):
         from repro.engine import scheduler as scheduler_module
+        from repro.engine import shm as shm_module
 
         solver, batch, lower, upper = solve_setup
         plan, configurator, period, setup, hold = eval_setup
         expected_passed, _ = _evaluate(SampleScheduler(solver), setup, hold, plan)
 
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")  # force sharing
+        monkeypatch.setattr(shm_module, "SHM_MIN_BYTES", 1)  # force sharing
         store = SharedMatrixStore()
         keys = []
         checkout = store.checkout

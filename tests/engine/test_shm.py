@@ -20,7 +20,7 @@ from repro.engine import (
     shm_enabled,
     use_shm_for,
 )
-from repro.engine.shm import shm_min_bytes
+from repro.engine import shm as shm_module
 
 pytestmark = pytest.mark.skipif(not shm_enabled(), reason="shared memory unavailable")
 
@@ -133,14 +133,8 @@ class TestGating:
         executor = ProcessPoolExecutor(jobs=1)
         small = np.zeros((4, 4))
         assert not use_shm_for(executor, small)
-        big = np.zeros(shm_min_bytes() // 8 + 1)
+        big = np.zeros(shm_module.SHM_MIN_BYTES // 8 + 1)
         assert use_shm_for(executor, big)
-
-    def test_min_bytes_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "8")
-        assert shm_min_bytes() == 8
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "junk")
-        assert shm_min_bytes() == 64 * 1024
 
 
 class TestEndToEnd:
@@ -169,7 +163,7 @@ class TestEndToEnd:
             SampleScheduler(solver).prepare_solve(batch, lower, upper), SerialExecutor()
         )
 
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")  # force sharing
+        monkeypatch.setattr(shm_module, "SHM_MIN_BYTES", 1)  # force sharing
         with ProcessPoolExecutor(jobs=2) as executor:
             assert use_shm_for(executor, setup, hold)
             shared = run_pending(
@@ -198,7 +192,7 @@ class TestFailedPhaseReleasesPeers:
         from repro.engine import BatchProblem, SampleScheduler
         from repro.engine import scheduler as scheduler_module
 
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")  # force sharing
+        monkeypatch.setattr(shm_module, "SHM_MIN_BYTES", 1)  # force sharing
         shared_store = SharedMatrixStore()
         monkeypatch.setattr(scheduler_module, "get_shared_store", lambda: shared_store)
         compiled = ensure_compiled_system(small_design)

@@ -813,6 +813,239 @@ class TestCampaignTrend:
         assert "needs --store" in capsys.readouterr().err
 
 
+class TestTrendGolden:
+    """The exact bytes of `bench trend` and `campaign trend`.
+
+    The nightly job reads these outputs, so they are pinned literally:
+    three nights of two scenarios and of two cells, ingested out of
+    order and then re-ingested, with a drifted plan, an unstable yield
+    and a zero first runtime.  Temporary paths read as ``TMP``.
+    """
+
+    SCENARIO_IDS = (
+        "s9234@0.05/sigma0/graph/serialxauto/n20e30s3",
+        "s9234@0.05/sigma1/graph/serialxauto/n20e30s3",
+    )
+    CELL_IDS = ("s9234@0.05/sigma0/graph/n30e60/r0", "s9234@0.05/sigma1/graph/n30e60/r0")
+
+    #: night -> (created_unix, {sigma: (total_seconds, plan_fingerprint)})
+    BENCH_NIGHTS = {
+        "night1": (100.0, {0.0: ([0.0], "aaa"), 1.0: ([2.0, 2.5], "bbb")}),
+        "night2": (200.0, {0.0: ([1.5, 1.25], "aaa"), 1.0: ([2.5], "bbb")}),
+        "night3": (300.0, {0.0: ([1.5], "aaa"), 1.0: ([1.0], "ccc")}),
+    }
+    #: night -> (completed_unix, per cell (improved_yield, n_buffers, runtime))
+    CAMPAIGN_NIGHTS = {
+        "night1": (1000.0, [(0.95, 3, 0.0), (0.9, 2, 1.0)]),
+        "night2": (2000.0, [(0.95, 3, 0.5), (0.85, 2, 1.5)]),
+        "night3": (3000.0, [(0.95, 3, 0.75), (0.9, 2, 0.5)]),
+    }
+    INGEST_ORDER = ("night3", "night1", "night2")
+
+    @staticmethod
+    def _run(argv, capsys, tmp_path):
+        code = main(argv)
+        captured = capsys.readouterr()
+        tmp = str(tmp_path)
+        return code, captured.out.replace(tmp, "TMP"), captured.err.replace(tmp, "TMP")
+
+    @staticmethod
+    def _json(payload):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def _bench_artifacts(self, tmp_path):
+        from repro.bench import BenchArtifact, Scenario, ScenarioRecord, point_record
+
+        paths = {}
+        for label, (created, rows) in self.BENCH_NIGHTS.items():
+            records = [
+                ScenarioRecord(
+                    scenario=Scenario(
+                        circuit="s9234",
+                        scale=0.05,
+                        sigma=sigma,
+                        executor="serial",
+                        n_samples=20,
+                        n_eval_samples=30,
+                        seed=3,
+                    ),
+                    total_seconds=seconds,
+                    plan_fingerprint=plan,
+                )
+                for sigma, (seconds, plan) in rows.items()
+            ]
+            built = BenchArtifact(label=label, suite="quick", records=records, created_unix=created)
+            ids = [point_record(built, record)["scenario_id"] for record in built.records]
+            assert tuple(ids) == self.SCENARIO_IDS
+            paths[label] = built.save(str(tmp_path / f"BENCH_{label}.json"))
+        return [paths[label] for label in self.INGEST_ORDER]
+
+    def _campaign_stores(self, tmp_path):
+        from repro.campaign.spec import CampaignSpec
+        from repro.campaign.store import CampaignStore, make_record
+
+        cells = CampaignSpec(
+            name="t",
+            seed=5,
+            circuits=(("s9234", 0.05),),
+            sigmas=(0.0, 1.0),
+            budgets=((30, 60),),
+        ).cells()
+        assert tuple(cell.cell_id for cell in cells) == self.CELL_IDS
+        uris = {}
+        for night, (completed, rows) in self.CAMPAIGN_NIGHTS.items():
+            store = CampaignStore.open(f"jsonl:{tmp_path / f'{night}.jsonl'}")
+            for cell, (value, n_buffers, runtime) in zip(cells, rows, strict=True):
+                store.append(
+                    make_record(
+                        cell,
+                        {"improved_yield": value, "n_buffers": n_buffers},
+                        runtime_seconds=runtime,
+                        completed_unix=completed,
+                    )
+                )
+            uris[night] = store.uri
+        return [uris[night] for night in self.INGEST_ORDER]
+
+    @pytest.mark.parametrize("driver", ["jsonl", "sqlite"])
+    def test_bench_trend_bytes(self, tmp_path, capsys, driver):
+        ingest = []
+        for path in self._bench_artifacts(tmp_path):
+            ingest += ["--ingest", path]
+        store = f"{driver}:{tmp_path / 'bench-trend'}"
+        uri = f"{driver}:TMP/bench-trend"
+        drifted = {
+            "n_points": 3,
+            "plan_is_stable": False,
+            "points": [
+                {"best_seconds": 2.0, "created_unix": 100.0, "label": "night1",
+                 "plan_fingerprint": "bbb"},
+                {"best_seconds": 2.5, "created_unix": 200.0, "label": "night2",
+                 "plan_fingerprint": "bbb"},
+                {"best_seconds": 1.0, "created_unix": 300.0, "label": "night3",
+                 "plan_fingerprint": "ccc"},
+            ],
+            "scenario_id": self.SCENARIO_IDS[1],
+        }
+        stable = {
+            "n_points": 3,
+            "plan_is_stable": True,
+            "points": [
+                {"best_seconds": 0.0, "created_unix": 100.0, "label": "night1",
+                 "plan_fingerprint": "aaa"},
+                {"best_seconds": 1.25, "created_unix": 200.0, "label": "night2",
+                 "plan_fingerprint": "aaa"},
+                {"best_seconds": 1.5, "created_unix": 300.0, "label": "night3",
+                 "plan_fingerprint": "aaa"},
+            ],
+            "scenario_id": self.SCENARIO_IDS[0],
+        }
+        drifted_line = (
+            f"  {self.SCENARIO_IDS[1]}: 3 run(s), best 2.000s -> 1.000s (-50.0%), "
+            "plan DRIFTED\n"
+        )
+
+        assert self._run(
+            ["bench", "trend", "--store", store, *ingest], capsys, tmp_path
+        ) == (
+            0,
+            f"store     : {uri}\n"
+            "scenarios : 2 with 6 recorded run(s)\n"
+            f"  {self.SCENARIO_IDS[0]}: 3 run(s), best 0.000s -> 1.500s, plan stable\n"
+            + drifted_line,
+            f"[bench] ingested 6 new point(s) from 3 artifact(s) into {uri}\n",
+        )
+        assert self._run(
+            ["bench", "trend", "--store", store, *ingest, "--json"], capsys, tmp_path
+        ) == (
+            0,
+            self._json(
+                {"n_points": 6, "n_scenarios": 2, "scenarios": [stable, drifted], "store": uri}
+            ),
+            f"[bench] ingested 0 new point(s) from 3 artifact(s) into {uri}\n",
+        )
+        filtered = ["bench", "trend", "--store", store, "--scenario", self.SCENARIO_IDS[1]]
+        assert self._run(filtered, capsys, tmp_path) == (
+            0,
+            f"store     : {uri}\nscenarios : 1 with 3 recorded run(s)\n" + drifted_line,
+            "",
+        )
+        assert self._run(filtered + ["--json"], capsys, tmp_path) == (
+            0,
+            self._json({"n_points": 3, "n_scenarios": 1, "scenarios": [drifted], "store": uri}),
+            "",
+        )
+
+    @pytest.mark.parametrize("driver", ["jsonl", "sqlite"])
+    def test_campaign_trend_bytes(self, tmp_path, capsys, driver):
+        ingest = []
+        for uri in self._campaign_stores(tmp_path):
+            ingest += ["--ingest", uri]
+        store = f"{driver}:{tmp_path / 'campaign-trend'}"
+        uri = f"{driver}:TMP/campaign-trend"
+        stable = {
+            "cell_id": self.CELL_IDS[0],
+            "fingerprint": "add419c44d8eab29",
+            "n_points": 3,
+            "points": [
+                {"completed_unix": 1000.0, "improved_yield": 0.95, "n_buffers": 3,
+                 "runtime_seconds": 0.0},
+                {"completed_unix": 2000.0, "improved_yield": 0.95, "n_buffers": 3,
+                 "runtime_seconds": 0.5},
+                {"completed_unix": 3000.0, "improved_yield": 0.95, "n_buffers": 3,
+                 "runtime_seconds": 0.75},
+            ],
+        }
+        unstable = {
+            "cell_id": self.CELL_IDS[1],
+            "fingerprint": "3e91a6f2c2f8031d",
+            "n_points": 3,
+            "points": [
+                {"completed_unix": 1000.0, "improved_yield": 0.9, "n_buffers": 2,
+                 "runtime_seconds": 1.0},
+                {"completed_unix": 2000.0, "improved_yield": 0.85, "n_buffers": 2,
+                 "runtime_seconds": 1.5},
+                {"completed_unix": 3000.0, "improved_yield": 0.9, "n_buffers": 2,
+                 "runtime_seconds": 0.5},
+            ],
+        }
+        unstable_line = (
+            f"  {self.CELL_IDS[1]}: 3 run(s), Y 85.00%..90.00% (UNSTABLE), "
+            "runtime 1.00s -> 0.50s (-50.0%)\n"
+        )
+
+        assert self._run(
+            ["campaign", "trend", "--store", store, *ingest], capsys, tmp_path
+        ) == (
+            0,
+            f"store     : {uri}\n"
+            "cells     : 2 with 6 recorded run(s)\n"
+            f"  {self.CELL_IDS[0]}: 3 run(s), Y 95.00%, runtime 0.00s -> 0.75s\n"
+            + unstable_line,
+            f"[campaign] ingested 6 new record(s) from 3 store(s) into {uri}\n",
+        )
+        assert self._run(
+            ["campaign", "trend", "--store", store, *ingest, "--json"], capsys, tmp_path
+        ) == (
+            0,
+            self._json(
+                {"cells": [stable, unstable], "n_cells": 2, "n_points": 6, "store": uri}
+            ),
+            f"[campaign] ingested 0 new record(s) from 3 store(s) into {uri}\n",
+        )
+        filtered = ["campaign", "trend", "--store", store, "--cell", self.CELL_IDS[1]]
+        assert self._run(filtered, capsys, tmp_path) == (
+            0,
+            f"store     : {uri}\ncells     : 1 with 3 recorded run(s)\n" + unstable_line,
+            "",
+        )
+        assert self._run(filtered + ["--json"], capsys, tmp_path) == (
+            0,
+            self._json({"cells": [unstable], "n_cells": 1, "n_points": 3, "store": uri}),
+            "",
+        )
+
+
 class TestPoolGc:
     def _seed_pool(self, tmp_path, ages):
         from repro.campaign import CampaignStore, get_spec, make_record
