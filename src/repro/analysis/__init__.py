@@ -4,19 +4,10 @@
   behind the paper's Fig. 5a–c);
 * :mod:`repro.analysis.correlation` — buffer-pair correlation summaries
   (the data behind Fig. 6);
-* :mod:`repro.analysis.tables` — Table-I style result rows and text
-  rendering used by the benchmark harness and ``EXPERIMENTS.md``.
+* :mod:`repro.analysis.tables` — Table-I style result rows and their
+  text and Markdown rendering (the benchmark harness, campaign reports);
+* :mod:`repro.analysis.lint` — the invariant linter behind ``repro lint``.
+
+The package re-exports nothing: importing a submodule loads only that
+submodule, so the stdlib-only linter starts without numpy.
 """
-
-from repro.analysis.correlation import correlation_summary
-from repro.analysis.histograms import TuningHistogram, tuning_histogram
-from repro.analysis.tables import TableOneRow, format_table_one, rows_to_markdown
-
-__all__ = [
-    "TuningHistogram",
-    "tuning_histogram",
-    "correlation_summary",
-    "TableOneRow",
-    "format_table_one",
-    "rows_to_markdown",
-]

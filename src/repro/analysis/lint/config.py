@@ -7,31 +7,19 @@ bit-identical across runs.  :class:`LintConfig` carries those
 classifications as dotted-module glob patterns plus per-rule allowlists
 (``module`` or ``module:qualname`` entries) for the cases that are
 *intentionally* exempt — each default entry below carries a one-line
-justification, which is the project's policy for exemptions (prefer an
-allowlist entry with a reason over a baseline line without one).
+justification, which is the project's policy for exemptions.
 
-The defaults encode this repository's own layout so ``repro lint src/``
-works out of the box; a ``reprolint.toml`` file (or ``--config PATH``)
-overrides any table.  The override file is parsed with :mod:`tomllib`
-where available (Python >= 3.11) and with a small built-in parser for
-the subset the config needs (tables, strings, booleans, string arrays)
-on 3.10 — both paths are tested against the same documents.
+The defaults encode this repository's own layout and are the linter's
+only configuration: ``repro lint`` reads no config file, and an
+allowlist entry with its reason is the only way to exempt a site.
+Tests construct a :class:`LintConfig` with their own tables.
 """
 
 from __future__ import annotations
 
 import fnmatch
-import os
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
-
-
-class LintConfigError(ValueError):
-    """A lint configuration file is malformed (a usage error: exit 2)."""
-
-
-#: Default name of the optional override file, looked up in the CWD.
-CONFIG_FILE_NAME = "reprolint.toml"
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 #: Directory names never descended into when expanding lint paths.
 DEFAULT_EXCLUDE_DIRS = (
@@ -161,258 +149,4 @@ class LintConfig:
         return False
 
 
-# ----------------------------------------------------------------------
-# Override-file loading
-# ----------------------------------------------------------------------
-
-#: Maps ``[lint.<table>] key`` pairs onto LintConfig field names.
-_TABLE_FIELDS: Dict[Tuple[str, str], str] = {
-    ("lint", "exclude-dirs"): "exclude_dirs",
-    ("lint.determinism", "modules"): "determinism_modules",
-    ("lint.determinism", "allow"): "determinism_allow",
-    ("lint.canonical-json", "modules"): "canonical_json_modules",
-    ("lint.canonical-json", "allow"): "canonical_json_allow",
-    ("lint.transaction-discipline", "modules"): "transaction_modules",
-    ("lint.transaction-discipline", "allow"): "transaction_allow",
-    ("lint.obs-naming", "modules"): "obs_modules",
-    ("lint.obs-naming", "dynamic-allow"): "obs_dynamic_allow",
-    ("lint.obs-naming", "allow"): "obs_allow",
-    ("lint.cli-conventions", "modules"): "cli_modules",
-    ("lint.cli-conventions", "handler-prefix"): "cli_handler_prefix",
-    ("lint.cli-conventions", "allow"): "cli_allow",
-}
-
-
-def _unknown_entries(data: Dict[str, object]) -> List[str]:
-    """Dotted paths of tables/keys the config schema does not define.
-
-    A typo (``[lint.determinsm]``, ``module`` for ``modules``) must be
-    a hard error, not a silent fall-back to the built-in defaults.
-    """
-    known_keys: Dict[str, set] = {}
-    for table_name, key in _TABLE_FIELDS:
-        known_keys.setdefault(table_name, set()).add(key)
-    known_subtables = {
-        name.split(".", 1)[1] for name in known_keys if name.startswith("lint.")
-    }
-    unknown: List[str] = []
-    for top, value in data.items():
-        if top != "lint":
-            unknown.append(top)
-            continue
-        if not isinstance(value, dict):
-            unknown.append("lint")
-            continue
-        for key, sub in value.items():
-            if key in known_keys["lint"]:
-                continue
-            if key not in known_subtables or not isinstance(sub, dict):
-                unknown.append(f"lint.{key}")
-                continue
-            for inner in sub:
-                if inner not in known_keys[f"lint.{key}"]:
-                    unknown.append(f"lint.{key}.{inner}")
-    return unknown
-
-
-def config_from_mapping(data: Dict[str, object]) -> LintConfig:
-    """Build a config from a parsed TOML document (defaults + overrides)."""
-    unknown = _unknown_entries(data)
-    if unknown:
-        raise LintConfigError(
-            "unrecognized lint config entr{} {}".format(
-                "y" if len(unknown) == 1 else "ies",
-                ", ".join(sorted(unknown)),
-            )
-        )
-    updates: Dict[str, object] = {}
-    for (table_name, key), field_name in _TABLE_FIELDS.items():
-        table: object = data
-        for part in table_name.split("."):
-            if not isinstance(table, dict):
-                table = None
-                break
-            table = table.get(part)
-        if not isinstance(table, dict) or key not in table:
-            continue
-        value = table[key]
-        wants_str = field_name == "cli_handler_prefix"
-        if wants_str:
-            if not isinstance(value, str):
-                raise LintConfigError(
-                    f"[{table_name}] {key} must be a string, got {value!r}"
-                )
-            updates[field_name] = value
-        else:
-            if not isinstance(value, list) or not all(
-                isinstance(item, str) for item in value
-            ):
-                raise LintConfigError(
-                    f"[{table_name}] {key} must be an array of strings, got {value!r}"
-                )
-            updates[field_name] = tuple(value)
-    known = {f.name for f in fields(LintConfig)}
-    assert set(updates) <= known
-    return replace(LintConfig(), **updates)
-
-
-def load_config(path: Optional[str] = None) -> LintConfig:
-    """Load the lint config for a run.
-
-    With an explicit ``path`` the file must exist; without one,
-    ``reprolint.toml`` in the CWD is used when present, the built-in
-    defaults otherwise.
-    """
-    if path is None:
-        if os.path.exists(CONFIG_FILE_NAME):
-            path = CONFIG_FILE_NAME
-        else:
-            return LintConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        raise LintConfigError(f"cannot read lint config {path!r}: {error}") from error
-    try:
-        data = parse_toml(text)
-    except LintConfigError as error:
-        raise LintConfigError(f"lint config {path!r}: {error}") from None
-    return config_from_mapping(data)
-
-
-# ----------------------------------------------------------------------
-# TOML parsing (tomllib when available, built-in subset parser on 3.10)
-# ----------------------------------------------------------------------
-def parse_toml(text: str) -> Dict[str, object]:
-    """Parse a TOML document into nested dicts."""
-    try:
-        import tomllib
-    except ImportError:  # Python 3.10
-        return parse_toml_subset(text)
-    try:
-        return tomllib.loads(text)
-    except tomllib.TOMLDecodeError as error:
-        raise LintConfigError(f"invalid TOML: {error}") from None
-
-
-def parse_toml_subset(text: str) -> Dict[str, object]:
-    """Minimal TOML parser for lint-config documents.
-
-    Supports ``[dotted.table]`` headers, ``key = value`` assignments
-    with string / boolean / integer / string-array values (arrays may
-    span lines), and ``#`` comments.  Anything else raises
-    :class:`LintConfigError` — the config format is deliberately small.
-    """
-    root: Dict[str, object] = {}
-    table = root
-    lines = text.splitlines()
-    index = 0
-    while index < len(lines):
-        line = _strip_comment(lines[index])
-        index += 1
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            table = root
-            for part in line[1:-1].strip().split("."):
-                part = part.strip()
-                if not part:
-                    raise LintConfigError(f"malformed table header {line!r}")
-                table = table.setdefault(part, {})  # type: ignore[assignment]
-                if not isinstance(table, dict):
-                    raise LintConfigError(f"table {part!r} collides with a value")
-            continue
-        if "=" not in line:
-            raise LintConfigError(f"expected 'key = value', got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip().strip('"')
-        raw = raw.strip()
-        if raw.startswith("[") and not _array_closed(raw):
-            # Multi-line array: accumulate until the bracket closes.
-            while index < len(lines):
-                raw += " " + _strip_comment(lines[index])
-                index += 1
-                if _array_closed(raw.strip()):
-                    break
-            raw = raw.strip()
-        table[key] = _parse_value(raw)
-    return root
-
-
-def _strip_comment(line: str) -> str:
-    """Drop a ``#`` comment (quote-aware) and surrounding whitespace."""
-    out = []
-    in_string = False
-    for char in line:
-        if char == '"':
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            break
-        out.append(char)
-    return "".join(out).strip()
-
-
-def _array_closed(raw: str) -> bool:
-    """Whether an array literal's brackets balance outside strings."""
-    depth = 0
-    in_string = False
-    for char in raw:
-        if char == '"':
-            in_string = not in_string
-        elif not in_string:
-            if char == "[":
-                depth += 1
-            elif char == "]":
-                depth -= 1
-    return depth == 0 and not in_string
-
-
-def _parse_value(raw: str) -> object:
-    if raw.startswith("[") and raw.endswith("]"):
-        body = raw[1:-1].strip()
-        if not body:
-            return []
-        items: List[object] = []
-        for piece in _split_array_items(body):
-            items.append(_parse_value(piece))
-        return items
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        raise LintConfigError(f"unsupported TOML value {raw!r}") from None
-
-
-def _split_array_items(body: str) -> List[str]:
-    items: List[str] = []
-    current: List[str] = []
-    in_string = False
-    for char in body:
-        if char == '"':
-            in_string = not in_string
-            current.append(char)
-        elif char == "," and not in_string:
-            piece = "".join(current).strip()
-            if piece:
-                items.append(piece)
-            current = []
-        else:
-            current.append(char)
-    piece = "".join(current).strip()
-    if piece:
-        items.append(piece)
-    return items
-
-
-__all__ = [
-    "CONFIG_FILE_NAME",
-    "LintConfig",
-    "LintConfigError",
-    "config_from_mapping",
-    "load_config",
-    "parse_toml",
-    "parse_toml_subset",
-]
+__all__ = ["LintConfig"]

@@ -4,10 +4,10 @@ A lint run is: collect ``*.py`` files from the given paths, parse each
 into a :class:`FileContext` (AST with parent links, import resolution,
 module classification), hand every context to every :class:`Rule`, then
 give each rule a cross-file ``finish()`` pass for whole-program checks
-(the obs-naming kind-collision check lives there).  Findings are
-filtered through inline ``# repro: lint-ok[rule]`` suppressions and an
-optional committed baseline, then sorted into a stable
-``(path, line, col, rule)`` order.
+(the obs-naming kind-collision check lives there).  Findings are sorted
+into a stable ``(path, line, col, rule)`` order.  There is no inline
+marker and no baseline: a site is exempt only through an allowlist
+entry of :class:`~repro.analysis.lint.config.LintConfig`.
 
 Design notes:
 
@@ -16,70 +16,38 @@ Design notes:
 * A file that does not parse is a *usage* error (:class:`LintError`,
   CLI exit 2), not a finding: an unparseable tree can hide any number
   of violations, so "0 findings" must never be reported for it.
-* Baseline entries identify findings by
-  ``rule::path::occurrence::message`` — deliberately line-number-free,
-  so unrelated edits above a grandfathered site do not invalidate the
-  baseline.  ``occurrence`` is the finding's index among identical
-  ``(rule, path, message)`` findings in that file (in line order), so
-  grandfathering one violation never silently covers a *new* identical
-  violation added to the same file later.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import os
-import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.lint.config import LintConfig
 
 
 class LintError(ValueError):
-    """A lint run cannot proceed (bad path, unparseable file, bad baseline)."""
+    """A lint run cannot proceed (bad path, unparseable file)."""
 
-
-#: Inline suppression marker: ``# repro: lint-ok[rule]`` or
-#: ``# repro: lint-ok[rule-a, rule-b]`` on the flagged line or the line
-#: directly above it.
-_SUPPRESSION_RE = re.compile(r"#\s*repro:\s*lint-ok\[([a-z0-9_,\s-]+)\]")
 
 #: Version of the ``--json`` findings schema; bump on layout changes.
-#: v2: findings carry an ``occurrence`` index and keys include it.
-REPORT_SCHEMA_VERSION = 2
-
-#: Version of the baseline-file schema; bump on layout changes.
-#: v2: keys gained an occurrence index (``rule::path::occurrence::message``)
-#: so one baselined violation cannot grandfather future identical ones.
-BASELINE_SCHEMA_VERSION = 2
+#: v3: the report holds ``findings``, ``n_files`` and ``n_findings``; a
+#: finding holds ``rule``, ``path``, ``line``, ``col`` and ``message``.
+REPORT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at one source location.
-
-    ``occurrence`` is assigned by the runner: the finding's index among
-    identical ``(rule, path, message)`` findings in its file, counted in
-    line order over non-suppressed findings.
-    """
+    """One rule violation at one source location."""
 
     path: str
     line: int
     col: int
     rule: str
     message: str
-    occurrence: int = 0
-
-    def key(self) -> str:
-        """Line-number-free identity used by baseline files.
-
-        ``occurrence`` sits before the free-form message so every
-        machine-generated component stays unambiguous.
-        """
-        return f"{self.rule}::{self.path}::{self.occurrence}::{self.message}"
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -88,8 +56,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "occurrence": self.occurrence,
-            "key": self.key(),
         }
 
     def render(self) -> str:
@@ -117,7 +83,6 @@ class FileContext:
         self.path = os.path.normpath(path).replace(os.sep, "/")
         self.source = source
         self.config = config
-        self.lines = source.splitlines()
         try:
             self.tree = ast.parse(source)
         except SyntaxError as error:
@@ -130,7 +95,6 @@ class FileContext:
                 self._parents[child] = node
         self.module = module_name_for(path)
         self.imports = _collect_imports(self.tree)
-        self._suppressed = _collect_suppressions(self.lines)
 
     # ------------------------------------------------------------------
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
@@ -186,14 +150,6 @@ class FileContext:
         parts.append(base)
         return ".".join(reversed(parts))
 
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        """Whether an inline marker suppresses ``rule`` at ``line``."""
-        for candidate in (line, line - 1):
-            rules = self._suppressed.get(candidate)
-            if rules is not None and rule in rules:
-                return True
-        return False
-
     def finding(
         self, rule: str, node: ast.AST, message: str
     ) -> Finding:
@@ -246,18 +202,6 @@ def _collect_imports(tree: ast.Module) -> Dict[str, str]:
     return imports
 
 
-def _collect_suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
-    suppressed: Dict[int, Set[str]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        match = _SUPPRESSION_RE.search(line)
-        if match is None:
-            continue
-        rules = {part.strip() for part in match.group(1).split(",") if part.strip()}
-        if rules:
-            suppressed[lineno] = rules
-    return suppressed
-
-
 # ----------------------------------------------------------------------
 # Rule interface
 # ----------------------------------------------------------------------
@@ -265,7 +209,7 @@ class Rule(ABC):
     """One project invariant, checked per file with an optional
     cross-file ``finish()`` pass.
 
-    Subclasses set ``name`` (the ``--rule``/suppression identifier) and
+    Subclasses set ``name`` (the ``--rule`` identifier) and
     ``description`` (one line for ``repro lint --list-rules``), scope
     themselves via the config's module globs, and may accumulate state
     across ``check_file`` calls for ``finish`` — instances live for
@@ -285,45 +229,6 @@ class Rule(ABC):
 
 
 # ----------------------------------------------------------------------
-# Baselines
-# ----------------------------------------------------------------------
-def load_baseline(path: str) -> Set[str]:
-    """Finding keys grandfathered by a committed baseline file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as error:
-        raise LintError(f"cannot read baseline {path!r}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise LintError(f"baseline {path!r} is not valid JSON: {error}") from None
-    if not isinstance(data, dict):
-        raise LintError(f"baseline {path!r} must be a JSON object")
-    version = data.get("schema_version")
-    if not isinstance(version, int) or version != BASELINE_SCHEMA_VERSION:
-        # Older versions used a different key format; accepting them
-        # would silently match nothing, so demand a regeneration.
-        raise LintError(
-            f"baseline {path!r} has unsupported schema_version {version!r} "
-            f"(expected {BASELINE_SCHEMA_VERSION}; regenerate with "
-            "--write-baseline)"
-        )
-    findings = data.get("findings")
-    if not isinstance(findings, list) or not all(
-        isinstance(key, str) for key in findings
-    ):
-        raise LintError(f"baseline {path!r} needs a 'findings' array of keys")
-    return set(findings)
-
-
-def baseline_payload(findings: Sequence[Finding]) -> Dict[str, object]:
-    """A baseline document grandfathering ``findings`` (sorted, deduped)."""
-    return {
-        "schema_version": BASELINE_SCHEMA_VERSION,
-        "findings": sorted({finding.key() for finding in findings}),
-    }
-
-
-# ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
 @dataclass
@@ -332,8 +237,6 @@ class LintResult:
 
     findings: List[Finding]
     n_files: int
-    n_suppressed: int
-    n_baselined: int
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -341,8 +244,6 @@ class LintResult:
             "findings": [finding.as_dict() for finding in self.findings],
             "n_findings": len(self.findings),
             "n_files": self.n_files,
-            "n_suppressed": self.n_suppressed,
-            "n_baselined": self.n_baselined,
         }
 
 
@@ -353,7 +254,6 @@ class LintRunner:
         self,
         config: Optional[LintConfig] = None,
         rules: Optional[Sequence[Rule]] = None,
-        baseline: Optional[Set[str]] = None,
     ) -> None:
         from repro.analysis.lint.rules import build_rules
 
@@ -361,7 +261,6 @@ class LintRunner:
         self.rules: List[Rule] = (
             list(rules) if rules is not None else build_rules()
         )
-        self.baseline = baseline or set()
 
     # ------------------------------------------------------------------
     def collect_files(self, paths: Sequence[str]) -> List[str]:
@@ -390,8 +289,7 @@ class LintRunner:
 
     def run(self, paths: Sequence[str]) -> LintResult:
         files = self.collect_files(paths)
-        raw: List[Tuple[Finding, FileContext]] = []
-        contexts: Dict[str, FileContext] = {}
+        findings: List[Finding] = []
         for path in files:
             try:
                 with open(path, "r", encoding="utf-8") as handle:
@@ -399,66 +297,21 @@ class LintRunner:
             except OSError as error:
                 raise LintError(f"cannot read {path!r}: {error}") from error
             ctx = FileContext(path, source, self.config)
-            contexts[ctx.path] = ctx
             for rule in self.rules:
-                for finding in rule.check_file(ctx):
-                    raw.append((finding, ctx))
+                findings.extend(rule.check_file(ctx))
         for rule in self.rules:
-            for finding in rule.finish():
-                raw.append((finding, contexts[finding.path]))
-
-        kept: List[Finding] = []
-        n_suppressed = 0
-        for finding, ctx in raw:
-            if ctx.is_suppressed(finding.rule, finding.line):
-                n_suppressed += 1
-                continue
-            kept.append(finding)
-        # Occurrence indices are assigned over the *non-suppressed*
-        # findings in location order, before baseline filtering: a
-        # baselined finding still occupies its index, so a new
-        # identical violation in the same file gets a fresh key and
-        # surfaces instead of riding the grandfathered entry.
-        kept.sort()
-        counters: Dict[Tuple[str, str, str], int] = {}
-        findings: List[Finding] = []
-        n_baselined = 0
-        for finding in kept:
-            group = (finding.rule, finding.path, finding.message)
-            index = counters.get(group, 0)
-            counters[group] = index + 1
-            numbered = replace(finding, occurrence=index)
-            if numbered.key() in self.baseline:
-                n_baselined += 1
-                continue
-            findings.append(numbered)
-        return LintResult(
-            findings=findings,
-            n_files=len(files),
-            n_suppressed=n_suppressed,
-            n_baselined=n_baselined,
-        )
+            findings.extend(rule.finish())
+        return LintResult(findings=sorted(findings), n_files=len(files))
 
 
 def format_findings(result: LintResult) -> str:
     """Human-readable rendering of a lint result."""
     lines = [finding.render() for finding in result.findings]
-    summary = (
-        f"{len(result.findings)} finding(s) in {result.n_files} file(s)"
-    )
-    extras = []
-    if result.n_suppressed:
-        extras.append(f"{result.n_suppressed} suppressed inline")
-    if result.n_baselined:
-        extras.append(f"{result.n_baselined} baselined")
-    if extras:
-        summary += f" ({', '.join(extras)})"
-    lines.append(summary)
+    lines.append(f"{len(result.findings)} finding(s) in {result.n_files} file(s)")
     return "\n".join(lines)
 
 
 __all__ = [
-    "BASELINE_SCHEMA_VERSION",
     "REPORT_SCHEMA_VERSION",
     "FileContext",
     "Finding",
@@ -466,8 +319,6 @@ __all__ = [
     "LintResult",
     "LintRunner",
     "Rule",
-    "baseline_payload",
     "format_findings",
-    "load_baseline",
     "module_name_for",
 ]

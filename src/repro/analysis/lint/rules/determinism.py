@@ -20,7 +20,7 @@ break bit-identity:
 
 Envelope timestamps (a record's ``completed_unix``, an artifact's
 ``created_unix``) are intentionally wall-clock; those sites live in the
-config allowlist with a justification, not in a baseline.
+config allowlist with a justification.
 """
 
 from __future__ import annotations

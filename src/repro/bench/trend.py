@@ -134,9 +134,11 @@ def build_bench_trend(
     uses); each scenario's points are ordered by artifact creation time,
     ingest order breaking ties.  A scenario's plan is stable when every
     run that recorded a plan fingerprint recorded the same one.
-    ``scenario_id`` restricts the view.
+    ``scenario_id`` restricts the view; an id with no point in the store
+    raises :class:`BenchTrendError`, so a misspelt filter is not read as
+    an empty history.
     """
-    return series_view(
+    trend = series_view(
         store,
         "scenarios",
         (record for record in store.history() if scenario_id in (None, record["scenario_id"])),
@@ -146,6 +148,9 @@ def build_bench_trend(
         point=_point,
         describe=_describe,
     )
+    if scenario_id is not None and not trend["scenarios"]:
+        raise BenchTrendError(f"scenario {scenario_id!r} is not in trend store {store.uri}")
+    return trend
 
 
 def _line(scenario: Entry) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.campaign.spec import CampaignCell
-from repro.campaign.store import CampaignStore
+from repro.campaign.store import CampaignStore, CampaignStoreError
 from repro.store import Record
 from repro.store.series import Entry, first_to_last, format_series, ingest, series_view
 
@@ -78,9 +78,11 @@ def build_trend(store: CampaignStore, cell_id: Optional[str] = None) -> Dict[str
 
     Cells appear in their deterministic expansion order; each cell's
     points are sorted by completion time (append order breaking ties).
-    ``cell_id`` restricts the view to one cell.
+    ``cell_id`` restricts the view to one cell; an id with no record in
+    the store raises :class:`~repro.campaign.store.CampaignStoreError`,
+    so a misspelt filter is not read as an empty history.
     """
-    return series_view(
+    trend = series_view(
         store.backend,
         "cells",
         (
@@ -97,6 +99,9 @@ def build_trend(store: CampaignStore, cell_id: Optional[str] = None) -> Dict[str
             "fingerprint": str(record["fingerprint"]),
         },
     )
+    if cell_id is not None and not trend["cells"]:
+        raise CampaignStoreError(f"cell {cell_id!r} is not in campaign store {store.uri}")
+    return trend
 
 
 def _line(cell: Entry) -> str:

@@ -19,7 +19,8 @@ Installed as the ``repro`` console script, with four subcommands:
     diff two artifacts, gate a candidate against a baseline with a
     configurable slowdown threshold (non-zero exit on regression), or
     accumulate nightly artifacts into a cross-run per-scenario timing
-    series (``trend --store URI --ingest BENCH_*.json``).
+    series (``trend --store URI --ingest BENCH_*.json``; a ``--scenario``
+    the store does not hold exits 2).
 
 ``repro campaign run|status|report|merge|compare|trend``
     The experiment-campaign subsystem (:mod:`repro.campaign`): run a
@@ -29,7 +30,8 @@ Installed as the ``repro`` console script, with four subcommands:
     baseline strategies, union the stores of n distributed
     ``--shard i/n`` jobs into one, diff two stores with an optional
     quality gate (exit 1 on regression), and render cross-run per-cell
-    yield/runtime trends from a store's append history.  ``run --pool``
+    yield/runtime trends from a store's append history (a ``--cell`` the
+    store does not hold exits 2).  ``run --pool``
     attaches a shared content-addressed result pool so overlapping
     campaigns reuse each other's completed cells.
 
@@ -57,9 +59,9 @@ Installed as the ``repro`` console script, with four subcommands:
     of the project's own conventions — determinism in result-bearing
     modules, ``sort_keys`` on canonical JSON, transaction discipline on
     store mutations, obs span/metric naming, CLI handler conventions.
-    Exit 0 when clean, 1 on findings, 2 on usage/parse errors; findings
-    honour inline ``# repro: lint-ok[rule]`` suppressions, an optional
-    ``--baseline`` file, and a ``reprolint.toml`` config.
+    Exit 0 when clean, 1 on findings, 2 on usage/parse errors.  The
+    built-in module classification and reasoned allowlists are its only
+    configuration; there is no config file, baseline or inline marker.
 
 ``repro trace summary|top|export``
     The observability subsystem (:mod:`repro.obs`): render the per-cell/
@@ -366,26 +368,6 @@ def _add_lint_parsers(subparsers) -> None:
         f"available: {', '.join(RULE_NAMES)}",
     )
     lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="JSON baseline of grandfathered findings (matched by "
-        "rule::path::occurrence::message, line-number-free)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write the current findings as a baseline file and exit 0",
-    )
-    lint.add_argument(
-        "--config",
-        default=None,
-        metavar="FILE",
-        help="lint config file (default: ./reprolint.toml when present, "
-        "else the built-in project classification)",
-    )
-    lint.add_argument(
         "--list-rules", action="store_true", help="list the rule catalogue and exit"
     )
     lint.add_argument(
@@ -395,15 +377,11 @@ def _add_lint_parsers(subparsers) -> None:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import (
-        LintConfigError,
         LintError,
         LintRunner,
         RULE_REGISTRY,
-        baseline_payload,
         build_rules,
         format_findings,
-        load_baseline,
-        load_config,
     )
 
     try:
@@ -411,33 +389,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             for name in sorted(RULE_REGISTRY):
                 print(f"{name:<24} {RULE_REGISTRY[name].description}")
             return 0
-        config = load_config(args.config)
-        baseline = load_baseline(args.baseline) if args.baseline else None
-        runner = LintRunner(
-            config=config, rules=build_rules(args.rule), baseline=baseline
-        )
-        result = runner.run(args.paths)
-        if args.write_baseline:
-            with open(args.write_baseline, "w", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(
-                        baseline_payload(result.findings), indent=2, sort_keys=True
-                    )
-                    + "\n"
-                )
-            print(
-                f"[lint] wrote baseline {args.write_baseline} "
-                f"({len(result.findings)} finding(s))",
-                file=sys.stderr,
-                flush=True,
-            )
-            return 0
+        result = LintRunner(rules=build_rules(args.rule)).run(args.paths)
         if args.json:
             print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
         else:
             print(format_findings(result))
         return 0 if not result.findings else 1
-    except (LintConfigError, LintError, OSError) as error:
+    except (LintError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

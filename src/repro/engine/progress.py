@@ -15,10 +15,11 @@ The sample sweeps of the flow report under **canonical phase names**
 (the ``PHASE_*`` constants, ordered by :data:`PHASE_ORDER`) so that
 timings are comparable across executors, flow runs and benchmark
 artifacts: ``step1_train``, ``prune_resolve``, ``step2_interim``,
-``step2_train`` and ``yield_eval``.  :meth:`EngineStats.phase_seconds`
-returns the wall-clock seconds of every canonical phase (zero-filled
-when a phase did not run, e.g. the skipped step-2 interim pass) plus
-any ad-hoc phases that were recorded.
+``step2_train`` and ``yield_eval``.
+:meth:`~repro.core.results.FlowResult.phase_seconds` returns the
+wall-clock seconds of every canonical phase (zero-filled when a phase
+did not run, e.g. the skipped step-2 interim pass) plus any ad-hoc
+phases that were recorded.
 """
 
 from __future__ import annotations
@@ -185,19 +186,3 @@ class EngineStats:
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """Plain nested-dict view of every phase."""
         return {name: stats.as_dict() for name, stats in self.phases.items()}
-
-    def total_seconds(self) -> float:
-        """Wall-clock seconds summed over all phases."""
-        return float(sum(stats.seconds for stats in self.phases.values()))
-
-    def phase_seconds(self) -> Dict[str, float]:
-        """Wall-clock seconds per canonical phase, in :data:`PHASE_ORDER`.
-
-        Canonical phases that never ran report 0.0 (e.g. the step-2
-        interim pass when it was skipped); ad-hoc phase names recorded
-        outside the canon are appended after the canonical ones.
-        """
-        seconds = {phase: 0.0 for phase in PHASE_ORDER}
-        for name, stats in self.phases.items():
-            seconds[name] = seconds.get(name, 0.0) + float(stats.seconds)
-        return seconds

@@ -8,13 +8,13 @@ The renderers behind ``repro trace summary|top|export``:
   final line in a file that does not end with a newline).
 * :func:`summarize_trace` folds the ``engine.phase`` spans into
   :class:`PhaseRow` s keyed by ``(cell, phase)``.  *Wall* seconds are
-  the phase spans' durations (what :meth:`EngineStats.total_seconds`
-  measures, so the summary total and the engine stats agree); *work*
-  seconds sum the matching ``engine.chunk`` spans — on parallel
-  executors work exceeds wall (that is the speedup), serially they are
-  nearly equal.  ``self`` is the wall clock not covered by chunk work
-  (cache lookups, chunk assembly, result reduction), clamped at zero
-  for parallel runs.
+  the phase spans' durations (the seconds the engine records per phase,
+  so the summary total agrees with the sum of
+  :meth:`~repro.core.results.FlowResult.phase_seconds`); *work* seconds
+  sum the matching ``engine.chunk`` spans — on parallel executors work
+  exceeds wall (that is the speedup), serially they are nearly equal.
+  ``self`` is the wall clock not covered by chunk work (cache lookups,
+  chunk assembly, result reduction), clamped at zero for parallel runs.
 * :func:`top_spans` ranks the slowest spans (default: all names) —
   the "which chunk stalled" view.
 * :func:`export_chrome` converts a trace into the Chrome trace-event
@@ -156,8 +156,8 @@ class TraceSummary:
 
     @property
     def total_wall_seconds(self) -> float:
-        """Summed phase wall clock — comparable to
-        :meth:`repro.engine.EngineStats.total_seconds`."""
+        """Summed phase wall clock — comparable to the sum of
+        :meth:`repro.core.results.FlowResult.phase_seconds`."""
         return float(sum(row.wall_seconds for row in self.rows))
 
     def cell_seconds(self) -> Dict[str, float]:

@@ -1,11 +1,11 @@
-"""The ``repro lint`` subcommand: exit codes, --json schema, baselines."""
+"""The ``repro lint`` subcommand: exit codes, the --json schema, rule selection."""
 
 import json
 import textwrap
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 CLEAN = "VALUE = 1\n"
 DIRTY = textwrap.dedent(
@@ -14,66 +14,74 @@ DIRTY = textwrap.dedent(
     stamp = time.time()
     """
 )
-
-CONFIG = textwrap.dedent(
-    """
-    [lint.determinism]
-    modules = ["mod"]
-    """
-)
+TARGET = "repro/campaign/mod.py"
 
 
 @pytest.fixture
 def workspace(tmp_path, monkeypatch):
-    """A tmp CWD with a mod.py target and a cfg.toml classifying it."""
+    """A tmp CWD holding the packages ``repro`` and ``repro.campaign``.
+
+    ``repro/campaign/mod.py`` is module ``repro.campaign.mod``, which the
+    default ``repro.campaign.*`` tables classify for determinism and
+    canonical-json.
+    """
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.toml").write_text(CONFIG, encoding="utf-8")
+    (tmp_path / "repro" / "campaign").mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("", encoding="utf-8")
+    (tmp_path / "repro" / "campaign" / "__init__.py").write_text("", encoding="utf-8")
     return tmp_path
 
 
 def write_target(workspace, source):
-    (workspace / "mod.py").write_text(source, encoding="utf-8")
-    return "mod.py"
+    (workspace / TARGET).write_text(source, encoding="utf-8")
+    return TARGET
+
+
+def assert_unknown_argument(capsys, argv, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestExitCodes:
     def test_clean_run_exits_0(self, workspace, capsys):
         target = write_target(workspace, CLEAN)
-        assert main(["lint", target, "--config", "cfg.toml"]) == 0
+        assert main(["lint", target]) == 0
         assert "0 finding(s) in 1 file(s)" in capsys.readouterr().out
 
     def test_findings_exit_1(self, workspace, capsys):
         target = write_target(workspace, DIRTY)
-        assert main(["lint", target, "--config", "cfg.toml"]) == 1
+        assert main(["lint", target]) == 1
         out = capsys.readouterr().out
         assert "[determinism]" in out
-        assert "mod.py:3:" in out
+        assert f"{TARGET}:3:" in out
 
     def test_missing_path_exits_2(self, workspace, capsys):
-        assert main(["lint", "no/such/dir", "--config", "cfg.toml"]) == 2
+        assert main(["lint", "no/such/dir"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, workspace, capsys):
+        """The linter reads no config file: ``--config`` is an unknown argument."""
         target = write_target(workspace, CLEAN)
-        (workspace / "broken.toml").write_text("???", encoding="utf-8")
-        assert main(["lint", target, "--config", "broken.toml"]) == 2
-        assert "error:" in capsys.readouterr().err
+        (workspace / "cfg.toml").write_text("???", encoding="utf-8")
+        assert_unknown_argument(capsys, ["lint", target, "--config", "cfg.toml"], "--config")
+
+    def test_bad_baseline_exits_2(self, workspace, capsys):
+        """There are no baselines: ``--baseline`` is an unknown argument."""
+        target = write_target(workspace, CLEAN)
+        (workspace / "base.json").write_text("[]", encoding="utf-8")
+        assert_unknown_argument(capsys, ["lint", target, "--baseline", "base.json"], "--baseline")
+
+    def test_options_are_rule_selection_and_output_only(self):
+        """Nothing configures or exempts from the command line."""
+        args = build_parser().parse_args(["lint"])
+        assert sorted(vars(args)) == ["command", "json", "list_rules", "paths", "rule"]
 
     def test_unparseable_target_exits_2(self, workspace, capsys):
         target = write_target(workspace, "def broken(:\n")
-        assert main(["lint", target, "--config", "cfg.toml"]) == 2
+        assert main(["lint", target]) == 2
         assert "cannot parse" in capsys.readouterr().err
-
-    def test_bad_baseline_exits_2(self, workspace, capsys):
-        target = write_target(workspace, CLEAN)
-        (workspace / "base.json").write_text("[]", encoding="utf-8")
-        assert (
-            main(
-                ["lint", target, "--config", "cfg.toml", "--baseline", "base.json"]
-            )
-            == 2
-        )
-        assert "error:" in capsys.readouterr().err
 
     def test_unknown_rule_is_usage_error(self, workspace):
         with pytest.raises(SystemExit) as excinfo:
@@ -84,26 +92,24 @@ class TestExitCodes:
 class TestJsonOutput:
     def test_schema_and_canonical_bytes(self, workspace, capsys):
         target = write_target(workspace, DIRTY)
-        assert main(["lint", target, "--config", "cfg.toml", "--json"]) == 1
+        assert main(["lint", target, "--json"]) == 1
         out = capsys.readouterr().out
         payload = json.loads(out)
-        assert payload["schema_version"] == 2
+        assert sorted(payload) == ["findings", "n_files", "n_findings", "schema_version"]
+        assert payload["schema_version"] == 3
         assert payload["n_files"] == 1
         assert payload["n_findings"] == 1
-        assert payload["n_suppressed"] == 0
-        assert payload["n_baselined"] == 0
         (finding,) = payload["findings"]
+        assert sorted(finding) == ["col", "line", "message", "path", "rule"]
         assert finding["rule"] == "determinism"
-        assert finding["path"] == "mod.py"
+        assert finding["path"] == TARGET
         assert finding["line"] == 3
-        assert finding["occurrence"] == 0
-        assert finding["key"].startswith("determinism::mod.py::0::")
         # The linter holds itself to canonical-json: byte-stable output.
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_clean_json_run(self, workspace, capsys):
         target = write_target(workspace, CLEAN)
-        assert main(["lint", target, "--config", "cfg.toml", "--json"]) == 0
+        assert main(["lint", target, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"] == []
 
@@ -111,20 +117,12 @@ class TestJsonOutput:
 class TestRuleSelection:
     def test_single_rule_filter(self, workspace, capsys):
         source = DIRTY + "import json\ntext = json.dumps({})\n"
-        (workspace / "cfg.toml").write_text(
-            CONFIG + '\n[lint.canonical-json]\nmodules = ["mod"]\n',
-            encoding="utf-8",
-        )
         target = write_target(workspace, source)
-        assert (
-            main(
-                [
-                    "lint", target, "--config", "cfg.toml",
-                    "--rule", "canonical-json", "--json",
-                ]
-            )
-            == 1
-        )
+        assert main(["lint", target, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert {f["rule"] for f in payload["findings"]} == {"canonical-json", "determinism"}
+
+        assert main(["lint", target, "--rule", "canonical-json", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert {f["rule"] for f in payload["findings"]} == {"canonical-json"}
 
@@ -139,93 +137,3 @@ class TestRuleSelection:
             "transaction-discipline",
         ):
             assert name in out
-
-
-class TestBaselineWorkflow:
-    def test_write_then_use_baseline(self, workspace, capsys):
-        target = write_target(workspace, DIRTY)
-        assert (
-            main(
-                [
-                    "lint", target, "--config", "cfg.toml",
-                    "--write-baseline", "base.json",
-                ]
-            )
-            == 0
-        )
-        captured = capsys.readouterr()
-        assert "wrote baseline" in captured.err
-        document = json.loads((workspace / "base.json").read_text())
-        assert document["schema_version"] == 2
-        assert len(document["findings"]) == 1
-
-        assert (
-            main(
-                ["lint", target, "--config", "cfg.toml", "--baseline", "base.json"]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "0 finding(s)" in out
-        assert "1 baselined" in out
-
-    def test_new_finding_not_masked_by_baseline(self, workspace, capsys):
-        target = write_target(workspace, DIRTY)
-        assert (
-            main(
-                [
-                    "lint", target, "--config", "cfg.toml",
-                    "--write-baseline", "base.json",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        write_target(workspace, DIRTY + "import uuid\nrun = uuid.uuid4()\n")
-        assert (
-            main(
-                ["lint", target, "--config", "cfg.toml", "--baseline", "base.json"]
-            )
-            == 1
-        )
-
-    def test_identical_new_violation_not_masked_by_baseline(
-        self, workspace, capsys
-    ):
-        """Baseline keys carry an occurrence index: grandfathering one
-        `time.time()` must not cover a second, identical one added to
-        the same file later."""
-        target = write_target(workspace, DIRTY)
-        assert (
-            main(
-                [
-                    "lint", target, "--config", "cfg.toml",
-                    "--write-baseline", "base.json",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        write_target(workspace, DIRTY + "stamp2 = time.time()\n")
-        assert (
-            main(
-                [
-                    "lint", target, "--config", "cfg.toml",
-                    "--baseline", "base.json", "--json",
-                ]
-            )
-            == 1
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["n_findings"] == 1
-        assert payload["n_baselined"] == 1
-
-
-class TestSuppressionEndToEnd:
-    def test_inline_marker_reported_in_summary(self, workspace, capsys):
-        target = write_target(
-            workspace,
-            "import time\nstamp = time.time()  # repro: lint-ok[determinism]\n",
-        )
-        assert main(["lint", target, "--config", "cfg.toml"]) == 0
-        assert "1 suppressed inline" in capsys.readouterr().out

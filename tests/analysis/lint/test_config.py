@@ -1,36 +1,13 @@
-"""Lint config: classification matching, TOML loading, subset parser."""
+"""Lint config: classification matching and the reasoned allowlist defaults."""
 
-import textwrap
+import ast
+import io
+import tokenize
+from dataclasses import fields
+from pathlib import Path
 
-import pytest
-
-from repro.analysis.lint import (
-    LintConfig,
-    LintConfigError,
-    load_config,
-    parse_toml,
-    parse_toml_subset,
-)
-from repro.analysis.lint.config import config_from_mapping
-
-SAMPLE = """
-# project override
-[lint]
-exclude-dirs = ["build", ".git"]
-
-[lint.determinism]
-modules = ["repro.cli", "repro.campaign.*"]
-allow = [
-    "repro.campaign.store:make_record",  # envelope timestamp
-    "repro.bench.artifact:BenchArtifact.__post_init__",
-]
-
-[lint.cli-conventions]
-handler-prefix = "_cmd_"
-
-[lint.obs-naming]
-dynamic-allow = ["repro.store.base"]
-"""
+from repro.analysis.lint import LintConfig
+from repro.analysis.lint import config as config_module
 
 
 class TestClassification:
@@ -63,142 +40,35 @@ class TestClassification:
         )
 
 
-class TestLoading:
-    def test_defaults_without_a_file(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert load_config() == LintConfig()
+def test_comment_directly_above_every_default_allow_entry():
+    """Each default allowlist entry carries its one-line justification.
 
-    def test_explicit_missing_path_raises(self, tmp_path):
-        with pytest.raises(LintConfigError, match="cannot read"):
-            load_config(str(tmp_path / "nope.toml"))
-
-    def test_cwd_reprolint_toml_picked_up(self, tmp_path, monkeypatch):
-        (tmp_path / "reprolint.toml").write_text(
-            '[lint.determinism]\nmodules = ["only.this"]\n', encoding="utf-8"
-        )
-        monkeypatch.chdir(tmp_path)
-        config = load_config()
-        assert config.determinism_modules == ("only.this",)
-        # Untouched tables keep their defaults.
-        assert config.cli_modules == LintConfig().cli_modules
-
-    def test_override_file_applies_all_tables(self, tmp_path):
-        path = tmp_path / "cfg.toml"
-        path.write_text(SAMPLE, encoding="utf-8")
-        config = load_config(str(path))
-        assert config.exclude_dirs == ("build", ".git")
-        assert config.determinism_modules == ("repro.cli", "repro.campaign.*")
-        assert config.determinism_allow == (
-            "repro.campaign.store:make_record",
-            "repro.bench.artifact:BenchArtifact.__post_init__",
-        )
-        assert config.obs_dynamic_allow == ("repro.store.base",)
-        assert config.cli_handler_prefix == "_cmd_"
-
-    def test_wrong_value_types_raise(self):
-        with pytest.raises(LintConfigError, match="array of strings"):
-            config_from_mapping(
-                {"lint": {"determinism": {"modules": "repro.cli"}}}
-            )
-        with pytest.raises(LintConfigError, match="must be a string"):
-            config_from_mapping(
-                {"lint": {"cli-conventions": {"handler-prefix": ["x"]}}}
-            )
-
-    def test_invalid_toml_is_config_error(self, tmp_path):
-        path = tmp_path / "cfg.toml"
-        path.write_text("not toml at all ][", encoding="utf-8")
-        with pytest.raises(LintConfigError):
-            load_config(str(path))
-
-    def test_unknown_table_raises(self):
-        """A typo'd table must be a hard error, not a silent fall-back
-        to the defaults that looks like an applied override."""
-        with pytest.raises(LintConfigError, match="lint.determinsm"):
-            config_from_mapping({"lint": {"determinsm": {"modules": ["x"]}}})
-
-    def test_unknown_key_in_known_table_raises(self):
-        with pytest.raises(
-            LintConfigError, match="lint.determinism.module"
-        ):
-            config_from_mapping({"lint": {"determinism": {"module": ["x"]}}})
-
-    def test_unknown_top_level_table_raises(self):
-        with pytest.raises(LintConfigError, match="lintt"):
-            config_from_mapping({"lintt": {"determinism": {"modules": ["x"]}}})
-
-    def test_all_unknown_entries_listed_at_once(self):
-        with pytest.raises(
-            LintConfigError,
-            match=r"lint\.determinism\.module, lint\.obs",
-        ):
-            config_from_mapping(
-                {
-                    "lint": {
-                        "determinism": {"module": ["x"]},
-                        "obs": {"modules": ["y"]},
-                    }
-                }
-            )
-
-    def test_known_entries_still_accepted(self, tmp_path):
-        path = tmp_path / "cfg.toml"
-        path.write_text(SAMPLE, encoding="utf-8")
-        assert load_config(str(path)).exclude_dirs == ("build", ".git")
-
-
-class TestSubsetParser:
-    """The 3.10 fallback parser must agree with tomllib on the subset."""
-
-    def test_agrees_with_tomllib_on_the_sample(self):
-        tomllib = pytest.importorskip("tomllib")
-        assert parse_toml_subset(SAMPLE) == tomllib.loads(SAMPLE)
-
-    def test_tables_strings_bools_ints(self):
-        doc = textwrap.dedent(
-            """
-            top = "level"
-            [a.b]
-            flag = true
-            other = false
-            count = 3
-            name = "value"
-            """
-        )
-        assert parse_toml_subset(doc) == {
-            "top": "level",
-            "a": {"b": {"flag": True, "other": False, "count": 3, "name": "value"}},
-        }
-
-    def test_multiline_arrays_and_comments(self):
-        doc = textwrap.dedent(
-            """
-            [t]
-            items = [
-                "one",   # with a comment
-                "two # not a comment",
-            ]
-            """
-        )
-        assert parse_toml_subset(doc) == {
-            "t": {"items": ["one", "two # not a comment"]}
-        }
-
-    def test_empty_array(self):
-        assert parse_toml_subset("x = []\n") == {"x": []}
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            "just a line\n",
-            "x = {inline = 'table'}\n",
-            "[]\nx = 1\n",
-        ],
+    The allowlists are the linter's only exemption; the reason for an
+    entry is the comment on the line directly above its string.
+    """
+    source = Path(config_module.__file__).read_text(encoding="utf-8")
+    (cls,) = (
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == "LintConfig"
     )
-    def test_unsupported_documents_raise(self, doc):
-        with pytest.raises(LintConfigError):
-            parse_toml_subset(doc)
-
-    def test_parse_toml_dispatches(self):
-        """parse_toml uses tomllib when present; both accept the sample."""
-        assert parse_toml(SAMPLE) == parse_toml_subset(SAMPLE)
+    defaults = {
+        node.target.id: node.value
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and node.target.id.endswith("_allow")
+    }
+    assert set(defaults) == {f.name for f in fields(LintConfig) if f.name.endswith("_allow")}
+    comment_lines = {
+        token.start[0]
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT and token.line.lstrip().startswith("#")
+    }
+    entries = [(name, entry) for name, value in defaults.items() for entry in value.elts]
+    assert entries, "the default allowlists hold no entry"
+    unexplained = [
+        f"{name}: line {entry.lineno}"
+        for name, entry in entries
+        if not (isinstance(entry, ast.Constant) and isinstance(entry.value, str))
+        or entry.lineno - 1 not in comment_lines
+    ]
+    assert not unexplained, unexplained

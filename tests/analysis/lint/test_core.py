@@ -1,6 +1,10 @@
-"""Core machinery: FileContext, suppressions, baselines, the runner."""
+"""Core machinery: FileContext, module names, the runner."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +13,10 @@ from repro.analysis.lint import (
     Finding,
     LintConfig,
     LintError,
+    LintResult,
     LintRunner,
-    baseline_payload,
     build_rules,
     format_findings,
-    load_baseline,
     module_name_for,
 )
 
@@ -91,159 +94,6 @@ class TestFileContext:
         }
 
 
-class TestSuppressions:
-    def run_mod(self, tmp_path, source, rules=("determinism",)):
-        path = tmp_path / "mod.py"
-        path.write_text(textwrap.dedent(source), encoding="utf-8")
-        runner = LintRunner(
-            config=LintConfig(determinism_modules=("mod",)),
-            rules=build_rules(list(rules)),
-        )
-        return runner.run([str(path)])
-
-    def test_same_line_marker_suppresses(self, tmp_path):
-        result = self.run_mod(
-            tmp_path,
-            """
-            import time
-            stamp = time.time()  # repro: lint-ok[determinism]
-            """,
-        )
-        assert result.findings == []
-        assert result.n_suppressed == 1
-
-    def test_line_above_marker_suppresses(self, tmp_path):
-        result = self.run_mod(
-            tmp_path,
-            """
-            import time
-            # repro: lint-ok[determinism]
-            stamp = time.time()
-            """,
-        )
-        assert result.findings == []
-        assert result.n_suppressed == 1
-
-    def test_marker_names_the_wrong_rule(self, tmp_path):
-        result = self.run_mod(
-            tmp_path,
-            """
-            import time
-            stamp = time.time()  # repro: lint-ok[canonical-json]
-            """,
-        )
-        assert len(result.findings) == 1
-        assert result.n_suppressed == 0
-
-    def test_marker_with_multiple_rules(self, tmp_path):
-        result = self.run_mod(
-            tmp_path,
-            """
-            import time
-            stamp = time.time()  # repro: lint-ok[canonical-json, determinism]
-            """,
-        )
-        assert result.findings == []
-
-
-class TestBaselines:
-    def test_payload_roundtrip_filters_findings(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("import time\nstamp = time.time()\n", encoding="utf-8")
-        config = LintConfig(determinism_modules=("mod",))
-        first = LintRunner(config=config, rules=build_rules(["determinism"])).run(
-            [str(path)]
-        )
-        assert len(first.findings) == 1
-
-        import json
-
-        baseline_file = tmp_path / "baseline.json"
-        baseline_file.write_text(
-            json.dumps(baseline_payload(first.findings)), encoding="utf-8"
-        )
-        second = LintRunner(
-            config=config,
-            rules=build_rules(["determinism"]),
-            baseline=load_baseline(str(baseline_file)),
-        ).run([str(path)])
-        assert second.findings == []
-        assert second.n_baselined == 1
-
-    def test_baseline_keys_are_line_number_free(self, tmp_path):
-        """Edits above a grandfathered site must not invalidate it."""
-        path = tmp_path / "mod.py"
-        path.write_text("import time\nstamp = time.time()\n", encoding="utf-8")
-        config = LintConfig(determinism_modules=("mod",))
-        first = LintRunner(config=config, rules=build_rules(["determinism"])).run(
-            [str(path)]
-        )
-        baseline = {finding.key() for finding in first.findings}
-
-        path.write_text(
-            "import time\n\n\n# moved down\nstamp = time.time()\n",
-            encoding="utf-8",
-        )
-        second = LintRunner(
-            config=config, rules=build_rules(["determinism"]), baseline=baseline
-        ).run([str(path)])
-        assert second.findings == []
-        assert second.n_baselined == 1
-
-    def test_missing_baseline_file_raises(self, tmp_path):
-        with pytest.raises(LintError, match="cannot read baseline"):
-            load_baseline(str(tmp_path / "nope.json"))
-
-    def test_invalid_json_raises(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{", encoding="utf-8")
-        with pytest.raises(LintError, match="not valid JSON"):
-            load_baseline(str(bad))
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            "[]",
-            '{"findings": []}',
-            '{"schema_version": 99, "findings": []}',
-            # v1 keys lack the occurrence index and would silently
-            # match nothing — outdated baselines must be regenerated.
-            '{"schema_version": 1, "findings": []}',
-            '{"schema_version": 2, "findings": [1, 2]}',
-            '{"schema_version": 2}',
-        ],
-    )
-    def test_schema_violations_raise(self, tmp_path, payload):
-        bad = tmp_path / "bad.json"
-        bad.write_text(payload, encoding="utf-8")
-        with pytest.raises(LintError):
-            load_baseline(str(bad))
-
-    def test_identical_duplicate_gets_fresh_occurrence_key(self, tmp_path):
-        """Grandfathering one violation must not cover a future
-        identical violation in the same file: occurrence indices make
-        every duplicate's key distinct."""
-        path = tmp_path / "mod.py"
-        path.write_text("import time\nstamp = time.time()\n", encoding="utf-8")
-        config = LintConfig(determinism_modules=("mod",))
-        first = LintRunner(config=config, rules=build_rules(["determinism"])).run(
-            [str(path)]
-        )
-        baseline = {finding.key() for finding in first.findings}
-
-        path.write_text(
-            "import time\nstamp = time.time()\nstamp2 = time.time()\n",
-            encoding="utf-8",
-        )
-        second = LintRunner(
-            config=config, rules=build_rules(["determinism"]), baseline=baseline
-        ).run([str(path)])
-        assert len(second.findings) == 1
-        assert second.n_baselined == 1
-        assert second.findings[0].occurrence == 1
-        assert second.findings[0].key().split("::")[2] == "1"
-
-
 class TestRunner:
     def test_missing_path_is_lint_error(self):
         runner = LintRunner(config=LintConfig())
@@ -278,24 +128,12 @@ class TestRunner:
         assert [f.line for f in findings] == [2, 3]
 
     def test_format_findings_summary(self):
-        result_line = format_findings(
-            type(
-                "R",
-                (),
-                {
-                    "findings": [
-                        Finding("mod.py", 3, 0, "determinism", "boom")
-                    ],
-                    "n_files": 2,
-                    "n_suppressed": 1,
-                    "n_baselined": 2,
-                },
-            )()
+        result = LintResult(
+            findings=[Finding("mod.py", 3, 0, "determinism", "boom")], n_files=2
         )
-        assert "mod.py:3:0: [determinism] boom" in result_line
-        assert "1 finding(s) in 2 file(s)" in result_line
-        assert "1 suppressed inline" in result_line
-        assert "2 baselined" in result_line
+        assert format_findings(result) == (
+            "mod.py:3:0: [determinism] boom\n1 finding(s) in 2 file(s)"
+        )
 
 
 class TestRuleRegistry:
@@ -306,3 +144,15 @@ class TestRuleRegistry:
     def test_subset_and_dedup(self):
         rules = build_rules(["determinism", "determinism", "obs-naming"])
         assert [rule.name for rule in rules] == ["determinism", "obs-naming"]
+
+
+def test_import_loads_no_numpy():
+    """The linter is stdlib-only, and importing it loads nothing else."""
+    code = (
+        "import sys\n"
+        "import repro.analysis.lint\n"
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[3] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)

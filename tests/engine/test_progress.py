@@ -3,8 +3,7 @@
 import io
 import sys
 
-import pytest
-
+from repro.core.results import BufferPlan, FlowResult, StepArtifacts
 from repro.engine.progress import (
     PHASE_ORDER,
     EngineStats,
@@ -107,6 +106,22 @@ class TestLogProgressStream:
         progress.finish("p", 1, 0.0)
 
 
+def flow_phase_seconds(stats):
+    """``FlowResult.phase_seconds()`` of a flow that recorded ``stats``."""
+    result = FlowResult(
+        plan=BufferPlan(),
+        target_period=1.0,
+        mu_period=1.0,
+        sigma_period=0.0,
+        original_yield=1.0,
+        improved_yield=1.0,
+        step1=StepArtifacts(),
+        step2=StepArtifacts(),
+        engine_stats=stats.as_dict(),
+    )
+    return result.phase_seconds()
+
+
 class TestEngineStats:
     def test_record_accumulates(self):
         stats = EngineStats()
@@ -114,12 +129,12 @@ class TestEngineStats:
         stats.record("step1_train", n_tasks=3, n_cache_hits=2, seconds=0.5)
         phase = stats.phases["step1_train"]
         assert phase.n_tasks == 8 and phase.n_cache_hits == 2
-        assert stats.total_seconds() == pytest.approx(1.5)
+        assert phase.seconds == 1.5
 
     def test_phase_seconds_zero_fills_canonical_order(self):
         stats = EngineStats()
         stats.record("yield_eval", seconds=2.0)
-        seconds = stats.phase_seconds()
+        seconds = flow_phase_seconds(stats)
         assert list(seconds) == list(PHASE_ORDER)
         assert seconds["yield_eval"] == 2.0
         assert seconds["step2_interim"] == 0.0
@@ -129,6 +144,6 @@ class TestEngineStats:
         stats.record("warmup", seconds=0.25)
         stats.record("step1_train", seconds=1.0)
         stats.record("custom_sweep", seconds=0.5)
-        seconds = stats.phase_seconds()
+        seconds = flow_phase_seconds(stats)
         assert list(seconds) == list(PHASE_ORDER) + ["warmup", "custom_sweep"]
         assert seconds["warmup"] == 0.25 and seconds["custom_sweep"] == 0.5

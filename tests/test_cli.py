@@ -1045,6 +1045,42 @@ class TestTrendGolden:
             "",
         )
 
+    @pytest.mark.parametrize("driver", ["jsonl", "sqlite"])
+    def test_unknown_scenario_exits_2(self, tmp_path, capsys, driver):
+        ingest = []
+        for path in self._bench_artifacts(tmp_path):
+            ingest += ["--ingest", path]
+        store = f"{driver}:{tmp_path / 'bench-trend'}"
+        uri = f"{driver}:TMP/bench-trend"
+        misspelt = self.SCENARIO_IDS[0].replace("s9234", "s9243")
+        filtered = ["bench", "trend", "--store", store, "--scenario", misspelt]
+        error = f"error: scenario {misspelt!r} is not in trend store {uri}\n"
+
+        assert self._run(filtered + ingest, capsys, tmp_path) == (
+            2,
+            "",
+            f"[bench] ingested 6 new point(s) from 3 artifact(s) into {uri}\n" + error,
+        )
+        assert self._run(filtered + ["--json"], capsys, tmp_path) == (2, "", error)
+
+    @pytest.mark.parametrize("driver", ["jsonl", "sqlite"])
+    def test_unknown_cell_exits_2(self, tmp_path, capsys, driver):
+        ingest = []
+        for uri in self._campaign_stores(tmp_path):
+            ingest += ["--ingest", uri]
+        store = f"{driver}:{tmp_path / 'campaign-trend'}"
+        uri = f"{driver}:TMP/campaign-trend"
+        misspelt = self.CELL_IDS[0].replace("s9234", "s9243")
+        filtered = ["campaign", "trend", "--store", store, "--cell", misspelt]
+        error = f"error: cell {misspelt!r} is not in campaign store {uri}\n"
+
+        assert self._run(filtered + ingest, capsys, tmp_path) == (
+            2,
+            "",
+            f"[campaign] ingested 6 new record(s) from 3 store(s) into {uri}\n" + error,
+        )
+        assert self._run(filtered + ["--json"], capsys, tmp_path) == (2, "", error)
+
 
 class TestPoolGc:
     def _seed_pool(self, tmp_path, ages):
